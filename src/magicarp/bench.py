@@ -102,7 +102,10 @@ def _run_cell(args: tuple[BenchmarkSpec, int, int]) -> BenchmarkRecord:
             iterations=report.iterations,
             converged=report.converged,
         )
-    except Exception:
+    except (ValueError, RuntimeError):
+        # numerical or runtime failure of this cell (np.linalg.LinAlgError is a
+        # ValueError, ProbeFailure a RuntimeError); a programming error such as
+        # a TypeError propagates instead of becoming a silent inf record
         return BenchmarkRecord(
             dim=dim,
             run_index=run_index,

@@ -23,7 +23,14 @@ import numpy as np
 
 from .bench import tau_qsl
 from .optimizer import minimize_bfgs
-from .propagation import PulseSchedule, control_generator, normalized_infidelity, propagate
+from .propagation import (
+    PulseSchedule,
+    control_generator,
+    exp_divided_differences,
+    normalized_infidelity,
+    propagate,
+    step_eigensystems,
+)
 from .qudit import ControlSet, assert_unitary
 from .shooting import OptimizationReport
 
@@ -72,26 +79,6 @@ def grape_objective(
     return value
 
 
-def _step_eigensystems(controls: ControlSet, schedule: PulseSchedule):
-    h = control_generator(controls, schedule.amplitudes)  # (N, d, d)
-    w, q = np.linalg.eigh(h)
-    phases = np.exp(-1j * schedule.dt * w)
-    steps = (q * phases[:, None, :]) @ q.conj().swapaxes(-1, -2)
-    return w, q, steps
-
-
-def _exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of z -> exp(-i dt z) on eigenvalue pairs.
-
-    Entry (p, q) equals (e^{-i dt w_p} - e^{-i dt w_q}) / (w_p - w_q),
-    continued to -i dt e^{-i dt w_p} on the diagonal. Written via sinc, which
-    is exact for coincident eigenvalues as well.
-    """
-    mean = 0.5 * (w[..., :, None] + w[..., None, :])
-    diff = w[..., :, None] - w[..., None, :]
-    return -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
-
-
 def grape_gradient(
     schedule: PulseSchedule,
     target: np.ndarray,
@@ -102,7 +89,7 @@ def grape_gradient(
     n, k = schedule.n_steps, schedule.n_controls
     d = controls.dim
     dt = schedule.dt
-    w, q, steps = _step_eigensystems(controls, schedule)
+    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), dt)
 
     # forward partial products L_n = P_{n-1} ... P_0 (L_0 = 1)
     fwd = np.empty((n + 1, d, d), dtype=complex)
@@ -115,7 +102,7 @@ def grape_gradient(
     # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) with W = V^dag U_N;
     # in the step eigenbasis D = Q (phi o (Q^dag H_k Q)) Q^dag.
     w_mat = target.conj().T @ u_final
-    phi = _exp_divided_differences(w, dt)
+    phi = exp_divided_differences(w, dt)
     grad_tau = np.empty((n, k), dtype=complex)
     for i in range(n):
         m = fwd[i] @ w_mat @ fwd[i + 1].conj().T
@@ -189,4 +176,5 @@ def grape_optimize(
         converged=infidelity <= config.convergence_tol,
         seed=config.seed,
         wall_time=wall,
+        stop_reason=result.stop_reason,
     )

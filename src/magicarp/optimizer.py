@@ -6,10 +6,12 @@ quasi-Newton step with a plain backtracking line search wins over
 first-order methods on objective-call count.
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
-trace, and stop reason are reproducible bitwise. The line search may
-evaluate its whole backtracking ladder in one vectorized call (``batch_fun``)
-and picks the largest step satisfying the Armijo test, which accepts exactly
-the same step a sequential backtracking loop would.
+trace, and stop reason are reproducible bitwise. Given a vectorized
+``batch_fun``, the line search is a lazy ladder: it evaluates rung 0 (the
+full step) alone, and only if that fails the Armijo test evaluates rungs
+1..29 in one batch. It picks the largest step satisfying the Armijo test,
+which accepts exactly the same step a sequential backtracking loop would.
+Without ``batch_fun`` the ladder is that sequential loop.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def _safe_eval(fun: Callable[[np.ndarray], float], x: np.ndarray) -> float:
     return value if np.isfinite(value) else np.inf
 
 
+def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | None:
+    """The first (alpha, value) pair of a ladder that passes the Armijo test.
+
+    ``values`` may be a generator: it is consumed only up to the accepted rung.
+    """
+    for alpha, fj in zip(alphas, values):
+        if np.isfinite(fj) and fj <= f + ARMIJO_C * alpha * gp:
+            return float(alpha), float(fj)
+    return None
+
+
 def minimize_bfgs(
     fun: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
@@ -61,7 +74,8 @@ def minimize_bfgs(
 
     ``grad`` supplies the gradient (analytic or finite-difference, the
     caller decides). ``batch_fun``, if given, evaluates a (B, n) stack of
-    points in one call and is used for the line-search ladder.
+    points in one call and is used for the line-search ladder: once with
+    rung 0 alone, then with the other rungs if rung 0 is rejected.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -92,17 +106,15 @@ def minimize_bfgs(
 
         alpha0 = min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
-        values = None
-        if batch_fun is not None:
-            candidates = x[None, :] + alphas[:, None] * p[None, :]
-            values = np.asarray(batch_fun(candidates), dtype=float)
-
-        accepted = None
-        for j, alpha in enumerate(alphas):
-            fj = values[j] if values is not None else _safe_eval(fun, x + alpha * p)
-            if np.isfinite(fj) and fj <= f + ARMIJO_C * alpha * gp:
-                accepted = (float(alpha), float(fj))
-                break
+        if batch_fun is None:
+            accepted = _first_armijo(alphas, (_safe_eval(fun, x + a * p) for a in alphas), f, gp)
+        else:
+            # rung 0 alone; the rest of the ladder in one batch only if it fails
+            for rungs in (alphas[:1], alphas[1:]):
+                values = batch_fun(x[None, :] + rungs[:, None] * p[None, :])
+                accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
+                if accepted is not None:
+                    break
         if accepted is None:
             stop = "line_search"
             break

@@ -67,12 +67,37 @@ class PropagationResult:
         return self.unitaries[-1]
 
 
+def step_eigensystems(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared step kernel: eigenvalues w, eigenvectors q and exp(-i dt H)
+    for a stack (..., d, d) of Hermitian H, from one batched ``eigh``.
+
+    The exponential is exactly unitary up to rounding. Together with
+    ``exp_divided_differences(w, dt)`` the eigensystems give the exact
+    derivative of each exponential, which GRAPE's gradient and the shooting
+    backward pass both use.
+    """
+    w, q = np.linalg.eigh(h)
+    phases = np.exp(-1j * dt * w)
+    return w, q, (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
+    """Divided differences of z -> exp(-i dt z) on eigenvalue pairs.
+
+    Entry (p, q) equals (e^{-i dt w_p} - e^{-i dt w_q}) / (w_p - w_q),
+    continued to -i dt e^{-i dt w_p} on the diagonal. Written via sinc, which
+    is exact for coincident eigenvalues as well. In the eigenbasis Q of H the
+    derivative of exp(-i dt H) along dH is Q (phi o (Q^dag dH Q)) Q^dag.
+    """
+    mean = 0.5 * (w[..., :, None] + w[..., None, :])
+    diff = w[..., :, None] - w[..., None, :]
+    return -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
+
+
 def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for Hermitian H via eigendecomposition; exactly unitary
     up to rounding. Accepts a stack (..., d, d) and exponentiates each."""
-    w, q = np.linalg.eigh(h)
-    phases = np.exp(-1j * dt * w)
-    return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    return step_eigensystems(h, dt)[2]
 
 
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:
@@ -117,11 +142,6 @@ def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
     if u_target.shape != u_final.shape:
         raise ValueError(f"dimension mismatch: {u_target.shape} vs {u_final.shape}")
     return float(abs(np.sum(u_target.conj() * u_final)) ** 2)
-
-
-def target_trace_overlap(u_target: np.ndarray, u_final: np.ndarray) -> complex:
-    """The raw trace Tr(U_target^dag U), for diagnostics; not phase-invariant."""
-    return complex(np.sum(np.asarray(u_target).conj() * np.asarray(u_final)))
 
 
 def normalized_infidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:

@@ -18,9 +18,16 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   heuristic: the exact structural equation holds only approximately, and
   ``optimality_certificate`` reports by how much.
 
-Gradients over g are central finite differences; the feedback of the
-amplitudes on the propagator makes analytic chain-rule gradients a separate
-derivation that is out of scope here.
+Gradients over g are exact and reverse-mode (``reverse_gradient``). One
+forward pass builds the pulse and keeps, per step, U_n, the step
+eigensystems and v_n (and c0). One backward pass then walks the steps in
+reverse. It pulls the cotangent of U_{n+1} through the exact derivative of
+each step exponential (eigenbasis divided differences, as in GRAPE) onto the
+amplitudes, then through the renormalization onto v_n, and then through the
+feedback v_n(U_n g U_n^dag) onto both U_n and g. ``optimize`` shares single-point
+forward passes between the line search and the gradient, so a typical
+iteration costs one forward and one backward pass. The central-difference
+``gradient`` (2(d^2-1) objective evaluations) is kept as its test reference.
 """
 
 from __future__ import annotations
@@ -33,7 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from .optimizer import ProbeFailure, minimize_bfgs
-from .propagation import PropagationResult, PulseSchedule, expm_ihermitian, propagate
+from .propagation import (
+    PropagationResult,
+    PulseSchedule,
+    exp_divided_differences,
+    propagate,
+    step_eigensystems,
+)
 from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
 
 ENVELOPE_FLOOR = 1e-14
@@ -113,11 +126,25 @@ class OptimizationReport:
     converged: bool
     seed: int
     wall_time: float
+    stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
 
 
 def _structural_amplitudes(g_t: np.ndarray, hamiltonians: np.ndarray) -> np.ndarray:
     """v_k = 1/2 Re Tr(g_t H_k) for a batch of evolved adjoints (B, d, d)."""
     return 0.5 * np.einsum("bij,kji->bk", g_t, hamiltonians).real
+
+
+@dataclass(frozen=True)
+class _Tape:
+    """What the backward pass needs from the forward pass of one point."""
+
+    g: np.ndarray  # (d, d)
+    unitaries: np.ndarray  # (N+1, d, d): U_0 = 1 .. U_N
+    v: np.ndarray  # (N, K) structural amplitudes v_n
+    c0: float  # ||v_0||, the envelope in renormalized mode
+    w: np.ndarray  # (N, d) step eigenvalues
+    q: np.ndarray  # (N, d, d) step eigenvectors
+    steps: np.ndarray  # (N, d, d) step exponentials P_n
 
 
 def _construct_batch(
@@ -126,12 +153,14 @@ def _construct_batch(
     n_steps: int,
     mode: str,
     basis: GeneratorBasis,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Tape | None]:
     """Build pulses for B coefficient vectors at once.
 
-    Returns (amplitudes (B, N, K), final unitaries (B, d, d), valid (B,)).
-    Entries with a degenerate envelope are flagged invalid rather than
-    raising, so vectorized line-search ladders can mask them.
+    Returns (amplitudes (B, N, K), final unitaries (B, d, d), valid (B,),
+    tape). Entries with a degenerate envelope are flagged invalid rather than
+    raising, so vectorized line-search ladders can mask them. For a single
+    vector (B = 1) the tape keeps the per-step states for the backward pass
+    of ``reverse_gradient``; for B > 1 it is None.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
@@ -140,6 +169,7 @@ def _construct_batch(
     dt = 1.0 / n_steps
     hams = controls.hamiltonians
     renorm = mode == "time_optimal_renormalized"
+    kept = [] if b == 1 else None
 
     g = np.einsum("bm,mij->bij", coeff_batch, basis.generators)
     u_now = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
@@ -161,9 +191,15 @@ def _construct_batch(
         else:
             u = v
         amps[:, n] = u
-        step = expm_ihermitian(np.einsum("bk,kij->bij", u, hams), dt)
+        w, q, step = step_eigensystems(np.einsum("bk,kij->bij", u, hams), dt)
+        if kept is not None:
+            kept.append((u_now, v, w, q, step))
         u_now = step @ u_now
-    return amps, u_now, valid
+    tape = None
+    if kept is not None:
+        u_n, v_n, w_n, q_n, p_n = (np.concatenate(parts) for parts in zip(*kept))
+        tape = _Tape(g[0], np.concatenate([u_n, u_now]), v_n, float(c0[0]), w_n, q_n, p_n)
+    return amps, u_now, valid, tape
 
 
 def pulses_from_adjoint(
@@ -179,7 +215,7 @@ def pulses_from_adjoint(
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
     basis = basis or GeneratorBasis.create(controls.dim)
-    amps, _, valid = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis)
+    amps, _, valid, _ = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis)
     if not valid[0]:
         raise DegenerateEnvelopeError(
             "structural prediction has norm below "
@@ -189,20 +225,24 @@ def pulses_from_adjoint(
     return schedule, propagate(controls, schedule)
 
 
+def _infidelities(u_final: np.ndarray, valid: np.ndarray, context: ShootingContext) -> np.ndarray:
+    d = context.controls.dim
+    overlap = np.einsum("ij,bij->b", context.target.conj(), u_final)
+    values = 1.0 - np.abs(overlap) ** 2 / d**2
+    values[~valid] = np.inf
+    return values
+
+
 def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.ndarray:
     """Normalized infidelity for a (B, d^2-1) stack of coefficient vectors.
 
     Degenerate-envelope entries come back as +inf.
     """
     cfg = context.config
-    _, u_final, valid = _construct_batch(
+    _, u_final, valid, _ = _construct_batch(
         coeff_batch, context.controls, cfg.n_steps, cfg.mode, context.basis
     )
-    d = context.controls.dim
-    overlap = np.einsum("ij,bij->b", context.target.conj(), u_final)
-    values = 1.0 - np.abs(overlap) ** 2 / d**2
-    values[~valid] = np.inf
-    return values
+    return _infidelities(u_final, valid, context)
 
 
 def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
@@ -219,7 +259,10 @@ def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
 def gradient(
     g_coeffs: np.ndarray, context: ShootingContext, step: float | None = None
 ) -> np.ndarray:
-    """Central-difference gradient, exactly 2(d^2-1) objective evaluations."""
+    """Central-difference gradient, exactly 2(d^2-1) objective evaluations.
+
+    The reference for ``reverse_gradient``; ``optimize`` does not use it.
+    """
     g_coeffs = np.asarray(g_coeffs, dtype=float)
     h = context.config.grad_step if step is None else step
     m = g_coeffs.size
@@ -232,6 +275,118 @@ def gradient(
             f"objective not finite at finite-difference probe {idx}", probes[idx]
         )
     return (values[:m] - values[m:]) / (2.0 * h)
+
+
+def _forward(g_coeffs: np.ndarray, context: ShootingContext) -> tuple[float, _Tape]:
+    """Objective value and tape of one point (+inf for a degenerate envelope)."""
+    cfg = context.config
+    _, u_final, valid, tape = _construct_batch(
+        g_coeffs[None, :], context.controls, cfg.n_steps, cfg.mode, context.basis
+    )
+    return float(_infidelities(u_final, valid, context)[0]), tape
+
+
+def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
+    """dJ/dc from one forward pass, by reverse-mode differentiation.
+
+    Cotangents X_bar are taken so that dJ = Re Tr(X_bar^dag dX). Walking
+    the steps backward from U_bar_N = -2 Tr(V^dag U_N) V / d^2:
+
+    * P_bar_n = U_bar_{n+1} U_n^dag, pulled through the exact derivative of
+      P_n = exp(-i dt H_n) in its eigenbasis Q_n (divided differences phi_n),
+      gives u_bar_{n,k} = Re Tr(((Q^dag P_bar^dag Q) o phi) Q^dag H_k Q);
+    * in renormalized mode u_n = c0 v_n / ||v_n|| for n > 0, which projects
+      u_bar onto the normal of v_n and feeds c0_bar, and c0 = ||v_0|| passes
+      c0_bar on to v_0 (u_0 = v_0 in both modes);
+    * v_{n,k} = 1/2 Re Tr(U_n g U_n^dag H_k) with S_n = sum_k v_bar_{n,k} H_k
+      gives the feedback term U_bar_n = P_n^dag U_bar_{n+1} + S_n U_n g and
+      g_bar = 1/2 sum_n U_n^dag S_n U_n.
+    """
+    d = context.controls.dim
+    hams = context.controls.hamiltonians
+    n_steps, k = tape.v.shape
+    renorm = context.config.mode == "time_optimal_renormalized"
+    dt = 1.0 / n_steps
+    units = tape.unitaries[:-1]
+    q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
+
+    # per-step constants, batched over n ahead of the sequential sweep
+    phi = exp_divided_differences(tape.w, dt)
+    qu = q_dag @ units  # Q_n^dag U_n
+    h_eig = q_dag[:, None] @ hams[None] @ q[:, None]  # Q_n^dag H_k Q_n, (N, K, d, d)
+    h_eig_t = h_eig.swapaxes(-1, -2).reshape(n_steps, k, d * d)
+    ug = units @ tape.g
+    p_dag = tape.steps.conj().swapaxes(-1, -2)
+    hams_flat = hams.reshape(k, d * d)
+
+    overlap = np.sum(context.target.conj() * tape.unitaries[-1])
+    u_bar = (-2.0 * overlap / d**2) * context.target
+    v_bar = np.empty((n_steps, k))
+    c0_bar = 0.0
+    for n in range(n_steps - 1, -1, -1):
+        # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(U_bar^dag Q)
+        m = (qu[n] @ (u_bar.conj().T @ q[n])) * phi[n]
+        a_bar = (h_eig_t[n] @ m.ravel()).real
+        if renorm:
+            vn = tape.v[n]
+            if n > 0:
+                norm = float(np.linalg.norm(vn))
+                proj = float(vn @ a_bar) / norm
+                c0_bar += proj
+                a_bar = (tape.c0 / norm) * (a_bar - (proj / norm) * vn)
+            else:
+                a_bar = a_bar + (c0_bar / tape.c0) * vn
+        v_bar[n] = a_bar
+        if n > 0:
+            s = (a_bar @ hams_flat).reshape(d, d)
+            u_bar = p_dag[n] @ u_bar + s @ ug[n]
+
+    s_all = (v_bar @ hams_flat).reshape(n_steps, d, d)
+    g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units.conj(), s_all, units)
+    return np.einsum("mij,ji->m", context.basis.generators, g_bar).real
+
+
+def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarray:
+    """Exact gradient of ``objective``: one forward and one backward pass."""
+    value, tape = _forward(np.asarray(g_coeffs, dtype=float), context)
+    if not np.isfinite(value):
+        raise DegenerateEnvelopeError(
+            "structural prediction vanished; gradient undefined at this point"
+        )
+    return _backward(tape, context)
+
+
+class _SharedForward:
+    """``minimize_bfgs`` callables whose single-point evaluations share tapes.
+
+    The objective at the start and the line search's rung 0 are B = 1
+    forward passes. The last one is kept, so the gradient at an accepted
+    rung-0 point costs only the backward pass. Wider ladders go through
+    ``batch_objective``. A degenerate envelope reads as +inf, which the
+    line search rejects; the gradient is only asked for at accepted points.
+    """
+
+    def __init__(self, context: ShootingContext):
+        self.context = context
+        self._key: bytes | None = None
+        self._last: tuple[float, _Tape] | None = None
+
+    def _pass(self, x: np.ndarray) -> tuple[float, _Tape]:
+        key = x.tobytes()
+        if key != self._key:
+            self._key, self._last = key, _forward(x, self.context)
+        return self._last
+
+    def value(self, x: np.ndarray) -> float:
+        return self._pass(x)[0]
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        if xs.shape[0] != 1:
+            return batch_objective(xs, self.context)
+        return np.array([self._pass(xs[0])[0]])
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return _backward(self._pass(x)[1], self.context)
 
 
 def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
@@ -248,15 +403,16 @@ def optimize(context: ShootingContext) -> OptimizationReport:
     """Quasi-Newton descent on infidelity over the d^2-1 adjoint coefficients."""
     cfg = context.config
     x0 = initial_coeffs(cfg, context.n_params)
+    shared = _SharedForward(context)
     t0 = time.perf_counter()
     result = minimize_bfgs(
-        lambda x: objective(x, context),
-        lambda x: gradient(x, context),
+        shared.value,
+        shared.grad,
         x0,
         tol=cfg.convergence_tol,
         max_iters=cfg.max_iters,
         stall_tol=cfg.stall_tol,
-        batch_fun=lambda xs: batch_objective(xs, context),
+        batch_fun=shared.values,
     )
     wall = time.perf_counter() - t0
     final_g = AdjointMatrix(context.controls.dim, result.x)
@@ -274,6 +430,7 @@ def optimize(context: ShootingContext) -> OptimizationReport:
         converged=infidelity <= cfg.convergence_tol,
         seed=cfg.seed,
         wall_time=wall,
+        stop_reason=result.stop_reason,
     )
 
 

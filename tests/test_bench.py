@@ -102,6 +102,15 @@ class TestRunCampaign:
         assert all(not r.converged for r in records)
         assert all(np.isinf(r.infidelity) for r in records)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def bug(context):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(bench, "optimize", bug)
+        spec = BenchmarkSpec(dims=(2,), runs_per_dim=2, magicarp=FAST_MAGICARP, base_seed=2)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_campaign(spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(dims=(1,), runs_per_dim=1)

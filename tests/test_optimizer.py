@@ -101,6 +101,36 @@ class TestMinimizeBfgs:
         assert seq.trace == bat.trace
         assert np.array_equal(seq.x, bat.x)
 
+    def test_lazy_ladder_evaluates_rung_zero_alone(self):
+        # a unit step from |g| <= 1 lands on the minimum, so rung 0 is accepted
+        center = np.array([0.3, -0.2])
+
+        def fun(x):
+            return 0.5 * float(np.sum((x - center) ** 2))
+
+        sizes = []
+
+        def batch(xs):
+            sizes.append(xs.shape[0])
+            return np.array([fun(row) for row in xs])
+
+        res = minimize_bfgs(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch)
+        assert res.fun == 0.0
+        assert sizes == [1]
+
+    def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
+        # a unit step overshoots to the mirror point; the half step is exact
+        fun, grad = quadratic(np.array([0.3, -0.2]))
+        sizes = []
+
+        def batch(xs):
+            sizes.append(xs.shape[0])
+            return np.array([fun(row) for row in xs])
+
+        res = minimize_bfgs(fun, grad, np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch)
+        assert res.fun == 0.0
+        assert sizes == [1, 29]
+
     def test_deterministic(self):
         runs = [
             minimize_bfgs(

@@ -19,6 +19,7 @@ from magicarp.shooting import (
     optimize,
     pulses_from_adjoint,
     report_to_dict,
+    reverse_gradient,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -194,6 +195,26 @@ class TestGradient:
         assert err.value.coeffs.shape == (3,)
 
 
+class TestReverseGradient:
+    @pytest.mark.parametrize("mode", ["energy_optimal", "time_optimal_renormalized"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_central_differences(self, d, mode):
+        ctx = context(d=d, target="qft", mode=mode, n_steps=16)
+        rng = np.random.default_rng(1000 + d)
+        for _ in range(3):
+            x = rng.standard_normal(d * d - 1)
+            reference = gradient(x, ctx)
+            rel = np.linalg.norm(reverse_gradient(x, ctx) - reference) / np.linalg.norm(reference)
+            assert rel <= 1e-6
+
+    def test_zero_at_global_minimum(self):
+        assert np.allclose(reverse_gradient(np.zeros(3), context(target="identity")), 0.0, atol=1e-14)
+
+    def test_degenerate_envelope_raises(self):
+        with pytest.raises(DegenerateEnvelopeError):
+            reverse_gradient(coeffs_from_matrix(SZ), context(mode="time_optimal_renormalized"))
+
+
 class TestOptimize:
     def test_identity_target_converges(self):
         report = optimize(context(target="identity", n_steps=16, seed=11))
@@ -218,6 +239,49 @@ class TestOptimize:
         report = optimize(context(d=2, target="qft", n_steps=32, seed=5, max_iters=80))
         assert np.all(np.diff(report.cost_trace) <= 0)
         assert report.infidelity == report.cost_trace[-1]
+
+    def test_stop_reason_carried(self):
+        converged = optimize(context(target="identity", n_steps=16, seed=11))
+        assert converged.stop_reason == "tol"
+        budget = optimize(context(d=3, target="qft", n_steps=8, seed=4, max_iters=1))
+        assert budget.iterations == 1
+        assert budget.stop_reason == "max_iters"
+        assert "stop_reason" not in report_to_dict(budget)
+
+    def test_never_uses_finite_differences(self, monkeypatch):
+        def no_fd(*args, **kwargs):
+            raise AssertionError("optimize called the finite-difference gradient")
+
+        rows = []
+        real = shooting.batch_objective
+
+        def spy(xs, ctx):
+            rows.append(np.atleast_2d(xs).shape[0])
+            return real(xs, ctx)
+
+        monkeypatch.setattr(shooting, "gradient", no_fd)
+        monkeypatch.setattr(shooting, "batch_objective", spy)
+        d = 3
+        report = optimize(context(d=d, target="qft", n_steps=16, seed=7, max_iters=40))
+        assert report.iterations > 0
+        assert 2 * (d * d - 1) not in rows
+
+    def test_gradient_reuses_accepted_rung_zero(self, monkeypatch):
+        # one B = 1 construction per iteration: the gradient at an accepted
+        # rung-0 point reuses its forward pass; a wider ladder costs one more
+        sizes = []
+        real = shooting._construct_batch
+
+        def spy(coeff_batch, *args):
+            sizes.append(np.atleast_2d(coeff_batch).shape[0])
+            return real(coeff_batch, *args)
+
+        monkeypatch.setattr(shooting, "_construct_batch", spy)
+        report = optimize(context(d=3, target="qft", n_steps=16, seed=7))
+        assert report.stop_reason == "tol"
+        wide = sum(1 for b in sizes if b > 1)
+        # x0, one per iteration, one per wider ladder, the final pulse
+        assert sizes.count(1) == 1 + report.iterations + wide + 1
 
     def test_explicit_init(self):
         ctx = context(
