@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,20 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .propagation import FLOAT_FMT
-from .qudit import nearest_neighbor_control_set, target_gate
+from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import MagicarpConfig, ShootingContext, optimize
 
 _MASK64 = (1 << 64) - 1
-
-
-def tau_qsl(d: int, omega_max: float = 1.0) -> float:
-    """Speed-limit time pi/omega_max * (1 - 1/d) for the QFT(d) target
-    under an unconstrained control set."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if not omega_max > 0:
-        raise ValueError("omega_max must be positive")
-    return math.pi / omega_max * (1.0 - 1.0 / d)
 
 
 def _splitmix64(x: int) -> int:
@@ -61,12 +50,15 @@ class BenchmarkSpec:
     omega_max: float = 1.0
 
     def __post_init__(self):
-        if self.runs_per_dim < 1:
-            raise ValueError("runs_per_dim must be >= 1")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("all dimensions must be >= 2")
-        if self.control_set != "nearest_neighbor":
-            raise ValueError(f"unknown control set rule {self.control_set!r}")
+        for name, ok, expected in (
+            ("dims", len(self.dims) >= 1 and all(d >= 2 for d in self.dims), "a non-empty list of integers >= 2"),
+            ("runs_per_dim", self.runs_per_dim >= 1, "an integer >= 1"),
+            ("target", self.target in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
+            ("control_set", self.control_set == "nearest_neighbor", "'nearest_neighbor'"),
+            ("base_seed", 0 <= self.base_seed < 2**64, "a 64-bit unsigned integer"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

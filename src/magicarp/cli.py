@@ -5,14 +5,21 @@ file is the file of record for an experiment; flags override file values,
 and the MAGICARP_SEED environment variable overrides the config seed
 (a --seed flag beats both). Exit codes: 0 success, 1 runtime failure,
 2 invalid input, 3 certification negative.
+
+The magicarp, grape and benchmark config sections are the fields of
+MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
+defaults and value checks. The CLI checks the YAML type of every value and
+owns the other keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 import yaml
@@ -20,12 +27,11 @@ import yaml
 from .bench import (
     BenchmarkSpec,
     run_campaign,
-    tau_qsl,
     write_records_csv,
     write_scatter_files,
     write_summary_json,
 )
-from .grape import GrapeConfig, grape_optimize
+from .grape import GrapeConfig, grape_optimize, initial_schedule
 from .propagation import (
     FLOAT_FMT,
     bloch_to_csv,
@@ -34,10 +40,11 @@ from .propagation import (
     read_schedule_csv,
     write_schedule_csv,
 )
-from .qudit import nearest_neighbor_control_set, target_gate
+from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import (
     MagicarpConfig,
     ShootingContext,
+    initial_coeffs,
     optimality_certificate,
     optimize,
     write_adjoint_json,
@@ -56,95 +63,68 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
 
 
-DEFAULT_CONFIG: dict = {
-    "dim": 2,
-    "target": "identity",
-    "custom_target": None,
-    "controls": "nearest_neighbor",
-    "omega_max": 1.0,
-    "magicarp": {
-        "mode": "energy_optimal",
-        "n_steps": 128,
-        "max_iters": 500,
-        "grad_step": 1e-6,
-        "convergence_tol": 1e-7,
-        "stall_tol": 1e-12,
-        "init": "random_normal",
-        "init_sigma": 1.0,
-        "init_coeffs": None,
-        "seed": 0,
-    },
-    "grape": {
-        "n_steps": 64,
-        "max_iters": 2000,
-        "convergence_tol": 1e-7,
-        "penalty_weight": 0.0,
-        "stall_tol": 1e-12,
-        "init": "random_normal",
-        "init_sigma": 1.0,
-        "init_schedule": None,
-        "seed": 0,
-    },
-    "benchmark": {
-        "dims": [2, 3, 4, 5, 6],
-        "runs_per_dim": 300,
-        "target": "qft",
-        "base_seed": 0,
-        "threshold": 1e-7,
-    },
+# The keys no library dataclass owns: path -> (default, type, check, what the check expects).
+_CLI_KEYS = {
+    "dim": (2, int, lambda v: v >= 2, "an integer >= 2"),
+    "target": ("identity", str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
+    "custom_target": (None, list | None, None, None),
+    "controls": ("nearest_neighbor", str, lambda v: v == "nearest_neighbor", "'nearest_neighbor'"),
+    "omega_max": (1.0, float, lambda v: v > 0, "a positive number"),
+    "benchmark.threshold": (1e-7, float, lambda v: v > 0, "a positive number"),
 }
 
-_SCHEMA = {
-    "dim": (int, lambda v: v >= 2, "an integer >= 2"),
-    "target": (str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
-    "custom_target": (list, None, "a row-major matrix of [re, im] pairs"),
-    "controls": (str, lambda v: v == "nearest_neighbor", "'nearest_neighbor'"),
-    "omega_max": (float, lambda v: v > 0, "a positive number"),
-    "magicarp.mode": (str, lambda v: v in ("energy_optimal", "time_optimal_renormalized"), "energy_optimal|time_optimal_renormalized"),
-    "magicarp.n_steps": (int, lambda v: v >= 1, "an integer >= 1"),
-    "magicarp.max_iters": (int, lambda v: v >= 1, "an integer >= 1"),
-    "magicarp.grad_step": (float, lambda v: v > 0, "a positive number"),
-    "magicarp.convergence_tol": (float, lambda v: v > 0, "a positive number"),
-    "magicarp.stall_tol": (float, lambda v: v > 0, "a positive number"),
-    "magicarp.init": (str, lambda v: v in ("random_normal", "explicit"), "random_normal|explicit"),
-    "magicarp.init_sigma": (float, lambda v: v > 0, "a positive number"),
-    "magicarp.init_coeffs": (list, None, "a list of numbers"),
-    "magicarp.seed": (int, lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
-    "grape.n_steps": (int, lambda v: v >= 1, "an integer >= 1"),
-    "grape.max_iters": (int, lambda v: v >= 1, "an integer >= 1"),
-    "grape.convergence_tol": (float, lambda v: v > 0, "a positive number"),
-    "grape.penalty_weight": (float, lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0"),
-    "grape.stall_tol": (float, lambda v: v > 0, "a positive number"),
-    "grape.init": (str, lambda v: v in ("zeros", "random_normal", "explicit"), "zeros|random_normal|explicit"),
-    "grape.init_sigma": (float, lambda v: v > 0, "a positive number"),
-    "grape.init_schedule": (list, None, "a list of amplitude rows"),
-    "grape.seed": (int, lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
-    "benchmark.dims": (list, lambda v: len(v) >= 1 and all(isinstance(d, int) and d >= 2 for d in v), "a list of integers >= 2"),
-    "benchmark.runs_per_dim": (int, lambda v: v >= 1, "an integer >= 1"),
-    "benchmark.target": (str, lambda v: v in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
-    "benchmark.base_seed": (int, lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
-    "benchmark.threshold": (float, lambda v: v > 0, "a positive number"),
-}
+# The sections a library dataclass owns. The CLI fills BenchmarkSpec's
+# control_set, magicarp and omega_max from other keys.
+_SECTIONS = {"magicarp": MagicarpConfig, "grape": GrapeConfig, "benchmark": BenchmarkSpec}
+_FROM_OTHER_KEYS = ("control_set", "magicarp", "omega_max")
+
+_YAML_TYPES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_field(path: str, value):
-    expected_type, predicate, description = _SCHEMA[path]
-    if value is None:
-        if path in ("custom_target", "magicarp.init_coeffs", "grape.init_schedule"):
+def _fields(section: str) -> dict:
+    """Key -> (default, type) of a section, from its dataclass."""
+    cls = _SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f.default, hints[f.name]) for f in dataclasses.fields(cls) if f.name not in _FROM_OTHER_KEYS}
+
+
+def _typed(path: str, value, hint):
+    """A config value checked against a field type, in YAML form: bools are not
+    integers, an integer passes as a float, and a list stands for a tuple
+    (a tuple default becomes a list), item by item."""
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
             return None
-        raise ConfigError(f"{path}: must not be null")
-    if expected_type is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, expected_type) or isinstance(value, bool) and expected_type is int:
-        raise ConfigError(f"{path}: expected {description}, got {value!r}")
-    if predicate is not None and not predicate(value):
-        raise ConfigError(f"{path}: expected {description}, got {value!r}")
+        (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
+    if typing.get_origin(hint) is tuple and type(value) in (list, tuple):
+        return [_typed(path, item, typing.get_args(hint)[0]) for item in value]
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{path}: expected {_YAML_TYPES.get(hint, 'a list')}, got {value!r}")
     return value
+
+
+def _build(section: str, cfg: dict, **others):
+    """The dataclass of a config section; building it runs the section's value checks."""
+    values = {key: _frozen(cfg[section][key]) for key in _fields(section)}
+    try:
+        return _SECTIONS[section](**values, **others)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
+def _frozen(value):
+    """A YAML value as a dataclass field value: lists become tuples."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
 def normalize_config(user: dict | None) -> dict:
     """Merge a raw config dict over the defaults and validate every field."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = {path: default for path, (default, *_) in _CLI_KEYS.items() if "." not in path}
+    for section in _SECTIONS:
+        cfg[section] = {key: default for key, (default, _) in _fields(section).items()}
+    cfg["benchmark"]["threshold"] = _CLI_KEYS["benchmark.threshold"][0]
     user = user or {}
     if not isinstance(user, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(user).__name__}")
@@ -160,12 +140,16 @@ def normalize_config(user: dict | None) -> dict:
                 cfg[key][sub] = subval
         else:
             cfg[key] = value
-    for path in _SCHEMA:
-        parts = path.split(".")
-        node = cfg
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = _check_field(path, node[parts[-1]])
+    for path, (_, hint, check, expected) in _CLI_KEYS.items():
+        *section, key = path.split(".")
+        node = cfg[section[0]] if section else cfg
+        node[key] = _typed(path, node[key], hint)
+        if check is not None and not check(node[key]):
+            raise ConfigError(f"{path}: expected {expected}, got {node[key]!r}")
+    for section in _SECTIONS:
+        for key, (_, hint) in _fields(section).items():
+            cfg[section][key] = _typed(f"{section}.{key}", cfg[section][key], hint)
+        _build(section, cfg)
     if cfg["target"] == "custom" and cfg["custom_target"] is None:
         raise ConfigError("custom_target: required when target is 'custom'")
     return cfg
@@ -210,47 +194,21 @@ def _build_problem(cfg: dict):
     return controls, target
 
 
-def _magicarp_config(cfg: dict) -> MagicarpConfig:
-    m = cfg["magicarp"]
-    init_coeffs = tuple(float(v) for v in m["init_coeffs"]) if m["init_coeffs"] else None
-    try:
-        return MagicarpConfig(
-            mode=m["mode"],
-            n_steps=m["n_steps"],
-            max_iters=m["max_iters"],
-            grad_step=m["grad_step"],
-            convergence_tol=m["convergence_tol"],
-            stall_tol=m["stall_tol"],
-            init=m["init"],
-            init_sigma=m["init_sigma"],
-            init_coeffs=init_coeffs,
-            seed=m["seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"magicarp: {exc}") from None
+def _check_explicit_init(section: str, initial, config, size: int) -> None:
+    """Reject an explicit initial point of the wrong shape as input, before the run."""
+    if config.init == "explicit":
+        try:
+            initial(config, size)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
 
 
-def _grape_config(cfg: dict) -> GrapeConfig:
-    g = cfg["grape"]
-    init_schedule = (
-        tuple(tuple(float(v) for v in row) for row in g["init_schedule"])
-        if g["init_schedule"]
-        else None
-    )
+def _run(runner, *args):
+    """Call a library runner: a ValueError it raises is a runtime failure, not invalid input."""
     try:
-        return GrapeConfig(
-            n_steps=g["n_steps"],
-            max_iters=g["max_iters"],
-            convergence_tol=g["convergence_tol"],
-            penalty_weight=g["penalty_weight"],
-            stall_tol=g["stall_tol"],
-            init=g["init"],
-            init_sigma=g["init_sigma"],
-            init_schedule=init_schedule,
-            seed=g["seed"],
-        )
+        return runner(*args)
     except ValueError as exc:
-        raise ConfigError(f"grape: {exc}") from None
+        raise RuntimeError(exc) from exc
 
 
 def _apply_seed_overrides(cfg: dict, seed_flag: int | None) -> dict:
@@ -263,12 +221,10 @@ def _apply_seed_overrides(cfg: dict, seed_flag: int | None) -> dict:
             except ValueError:
                 raise ConfigError(f"MAGICARP_SEED: expected an integer, got {env!r}") from None
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed: expected a 64-bit unsigned integer")
         cfg["magicarp"]["seed"] = seed
         cfg["grape"]["seed"] = seed
         cfg["benchmark"]["base_seed"] = seed
-    return cfg
+    return normalize_config(cfg)
 
 
 def _summary_line(report, d: int, omega_max: float) -> str:
@@ -281,9 +237,11 @@ def _summary_line(report, d: int, omega_max: float) -> str:
 
 
 def cmd_optimize(cfg: dict, out_dir: str) -> int:
+    config = _build("magicarp", cfg)
     controls, target = _build_problem(cfg)
-    context = ShootingContext(controls=controls, target=target, config=_magicarp_config(cfg))
-    report = optimize(context)
+    context = ShootingContext(controls=controls, target=target, config=config)
+    _check_explicit_init("magicarp", initial_coeffs, config, context.n_params)
+    report = _run(optimize, context)
     os.makedirs(out_dir, exist_ok=True)
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
@@ -292,8 +250,10 @@ def cmd_optimize(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_grape(cfg: dict, out_dir: str) -> int:
+    config = _build("grape", cfg)
     controls, target = _build_problem(cfg)
-    report = grape_optimize(target, controls, _grape_config(cfg))
+    _check_explicit_init("grape", initial_schedule, config, controls.n_controls)
+    report = _run(grape_optimize, target, controls, config)
     os.makedirs(out_dir, exist_ok=True)
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
@@ -302,22 +262,12 @@ def cmd_grape(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_benchmark(cfg: dict, out_dir: str, workers: int) -> int:
-    b = cfg["benchmark"]
-    try:
-        spec = BenchmarkSpec(
-            dims=tuple(b["dims"]),
-            runs_per_dim=b["runs_per_dim"],
-            target=b["target"],
-            magicarp=_magicarp_config(cfg),
-            base_seed=b["base_seed"],
-            omega_max=cfg["omega_max"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"benchmark: {exc}") from None
-    records = run_campaign(spec, workers=workers)
+    magicarp = _build("magicarp", cfg)
+    spec = _build("benchmark", cfg, control_set=cfg["controls"], magicarp=magicarp, omega_max=cfg["omega_max"])
+    records = _run(run_campaign, spec, workers)
     os.makedirs(out_dir, exist_ok=True)
     write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    write_summary_json(os.path.join(out_dir, "summary.json"), records, b["threshold"])
+    write_summary_json(os.path.join(out_dir, "summary.json"), records, cfg["benchmark"]["threshold"])
     write_scatter_files(out_dir, records)
     for d in spec.dims:
         of_dim = [r for r in records if r.dim == d]

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import tau_qsl
-from .optimizer import minimize_bfgs
+from .optimizer import OptimizationReport, minimize_bfgs
 from .propagation import (
     PulseSchedule,
     control_generator,
@@ -31,8 +30,7 @@ from .propagation import (
     propagate,
     step_eigensystems,
 )
-from .qudit import ControlSet, assert_unitary
-from .shooting import OptimizationReport
+from .qudit import ControlSet, assert_unitary, tau_qsl
 
 
 @dataclass(frozen=True)
@@ -48,14 +46,19 @@ class GrapeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not np.isfinite(self.penalty_weight) or self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be finite and >= 0")
-        if self.init not in ("zeros", "random_normal", "explicit"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "explicit" and self.init_schedule is None:
-            raise ValueError("explicit init requires init_schedule")
+        for name, ok, expected in (
+            ("n_steps", self.n_steps >= 1, "an integer >= 1"),
+            ("max_iters", self.max_iters >= 1, "an integer >= 1"),
+            ("convergence_tol", self.convergence_tol > 0, "a positive number"),
+            ("penalty_weight", np.isfinite(self.penalty_weight) and self.penalty_weight >= 0, "a finite number >= 0"),
+            ("stall_tol", self.stall_tol > 0, "a positive number"),
+            ("init", self.init in ("zeros", "random_normal", "explicit"), "zeros|random_normal|explicit"),
+            ("init_sigma", self.init_sigma > 0, "a positive number"),
+            ("init_schedule", self.init != "explicit" or self.init_schedule is not None, "rows for explicit init"),
+            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
 
 def energy_integral(schedule: PulseSchedule) -> float:
@@ -120,12 +123,10 @@ def grape_gradient(
 
 def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:
     if config.init == "explicit":
-        amps = np.asarray(config.init_schedule, dtype=float)
-        if amps.shape != (config.n_steps, n_controls):
-            raise ValueError(
-                f"init_schedule shape {amps.shape} != ({config.n_steps}, {n_controls})"
-            )
-        return PulseSchedule.from_amplitudes(amps)
+        rows = config.init_schedule
+        if len(rows) != config.n_steps or any(len(row) != n_controls for row in rows):
+            raise ValueError(f"init_schedule: expected {config.n_steps} rows of {n_controls} amplitudes")
+        return PulseSchedule.from_amplitudes(np.asarray(rows, dtype=float))
     if config.init == "zeros":
         return PulseSchedule.from_amplitudes(np.zeros((config.n_steps, n_controls)))
     rng = np.random.default_rng(config.seed)

@@ -21,6 +21,9 @@ from typing import Callable
 
 import numpy as np
 
+from .propagation import PulseSchedule
+from .qudit import AdjointMatrix
+
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 30
@@ -39,6 +42,22 @@ class MinimizeResult:
     trace: list[float]
     iterations: int
     stop_reason: str  # "tol" | "stall" | "max_iters" | "line_search"
+
+
+@dataclass
+class OptimizationReport:
+    """The outcome of one shooting or GRAPE run (``final_g`` is None for GRAPE)."""
+
+    final_g: AdjointMatrix | None
+    final_schedule: PulseSchedule
+    infidelity: float
+    duration: float
+    cost_trace: list[float]
+    iterations: int
+    converged: bool
+    seed: int
+    wall_time: float
+    stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
 
 
 def _safe_eval(fun: Callable[[np.ndarray], float], x: np.ndarray) -> float:

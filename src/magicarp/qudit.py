@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +202,16 @@ def qft_gate(d: int) -> np.ndarray:
     """QFT(d) with entries exp(2 pi i jk / d) / sqrt(d); QFT(2) is the Hadamard."""
     j = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+
+
+def tau_qsl(d: int, omega_max: float = 1.0) -> float:
+    """Speed-limit time pi/omega_max * (1 - 1/d) for the QFT(d) target
+    under an unconstrained control set."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    if not omega_max > 0:
+        raise ValueError("omega_max must be positive")
+    return math.pi / omega_max * (1.0 - 1.0 / d)
 
 
 def target_gate(name: str, d: int, custom_entries: np.ndarray | None = None) -> np.ndarray:

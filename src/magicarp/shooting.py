@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimizer import ProbeFailure, minimize_bfgs
+from .optimizer import OptimizationReport, ProbeFailure, minimize_bfgs
 from .propagation import (
     PropagationResult,
     PulseSchedule,
@@ -50,6 +50,7 @@ from .propagation import (
 from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
 
 ENVELOPE_FLOOR = 1e-14
+FD_STEP = 1e-6  # step of the central-difference reference ``gradient``
 
 MODES = ("energy_optimal", "time_optimal_renormalized")
 
@@ -71,7 +72,6 @@ class MagicarpConfig:
     mode: str = "energy_optimal"
     n_steps: int = 128
     max_iters: int = 500
-    grad_step: float = 1e-6
     convergence_tol: float = 1e-7
     stall_tol: float = 1e-12
     init: str = "random_normal"  # "random_normal" | "explicit"
@@ -80,16 +80,23 @@ class MagicarpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not (self.grad_step > 0 and self.convergence_tol > 0 and self.stall_tol > 0):
-            raise ValueError("grad_step and tolerances must be positive")
-        if self.init not in ("random_normal", "explicit"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "explicit" and self.init_coeffs is None:
-            raise ValueError("explicit init requires init_coeffs")
+        for name, ok, expected in (
+            ("mode", self.mode in MODES, "|".join(MODES)),
+            ("n_steps", self.n_steps >= 1, "an integer >= 1"),
+            ("max_iters", self.max_iters >= 1, "an integer >= 1"),
+            ("convergence_tol", self.convergence_tol > 0, "a positive number"),
+            ("stall_tol", self.stall_tol > 0, "a positive number"),
+            ("init", self.init in ("random_normal", "explicit"), "random_normal|explicit"),
+            ("init_sigma", self.init_sigma > 0, "a positive number"),
+            (
+                "init_coeffs",
+                self.init != "explicit" or self.init_coeffs is not None and len(self.init_coeffs) > 0,
+                "coefficients for explicit init",
+            ),
+            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -113,20 +120,6 @@ class ShootingContext:
     @property
     def n_params(self) -> int:
         return self.controls.dim ** 2 - 1
-
-
-@dataclass
-class OptimizationReport:
-    final_g: AdjointMatrix | None
-    final_schedule: PulseSchedule
-    infidelity: float
-    duration: float
-    cost_trace: list[float]
-    iterations: int
-    converged: bool
-    seed: int
-    wall_time: float
-    stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
 
 
 def _structural_amplitudes(g_t: np.ndarray, hamiltonians: np.ndarray) -> np.ndarray:
@@ -257,16 +250,15 @@ def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
 
 
 def gradient(
-    g_coeffs: np.ndarray, context: ShootingContext, step: float | None = None
+    g_coeffs: np.ndarray, context: ShootingContext, step: float = FD_STEP
 ) -> np.ndarray:
     """Central-difference gradient, exactly 2(d^2-1) objective evaluations.
 
     The reference for ``reverse_gradient``; ``optimize`` does not use it.
     """
     g_coeffs = np.asarray(g_coeffs, dtype=float)
-    h = context.config.grad_step if step is None else step
     m = g_coeffs.size
-    probes = np.vstack([g_coeffs + h * np.eye(m), g_coeffs - h * np.eye(m)])
+    probes = np.vstack([g_coeffs + step * np.eye(m), g_coeffs - step * np.eye(m)])
     values = batch_objective(probes, context)
     bad = ~np.isfinite(values)
     if bad.any():
@@ -274,7 +266,7 @@ def gradient(
         raise GradientProbeError(
             f"objective not finite at finite-difference probe {idx}", probes[idx]
         )
-    return (values[:m] - values[m:]) / (2.0 * h)
+    return (values[:m] - values[m:]) / (2.0 * step)
 
 
 def _forward(g_coeffs: np.ndarray, context: ShootingContext) -> tuple[float, _Tape]:
@@ -393,7 +385,7 @@ def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
     if config.init == "explicit":
         coeffs = np.asarray(config.init_coeffs, dtype=float)
         if coeffs.shape != (n_params,):
-            raise ValueError(f"init_coeffs must have length {n_params}")
+            raise ValueError(f"init_coeffs: expected {n_params} coefficients, got shape {coeffs.shape}")
         return coeffs
     rng = np.random.default_rng(config.seed)
     return config.init_sigma * rng.standard_normal(n_params)

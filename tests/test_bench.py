@@ -120,6 +120,13 @@ class TestRunCampaign:
             BenchmarkSpec(dims=(2,), control_set="all_to_all")
 
 
+    def test_spec_rejects_unknown_target_and_empty_dims(self):
+        with pytest.raises(ValueError, match="^target"):
+            BenchmarkSpec(target="bogus")
+        with pytest.raises(ValueError, match="^dims"):
+            BenchmarkSpec(dims=())
+
+
 class TestMinimalDuration:
     def test_absent_when_none_qualify(self):
         records = [record(infidelity=1e-3, converged=False)]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
+import magicarp.cli as cli
 from magicarp.cli import (
     EXIT_INVALID,
     EXIT_NOT_OPTIMAL,
     EXIT_OK,
+    EXIT_RUNTIME,
     ConfigError,
     config_to_yaml,
     main,
@@ -36,6 +38,56 @@ def write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return str(path)
+
+
+def at(path, value):
+    """A config that sets one dotted path."""
+    *sections, key = path.split(".")
+    cfg = {key: value}
+    for section in reversed(sections):
+        cfg = {section: cfg}
+    return cfg
+
+
+# Every config key -> two values it rejects: a wrong type (list items included), then a bad value.
+BAD_VALUES = {
+    "dim": (True, 1),
+    "target": (3, "bogus"),
+    "controls": (1, "all_to_all"),
+    "omega_max": ("fast", 0),
+    "magicarp.mode": (1, "bolza"),
+    "magicarp.n_steps": (True, 0),
+    "magicarp.max_iters": (1.5, 0),
+    "magicarp.convergence_tol": ("tight", 0),
+    "magicarp.stall_tol": (False, -1.0),
+    "magicarp.init": (1, "fourier"),
+    "magicarp.init_sigma": ("wide", 0),
+    "magicarp.init_coeffs": ("x", ["a"]),
+    "magicarp.seed": ("x", 2**64),
+    "grape.n_steps": ("x", 0),
+    "grape.max_iters": (None, 0),
+    "grape.convergence_tol": ("x", -1e-7),
+    "grape.penalty_weight": ("x", -0.5),
+    "grape.stall_tol": ("x", 0),
+    "grape.init": (1, "fourier"),
+    "grape.init_sigma": ("x", -1),
+    "grape.init_schedule": (5, [[1.0, "a"]]),
+    "grape.seed": (1.0, -1),
+    "benchmark.dims": (["a"], []),
+    "benchmark.runs_per_dim": (True, 0),
+    "benchmark.target": (1, "custom"),
+    "benchmark.base_seed": ("x", -1),
+    "benchmark.threshold": ("x", 0),
+}
+
+BAD_CONFIGS = [(path, at(path, value)) for path, values in BAD_VALUES.items() for value in values] + [
+    ("custom_target", {"custom_target": "x"}),
+    ("custom_target", {"target": "custom", "custom_target": [[1, 2]]}),
+    ("magicarp.init_coeffs", at("magicarp.init", "explicit")),
+    ("magicarp.init_coeffs", {"dim": 2, "magicarp": {"init": "explicit", "init_coeffs": [0.1, 0.2]}}),
+    ("grape.init_schedule", at("grape.init", "explicit")),
+    ("grape.init_schedule", {"grape": {"n_steps": 2, "init": "explicit", "init_schedule": [[0.1, 0.2], [0.3]]}}),
+]
 
 
 class TestConfig:
@@ -64,6 +116,21 @@ class TestConfig:
             normalize_config({"magicarp": {"n_steps": 0}})
         with pytest.raises(ConfigError, match="grape.penalty_weight"):
             normalize_config({"grape": {"penalty_weight": -0.5}})
+
+    @pytest.mark.parametrize("path,cfg", BAD_CONFIGS, ids=[f"{p}={c}" for p, c in BAD_CONFIGS])
+    def test_bad_type_or_value_exits_2_naming_path(self, tmp_path, capsys, path, cfg):
+        command = {"grape": "grape", "benchmark": "benchmark"}.get(path.split(".")[0], "optimize")
+        config = write_config(tmp_path, cfg)
+        rc = main([command, "--config", config, "--out", str(tmp_path / "out"), "--workers", "1"])
+        assert rc == EXIT_INVALID
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grad_step_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, at("magicarp.grad_step", 1e-6))
+        assert main(["optimize", "--config", config, "--out", str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and "grad_step" in err
 
     def test_custom_target_requires_matrix(self):
         with pytest.raises(ConfigError, match="custom_target"):
@@ -102,6 +169,18 @@ class TestOptimizeCommand:
         path = tmp_path / "bad.yaml"
         path.write_text("magicarp: [unclosed", encoding="utf-8")
         assert main(["optimize", "--config", str(path)]) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "command,runner", [("optimize", "optimize"), ("grape", "grape_optimize"), ("benchmark", "run_campaign")]
+    )
+    def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch, command, runner):
+        def singular(*args):
+            raise np.linalg.LinAlgError("synthetic singular matrix")
+
+        monkeypatch.setattr(cli, runner, singular)
+        rc = main([command, "--out", str(tmp_path), "--workers", "1"])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: synthetic singular matrix")
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(

@@ -163,3 +163,11 @@ class TestGrapeOptimize:
             GrapeConfig(penalty_weight=-1.0)
         with pytest.raises(ValueError):
             GrapeConfig(init="fourier")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_iters", 0), ("convergence_tol", 0.0), ("stall_tol", -1e-12), ("init_sigma", 0.0), ("seed", 2**64)],
+    )
+    def test_message_starts_with_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            GrapeConfig(**{field: value})

@@ -384,3 +384,12 @@ class TestConfigValidation:
     def test_explicit_requires_coeffs(self):
         with pytest.raises(ValueError):
             MagicarpConfig(init="explicit")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_iters", 0), ("convergence_tol", 0.0), ("init_sigma", 0.0), ("seed", -1), ("init_coeffs", ())],
+    )
+    def test_message_starts_with_field(self, field, value):
+        explicit = {"init": "explicit"} if field == "init_coeffs" else {}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            MagicarpConfig(**explicit, **{field: value})
