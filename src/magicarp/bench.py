@@ -12,7 +12,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,9 +56,15 @@ class BenchmarkSpec:
             ("target", self.target in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
             ("control_set", self.control_set == "nearest_neighbor", "'nearest_neighbor'"),
             ("base_seed", 0 <= self.base_seed < 2**64, "a 64-bit unsigned integer"),
+            ("omega_max", np.isfinite(self.omega_max) and self.omega_max > 0, "a positive finite number"),
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+        if self.magicarp.init == "explicit":
+            n = len(self.magicarp.init_coeffs)
+            for d in self.dims:
+                if n != d * d - 1:
+                    raise ValueError(f"magicarp.init_coeffs: expected {d * d - 1} coefficients for d = {d}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -76,38 +82,28 @@ class BenchmarkRecord:
 def _run_cell(args: tuple[BenchmarkSpec, int, int]) -> BenchmarkRecord:
     spec, dim, run_index = args
     seed = derive_seed(spec.base_seed, dim, run_index)
+    context = ShootingContext(
+        controls=nearest_neighbor_control_set(dim, spec.omega_max),
+        target=target_gate(spec.target, dim),
+        config=replace(spec.magicarp, seed=seed),
+    )
     try:
-        controls = nearest_neighbor_control_set(dim, spec.omega_max)
-        context = ShootingContext(
-            controls=controls,
-            target=target_gate(spec.target, dim),
-            config=replace(spec.magicarp, seed=seed),
-        )
         report = optimize(context)
-        return BenchmarkRecord(
-            dim=dim,
-            run_index=run_index,
-            seed=seed,
-            infidelity=report.infidelity,
-            duration_omega=report.duration,
-            duration_qsl=report.duration / tau_qsl(dim, spec.omega_max),
-            iterations=report.iterations,
-            converged=report.converged,
-        )
     except (ValueError, RuntimeError):
         # numerical or runtime failure of this cell (np.linalg.LinAlgError is a
-        # ValueError, ProbeFailure a RuntimeError); a programming error such as
-        # a TypeError propagates instead of becoming a silent inf record
-        return BenchmarkRecord(
-            dim=dim,
-            run_index=run_index,
-            seed=seed,
-            infidelity=float("inf"),
-            duration_omega=float("inf"),
-            duration_qsl=float("inf"),
-            iterations=0,
-            converged=False,
-        )
+        # ValueError, ProbeFailure a RuntimeError); the spec checked the input,
+        # and a programming error such as a TypeError propagates
+        return BenchmarkRecord(dim, run_index, seed, np.inf, np.inf, np.inf, iterations=0, converged=False)
+    return BenchmarkRecord(
+        dim=dim,
+        run_index=run_index,
+        seed=seed,
+        infidelity=report.infidelity,
+        duration_omega=report.duration,
+        duration_qsl=report.duration / tau_qsl(dim, spec.omega_max),
+        iterations=report.iterations,
+        converged=report.converged,
+    )
 
 
 def run_campaign(spec: BenchmarkSpec, workers: int = 1) -> list[BenchmarkRecord]:
@@ -148,20 +144,23 @@ def campaign_summary(records: list[BenchmarkRecord], threshold: float = 1e-7) ->
     return summary
 
 
-# -- records CSV: dim,run_index,seed,infidelity,duration_omega,... ----------
+# -- records CSV: one column per BenchmarkRecord field, in field order ------
 
-_CSV_HEADER = "dim,run_index,seed,infidelity,duration_omega,duration_qsl,iterations,converged"
+# field type -> (format, parse); bools are written as 0/1
+_CSV_TYPES = {
+    "int": (str, int),
+    "float": (lambda v: FLOAT_FMT % v, float),
+    "bool": (lambda v: str(int(v)), lambda s: bool(int(s))),
+}
+_CSV_COLUMNS = [(f.name, *_CSV_TYPES[f.type]) for f in fields(BenchmarkRecord)]
+_CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 
 
 def records_to_csv(records: list[BenchmarkRecord]) -> str:
     buf = io.StringIO()
     buf.write(_CSV_HEADER + "\n")
     for r in records:
-        buf.write(
-            f"{r.dim},{r.run_index},{r.seed},{FLOAT_FMT % r.infidelity},"
-            f"{FLOAT_FMT % r.duration_omega},{FLOAT_FMT % r.duration_qsl},"
-            f"{r.iterations},{int(r.converged)}\n"
-        )
+        buf.write(",".join(fmt(getattr(r, name)) for name, fmt, _ in _CSV_COLUMNS) + "\n")
     return buf.getvalue()
 
 
@@ -172,19 +171,10 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
     records = []
     for i, ln in enumerate(lines[1:]):
         parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"records row {i} has {len(parts)} fields, expected 8")
+        if len(parts) != len(_CSV_COLUMNS):
+            raise ValueError(f"records row {i} has {len(parts)} fields, expected {len(_CSV_COLUMNS)}")
         records.append(
-            BenchmarkRecord(
-                dim=int(parts[0]),
-                run_index=int(parts[1]),
-                seed=int(parts[2]),
-                infidelity=float(parts[3]),
-                duration_omega=float(parts[4]),
-                duration_qsl=float(parts[5]),
-                iterations=int(parts[6]),
-                converged=bool(int(parts[7])),
-            )
+            BenchmarkRecord(**{name: parse(part) for (name, _, parse), part in zip(_CSV_COLUMNS, parts)})
         )
     return records
 

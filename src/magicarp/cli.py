@@ -69,7 +69,7 @@ _CLI_KEYS = {
     "target": ("identity", str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
     "custom_target": (None, list | None, None, None),
     "controls": ("nearest_neighbor", str, lambda v: v == "nearest_neighbor", "'nearest_neighbor'"),
-    "omega_max": (1.0, float, lambda v: v > 0, "a positive number"),
+    "omega_max": (1.0, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
     "benchmark.threshold": (1e-7, float, lambda v: v > 0, "a positive number"),
 }
 
@@ -106,12 +106,14 @@ def _typed(path: str, value, hint):
 
 
 def _build(section: str, cfg: dict, **others):
-    """The dataclass of a config section; building it runs the section's value checks."""
+    """The dataclass of a config section; building it runs the section's value checks.
+    A message about a field filled from ``others`` names its own config path."""
     values = {key: _frozen(cfg[section][key]) for key in _fields(section)}
     try:
         return _SECTIONS[section](**values, **others)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from None
+        field = str(exc).split(":")[0].split(".")[0]
+        raise ConfigError(str(exc) if field in others else f"{section}.{exc}") from None
 
 
 def _frozen(value):

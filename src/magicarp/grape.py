@@ -11,7 +11,9 @@ energy, i.e. minimal duration for near-constant envelopes.
 Gradients of the fidelity term are exact: the derivative of each step
 exponential is evaluated in the eigenbasis of its Hermitian generator
 (first-order -i dt H_k approximations visibly fail the finite-difference
-check at modest N).
+check at modest N). The gradient takes its step eigensystems and forward
+products L_n from ``propagation`` (``step_eigensystems``, ``accumulate``)
+and contracts all steps at once in batched array expressions.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .optimizer import OptimizationReport, minimize_bfgs
 from .propagation import (
     PulseSchedule,
+    accumulate,
     control_generator,
     exp_divided_differences,
     normalized_infidelity,
@@ -89,29 +92,21 @@ def grape_gradient(
     penalty_weight: float = 0.0,
 ) -> np.ndarray:
     """Exact gradient of ``grape_objective`` w.r.t. every amplitude, shape (N, K)."""
-    n, k = schedule.n_steps, schedule.n_controls
     d = controls.dim
     dt = schedule.dt
     w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), dt)
-
-    # forward partial products L_n = P_{n-1} ... P_0 (L_0 = 1)
-    fwd = np.empty((n + 1, d, d), dtype=complex)
-    fwd[0] = np.eye(d)
-    for i in range(n):
-        fwd[i + 1] = steps[i] @ fwd[i]
-    u_final = fwd[n]
+    fwd = accumulate(steps)  # L_n = P_{n-1} ... P_0
+    u_final = fwd[-1]
     overlap = np.sum(target.conj() * u_final)
 
     # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) with W = V^dag U_N;
-    # in the step eigenbasis D = Q (phi o (Q^dag H_k Q)) Q^dag.
+    # in the step eigenbasis D = Q (phi o (Q^dag H_k Q)) Q^dag. All steps at once.
     w_mat = target.conj().T @ u_final
     phi = exp_divided_differences(w, dt)
-    grad_tau = np.empty((n, k), dtype=complex)
-    for i in range(n):
-        m = fwd[i] @ w_mat @ fwd[i + 1].conj().T
-        m_tilde = q[i].conj().T @ m @ q[i]
-        h_tilde = np.einsum("ap,kab,bq->kpq", q[i].conj(), controls.hamiltonians, q[i])
-        grad_tau[i] = np.einsum("qp,pq,kpq->k", m_tilde, phi[i], h_tilde)
+    m = fwd[:-1] @ w_mat @ fwd[1:].conj().swapaxes(-1, -2)
+    m_tilde = q.conj().swapaxes(-1, -2) @ m @ q
+    h_tilde = np.einsum("nap,kab,nbq->nkpq", q.conj(), controls.hamiltonians, q)
+    grad_tau = np.einsum("nqp,npq,nkpq->nk", m_tilde, phi, h_tilde)
 
     grad = -2.0 * (np.conj(overlap) * grad_tau).real / d**2
     if penalty_weight != 0.0:

@@ -4,8 +4,12 @@ The pulse lives on N uniform steps of the nominal interval; amplitudes are
 unbounded there. The physical duration is the envelope integral rescaled by
 the drive bound: running the same pulse at instantaneous amplitude
 ``omega_max`` takes time ``dt * sum_n c(n dt) / omega_max``, which is what
-``PropagationResult.duration`` reports (with the default ``omega_max = 1``
+``PulseSchedule.duration`` computes (with the default ``omega_max = 1``
 it is the plain envelope integral, i.e. T in units of 1/omega_max).
+
+``step_eigensystems`` is the one step kernel and ``accumulate`` the one loop
+of step products; only the shooting construction, whose every step depends
+on the state before it, interleaves its own.
 """
 
 from __future__ import annotations
@@ -53,13 +57,16 @@ class PulseSchedule:
     def envelope(self) -> np.ndarray:
         return np.linalg.norm(self.amplitudes, axis=1)
 
+    def duration(self, omega_max: float) -> float:
+        """The time the pulse takes at drive bound omega_max: dt * sum_n c(n dt) / omega_max."""
+        return self.dt * float(self.envelope.sum()) / omega_max
+
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Unitaries U(n dt) for n = 0..N, envelope samples, and duration."""
+    """Unitaries U(n dt) for n = 0..N and the duration."""
 
     unitaries: np.ndarray = field(repr=False)  # (N+1, d, d)
-    envelope: np.ndarray = field(repr=False)  # (N,)
     duration: float
 
     @property
@@ -103,6 +110,8 @@ def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:
     """H(u) = sum_k u_k H_k. Batched over leading amplitude axes."""
     amplitudes = np.asarray(amplitudes, dtype=float)
+    if amplitudes.shape[-1] != controls.n_controls:
+        raise ValueError(f"amplitudes have {amplitudes.shape[-1]} controls, control set has {controls.n_controls}")
     return np.tensordot(amplitudes, controls.hamiltonians, axes=([-1], [0]))
 
 
@@ -116,23 +125,20 @@ def step_unitary(controls: ControlSet, amplitudes_at_step: np.ndarray, dt: float
     return expm_ihermitian(control_generator(controls, amplitudes_at_step), dt)
 
 
+def accumulate(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Products X_0 = start (default 1), X_{n+1} = steps[n] @ X_n, shape (N+1, d, d)."""
+    n, d, _ = steps.shape
+    products = np.empty((n + 1, d, d), dtype=complex)
+    products[0] = np.eye(d) if start is None else start
+    for i in range(n):
+        products[i + 1] = steps[i] @ products[i]
+    return products
+
+
 def propagate(controls: ControlSet, schedule: PulseSchedule) -> PropagationResult:
     """Accumulate U(n dt) = exp(-i dt H(u(n-1))) U((n-1) dt) from U(0) = 1."""
-    if schedule.n_controls != controls.n_controls:
-        raise ValueError(
-            f"schedule has {schedule.n_controls} controls, control set has "
-            f"{controls.n_controls}"
-        )
-    d = controls.dim
-    n = schedule.n_steps
-    unitaries = np.empty((n + 1, d, d), dtype=complex)
-    unitaries[0] = np.eye(d)
     steps = expm_ihermitian(control_generator(controls, schedule.amplitudes), schedule.dt)
-    for i in range(n):
-        unitaries[i + 1] = steps[i] @ unitaries[i]
-    envelope = schedule.envelope
-    duration = schedule.dt * float(envelope.sum()) / controls.omega_max
-    return PropagationResult(unitaries=unitaries, envelope=envelope, duration=duration)
+    return PropagationResult(unitaries=accumulate(steps), duration=schedule.duration(controls.omega_max))
 
 
 def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
@@ -157,19 +163,15 @@ def verify_adjoint_constancy(
 
     Integrates lambda' = -i H(t) lambda from lambda(0) = i g with the same
     step exponentials as the propagator and returns
-    max_n || lambda(n dt) - U(n dt) i g ||_F.
+    max_n || lambda(n dt) - U(n dt) i g ||_F; the two sides associate the
+    same step products differently.
     """
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
-    result = propagate(controls, schedule)
-    lam = 1j * g.to_matrix()
-    lam0 = lam.copy()
     steps = expm_ihermitian(control_generator(controls, schedule.amplitudes), schedule.dt)
-    residual = 0.0
-    for n in range(schedule.n_steps):
-        lam = steps[n] @ lam
-        residual = max(residual, float(np.linalg.norm(lam - result.unitaries[n + 1] @ lam0)))
-    return residual
+    lam0 = 1j * g.to_matrix()
+    drift = accumulate(steps, start=lam0)[1:] - accumulate(steps)[1:] @ lam0
+    return max([0.0] + [float(np.linalg.norm(r)) for r in drift])
 
 
 def bloch_trajectory(result: PropagationResult, dt: float) -> np.ndarray:

@@ -147,16 +147,14 @@ class AdjointMatrix:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, basis: GeneratorBasis | None = None) -> "AdjointMatrix":
+    def from_matrix(cls, m: np.ndarray) -> "AdjointMatrix":
         m = hermitize(m)
         d = m.shape[0]
         m = m - np.trace(m) / d * np.eye(d)
-        basis = basis or GeneratorBasis.create(d)
-        return cls(dim=d, coeffs=basis.decompose(m))
+        return cls(dim=d, coeffs=GeneratorBasis.create(d).decompose(m))
 
-    def to_matrix(self, basis: GeneratorBasis | None = None) -> np.ndarray:
-        basis = basis or GeneratorBasis.create(self.dim)
-        return basis.reconstruct(self.coeffs)
+    def to_matrix(self) -> np.ndarray:
+        return GeneratorBasis.create(self.dim).reconstruct(self.coeffs)
 
 
 @dataclass(frozen=True)

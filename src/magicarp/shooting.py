@@ -132,6 +132,7 @@ class _Tape:
     """What the backward pass needs from the forward pass of one point."""
 
     g: np.ndarray  # (d, d)
+    amplitudes: np.ndarray  # (N, K) the pulse u_n
     unitaries: np.ndarray  # (N+1, d, d): U_0 = 1 .. U_N
     v: np.ndarray  # (N, K) structural amplitudes v_n
     c0: float  # ||v_0||, the envelope in renormalized mode
@@ -191,7 +192,7 @@ def _construct_batch(
     tape = None
     if kept is not None:
         u_n, v_n, w_n, q_n, p_n = (np.concatenate(parts) for parts in zip(*kept))
-        tape = _Tape(g[0], np.concatenate([u_n, u_now]), v_n, float(c0[0]), w_n, q_n, p_n)
+        tape = _Tape(g[0], amps[0], np.concatenate([u_n, u_now]), v_n, float(c0[0]), w_n, q_n, p_n)
     return amps, u_now, valid, tape
 
 
@@ -200,14 +201,13 @@ def pulses_from_adjoint(
     controls: ControlSet,
     n_steps: int,
     mode: str = "energy_optimal",
-    basis: GeneratorBasis | None = None,
 ) -> tuple[PulseSchedule, PropagationResult]:
     """Construct the pulse induced by g and propagate it."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
-    basis = basis or GeneratorBasis.create(controls.dim)
+    basis = GeneratorBasis.create(controls.dim)
     amps, _, valid, _ = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis)
     if not valid[0]:
         raise DegenerateEnvelopeError(
@@ -407,16 +407,14 @@ def optimize(context: ShootingContext) -> OptimizationReport:
         batch_fun=shared.values,
     )
     wall = time.perf_counter() - t0
-    final_g = AdjointMatrix(context.controls.dim, result.x)
-    schedule, prop = pulses_from_adjoint(
-        final_g, context.controls, cfg.n_steps, cfg.mode, context.basis
-    )
+    # the last forward pass; only a failed line search leaves it off result.x
+    schedule = PulseSchedule.from_amplitudes(shared._pass(result.x)[1].amplitudes)
     infidelity = result.trace[-1]
     return OptimizationReport(
-        final_g=final_g,
+        final_g=AdjointMatrix(context.controls.dim, result.x),
         final_schedule=schedule,
         infidelity=infidelity,
-        duration=prop.duration,
+        duration=schedule.duration(context.controls.omega_max),
         cost_trace=result.trace,
         iterations=result.iterations,
         converged=infidelity <= cfg.convergence_tol,
@@ -445,9 +443,7 @@ class CertificateResult:
     n_excluded: int
 
 
-def optimality_certificate(
-    schedule: PulseSchedule, controls: ControlSet, basis: GeneratorBasis | None = None
-) -> CertificateResult:
+def optimality_certificate(schedule: PulseSchedule, controls: ControlSet) -> CertificateResult:
     """Least-squares fit of a constant adjoint to the normalized pulses.
 
     Solves min_g sum_{n,k} (u_k(n dt)/c(n dt) - 1/2 Re Tr(U g U^dag H_k))^2
@@ -456,9 +452,9 @@ def optimality_certificate(
     of a time-optimal pulse. Steps with vanishing envelope are excluded and
     counted.
     """
-    basis = basis or GeneratorBasis.create(controls.dim)
+    basis = GeneratorBasis.create(controls.dim)
     result = propagate(controls, schedule)
-    env = result.envelope
+    env = schedule.envelope
     keep = env >= ENVELOPE_FLOOR
     if not keep.any():
         raise ValueError("schedule envelope is zero everywhere; nothing to certify")

@@ -120,6 +120,17 @@ class TestRunCampaign:
             BenchmarkSpec(dims=(2,), control_set="all_to_all")
 
 
+    @pytest.mark.parametrize("omega_max", [0.0, -1.0, math.inf, math.nan])
+    def test_spec_rejects_bad_omega_max(self, omega_max):
+        with pytest.raises(ValueError, match="^omega_max"):
+            BenchmarkSpec(dims=(2,), omega_max=omega_max)
+
+    def test_spec_checks_explicit_coeffs_against_every_dim(self):
+        explicit = MagicarpConfig(init="explicit", init_coeffs=(0.1, 0.2, 0.3))
+        assert BenchmarkSpec(dims=(2,), magicarp=explicit).magicarp is explicit
+        with pytest.raises(ValueError, match=r"^magicarp\.init_coeffs: expected 8 coefficients for d = 3, got 3"):
+            BenchmarkSpec(dims=(2, 3), magicarp=explicit)
+
     def test_spec_rejects_unknown_target_and_empty_dims(self):
         with pytest.raises(ValueError, match="^target"):
             BenchmarkSpec(target="bogus")
@@ -157,6 +168,13 @@ class TestRecordsCsv:
             record(dim=3, run_index=1, infidelity=float("inf"), converged=False),
         ]
         assert records_from_csv(records_to_csv(records)) == records
+
+    def test_layout_follows_record_fields(self):
+        r = BenchmarkRecord(3, 2, 2**63 + 5, 0.1, 1 / 3, math.inf, 10, False)
+        assert records_to_csv([r]) == (
+            "dim,run_index,seed,infidelity,duration_omega,duration_qsl,iterations,converged\n"
+            "3,2,9223372036854775813,0.10000000000000001,0.33333333333333331,inf,10,0\n"
+        )
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,7 @@ BAD_VALUES = {
 }
 
 BAD_CONFIGS = [(path, at(path, value)) for path, values in BAD_VALUES.items() for value in values] + [
+    ("omega_max", {"omega_max": float("inf")}),
     ("custom_target", {"custom_target": "x"}),
     ("custom_target", {"target": "custom", "custom_target": [[1, 2]]}),
     ("magicarp.init_coeffs", at("magicarp.init", "explicit")),
@@ -238,6 +239,18 @@ class TestBenchmarkCommand:
         scatter = (out / "scatter_d2.dat").read_text().splitlines()
         assert scatter[0].startswith("#")
         assert len(scatter) == 6
+
+    def test_init_coeffs_must_fit_every_dim(self, tmp_path, capsys, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_cells)
+        cfg = {"magicarp": {"init": "explicit", "init_coeffs": [0.1, 0.2, 0.3]}, "benchmark": {"dims": [2, 3]}}
+        out = tmp_path / "bench"
+        rc = main(["benchmark", "--config", write_config(tmp_path, cfg), "--out", str(out), "--workers", "1"])
+        assert rc == EXIT_INVALID
+        assert "error: magicarp.init_coeffs: expected 8 coefficients for d = 3, got 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_across_workers(self, tmp_path):
         cfg = write_config(

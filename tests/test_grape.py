@@ -10,7 +10,12 @@ from magicarp.grape import (
     grape_optimize,
     initial_schedule,
 )
-from magicarp.propagation import PulseSchedule
+from magicarp.propagation import (
+    PulseSchedule,
+    control_generator,
+    exp_divided_differences,
+    step_eigensystems,
+)
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
 
 from conftest import random_unitary
@@ -50,7 +55,39 @@ class TestGrapeObjective:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def loop_grape_gradient(schedule, target, controls, penalty_weight):
+    """``grape_gradient`` as a Python loop over steps: the reference of its batched form."""
+    n, k, d, dt = schedule.n_steps, schedule.n_controls, controls.dim, schedule.dt
+    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), dt)
+    fwd = np.empty((n + 1, d, d), dtype=complex)
+    fwd[0] = np.eye(d)
+    for i in range(n):
+        fwd[i + 1] = steps[i] @ fwd[i]
+    overlap = np.sum(target.conj() * fwd[n])
+    w_mat = target.conj().T @ fwd[n]
+    phi = exp_divided_differences(w, dt)
+    grad_tau = np.empty((n, k), dtype=complex)
+    for i in range(n):
+        m = fwd[i] @ w_mat @ fwd[i + 1].conj().T
+        m_tilde = q[i].conj().T @ m @ q[i]
+        h_tilde = np.einsum("ap,kab,bq->kpq", q[i].conj(), controls.hamiltonians, q[i])
+        grad_tau[i] = np.einsum("qp,pq,kpq->k", m_tilde, phi[i], h_tilde)
+    grad = -2.0 * (np.conj(overlap) * grad_tau).real / d**2
+    if penalty_weight != 0.0:
+        grad = grad + (2.0 * penalty_weight * dt / tau_qsl(d, controls.omega_max)) * schedule.amplitudes
+    return grad
+
+
 class TestGrapeGradient:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("weight", [0.0, 0.4])
+    def test_equals_per_step_loop_bitwise(self, rng, d, weight):
+        ctrl = nearest_neighbor_control_set(d)
+        target = random_unitary(rng, d)
+        for n in (1, 9, 64):
+            s = PulseSchedule.from_amplitudes(3.0 * rng.standard_normal((n, ctrl.n_controls)))
+            assert np.array_equal(grape_gradient(s, target, ctrl, weight), loop_grape_gradient(s, target, ctrl, weight))
+
     def test_zero_schedule_identity_target_zero_gradient(self):
         ctrl = nearest_neighbor_control_set(2)
         g = grape_gradient(zero_schedule(8, 2), np.eye(2, dtype=complex), ctrl, 0.0)

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from magicarp.propagation import (
     PulseSchedule,
+    accumulate,
     bloch_from_csv,
     bloch_to_csv,
     bloch_trajectory,
     control_generator,
+    expm_ihermitian,
     gate_fidelity,
     normalized_infidelity,
     propagate,
@@ -149,6 +151,17 @@ class TestPropagate:
         assert np.linalg.norm(back.final @ fwd.final - np.eye(3)) <= 1e-9
 
 
+class TestAccumulate:
+    def test_products_from_start(self, rng):
+        steps = np.stack([random_unitary(rng, 3) for _ in range(4)])
+        start = rng.standard_normal((3, 3)) + 0j
+        for begin, x0 in ((None, np.eye(3)), (start, start)):
+            products = accumulate(steps, begin)
+            assert products.shape == (5, 3, 3)
+            assert np.array_equal(products[0], x0)
+            assert np.array_equal(products[4], steps[3] @ (steps[2] @ (steps[1] @ (steps[0] @ x0))))
+
+
 class TestGateFidelity:
     def test_self_fidelity_is_d_squared(self, rng):
         for d in (2, 3, 5):
@@ -194,6 +207,27 @@ class TestAdjointConstancy:
         amps = rng.standard_normal((1000, 2))
         res = verify_adjoint_constancy(ctrl, PulseSchedule.from_amplitudes(amps), g)
         assert res <= 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_step_loop_bitwise(self, rng, d):
+        # the reference: its own exponentials and one loop per side, as before accumulate
+        ctrl = nearest_neighbor_control_set(d)
+        g = AdjointMatrix(d, rng.standard_normal(d * d - 1))
+        schedule = PulseSchedule.from_amplitudes(rng.standard_normal((50, ctrl.n_controls)))
+        steps = expm_ihermitian(control_generator(ctrl, schedule.amplitudes), schedule.dt)
+        u = np.eye(d, dtype=complex)
+        lam = lam0 = 1j * g.to_matrix()
+        residual = 0.0
+        for step in steps:
+            u, lam = step @ u, step @ lam
+            residual = max(residual, float(np.linalg.norm(lam - u @ lam0)))
+        assert verify_adjoint_constancy(ctrl, schedule, g) == residual
+        assert residual > 0.0
+
+    def test_control_count_mismatch(self):
+        g = AdjointMatrix(2, np.array([0.3, -0.2, 0.9]))
+        with pytest.raises(ValueError, match="controls"):
+            verify_adjoint_constancy(nearest_neighbor_control_set(2), zero_schedule(4, 3), g)
 
     def test_euler_mismatch_degrades(self, rng):
         # deliberate degradation: integrating the costate with explicit Euler

@@ -280,8 +280,31 @@ class TestOptimize:
         report = optimize(context(d=3, target="qft", n_steps=16, seed=7))
         assert report.stop_reason == "tol"
         wide = sum(1 for b in sizes if b > 1)
-        # x0, one per iteration, one per wider ladder, the final pulse
-        assert sizes.count(1) == 1 + report.iterations + wide + 1
+        # x0, one per iteration, one per wider ladder; the report reuses the last
+        assert sizes.count(1) == 1 + report.iterations + wide
+
+    # (mode, n_steps, seed) -> stop reason, on QFT(2) with max_iters = 300; the
+    # line-search stops reject an evaluated rung 0, so the report rebuilds at x
+    STOPS = [
+        ("energy_optimal", 4, 0, "tol"),
+        ("energy_optimal", 2, 2, "max_iters"),
+        ("energy_optimal", 1, 0, "stall"),
+        ("energy_optimal", 3, 3, "line_search"),
+        ("time_optimal_renormalized", 2, 0, "tol"),
+        ("time_optimal_renormalized", 3, 14, "max_iters"),
+        ("time_optimal_renormalized", 1, 0, "stall"),
+        ("time_optimal_renormalized", 5, 3, "line_search"),
+    ]
+
+    @pytest.mark.parametrize("mode,n_steps,seed,stop", STOPS)
+    def test_report_pulse_equals_a_fresh_construction(self, mode, n_steps, seed, stop):
+        # the report reuses the last forward pass; it must be the pulse of final_g
+        ctx = context(target="qft", mode=mode, n_steps=n_steps, seed=seed, max_iters=300)
+        report = optimize(ctx)
+        assert report.stop_reason == stop
+        schedule, prop = pulses_from_adjoint(report.final_g, ctx.controls, n_steps, mode)
+        assert np.array_equal(report.final_schedule.amplitudes, schedule.amplitudes)
+        assert report.duration == prop.duration
 
     def test_explicit_init(self):
         ctx = context(
