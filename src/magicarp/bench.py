@@ -1,9 +1,11 @@
 """Seeded random-restart campaigns over system dimension.
 
 Each (dim, run_index) cell gets its own seed derived by a fixed 64-bit mix,
-so any single record can be reproduced without replaying the campaign, and
-the record list is identical whether runs execute serially or in a process
-pool.
+so any single record can be reproduced without replaying the campaign. The
+cells of one dimension run in groups of contiguous run indices, each group's
+restarts in lockstep (``shooting.run_restarts``); since a lockstep restart
+is bitwise its lone run, the record list is identical whatever the grouping
+and whether groups execute serially or in a process pool.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .propagation import FLOAT_FMT
 from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
-from .shooting import MagicarpConfig, ShootingContext, optimize
+from .shooting import LOCKSTEP_WIDTH, MagicarpConfig, ShootingContext, run_restarts
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,43 +81,60 @@ class BenchmarkRecord:
     converged: bool
 
 
-def _run_cell(args: tuple[BenchmarkSpec, int, int]) -> BenchmarkRecord:
-    spec, dim, run_index = args
-    seed = derive_seed(spec.base_seed, dim, run_index)
+def _run_group(args: tuple[BenchmarkSpec, int, range]) -> list[BenchmarkRecord]:
+    """The records of one dimension's contiguous run indices, in cell order.
+
+    The group's restarts run in lockstep (``run_restarts``), and each record
+    is bitwise the one its cell gives alone. A restart that ends in a
+    numerical or runtime error (np.linalg.LinAlgError is a ValueError,
+    ProbeFailure a RuntimeError) becomes an ``inf`` record; the spec checked
+    the input, and a programming error such as a TypeError propagates.
+    """
+    spec, dim, run_indices = args
+    seeds = [derive_seed(spec.base_seed, dim, i) for i in run_indices]
     context = ShootingContext(
         controls=nearest_neighbor_control_set(dim, spec.omega_max),
         target=target_gate(spec.target, dim),
-        config=replace(spec.magicarp, seed=seed),
+        config=spec.magicarp,
     )
-    try:
-        report = optimize(context)
-    except (ValueError, RuntimeError):
-        # numerical or runtime failure of this cell (np.linalg.LinAlgError is a
-        # ValueError, ProbeFailure a RuntimeError); the spec checked the input,
-        # and a programming error such as a TypeError propagates
-        return BenchmarkRecord(dim, run_index, seed, np.inf, np.inf, np.inf, iterations=0, converged=False)
-    return BenchmarkRecord(
-        dim=dim,
-        run_index=run_index,
-        seed=seed,
-        infidelity=report.infidelity,
-        duration_omega=report.duration,
-        duration_qsl=report.duration / tau_qsl(dim, spec.omega_max),
-        iterations=report.iterations,
-        converged=report.converged,
-    )
+    tau = tau_qsl(dim, spec.omega_max)
+    records = []
+    for run_index, seed, report in zip(run_indices, seeds, run_restarts(context, seeds)):
+        if isinstance(report, Exception):
+            records.append(BenchmarkRecord(dim, run_index, seed, np.inf, np.inf, np.inf, iterations=0, converged=False))
+        else:
+            records.append(
+                BenchmarkRecord(
+                    dim=dim,
+                    run_index=run_index,
+                    seed=seed,
+                    infidelity=report.infidelity,
+                    duration_omega=report.duration,
+                    duration_qsl=report.duration / tau,
+                    iterations=report.iterations,
+                    converged=report.converged,
+                )
+            )
+    return records
 
 
 def run_campaign(spec: BenchmarkSpec, workers: int = 1) -> list[BenchmarkRecord]:
-    """Run all (dim, run_index) cells; deterministic output order by cell."""
-    cells = [(spec, d, i) for d in spec.dims for i in range(spec.runs_per_dim)]
+    """Run all (dim, run_index) cells; deterministic output order by cell.
+
+    Each dimension's runs are cut into groups of ceil(runs_per_dim / workers)
+    contiguous indices, at most LOCKSTEP_WIDTH, and a group runs in one
+    process. The records do not depend on the grouping or the worker count.
+    """
+    width = min(-(-spec.runs_per_dim // max(workers, 1)), LOCKSTEP_WIDTH)
+    groups = [
+        (spec, d, range(i, min(i + width, spec.runs_per_dim)))
+        for d in spec.dims
+        for i in range(0, spec.runs_per_dim, width)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, cells, chunksize=1))
-    else:
-        records = [_run_cell(cell) for cell in cells]
-    records.sort(key=lambda r: (r.dim, r.run_index))
-    return records
+            return [r for records in pool.map(_run_group, groups, chunksize=1) for r in records]
+    return [r for group in groups for r in _run_group(group)]
 
 
 def minimal_duration(

@@ -5,19 +5,25 @@ or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
 first-order methods on objective-call count.
 
+The loop is the generator ``bfgs_steps``: it yields evaluation requests
+and returns the result, and its arithmetic does not depend on who answers.
+``minimize_bfgs`` drives one run with plain callables; the shooting
+module's lockstep runner drives many runs and answers their requests in
+batches, and each run still follows the iterates it would follow alone.
+
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
-trace, and stop reason are reproducible bitwise. Given a vectorized
-``batch_fun``, the line search is a lazy ladder: it evaluates rung 0 (the
-full step) alone, and only if that fails the Armijo test evaluates rungs
-1..29 in one batch. It picks the largest step satisfying the Armijo test,
-which accepts exactly the same step a sequential backtracking loop would.
-Without ``batch_fun`` the ladder is that sequential loop.
+trace, and stop reason are reproducible bitwise. With batched evaluation
+the line search is a lazy ladder: it evaluates rung 0 (the full step) alone,
+then rung 1 alone, and only if both fail the Armijo test rungs 2..29 in one
+batch. It picks the largest step satisfying the Armijo test, which accepts
+exactly the same step a sequential backtracking loop would. Without batched
+evaluation (GRAPE) the ladder is that sequential loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -56,49 +62,55 @@ class OptimizationReport:
     iterations: int
     converged: bool
     seed: int
-    wall_time: float
+    wall_time: float  # of the whole lockstep group for a shooting restart
     stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
+    # in memory only as well; counted by the shooting runner, 0 for GRAPE
+    forward_points: int = 0  # points constructed: single passes plus ladder rows
+    backward_passes: int = 0
 
 
 def _safe_eval(fun: Callable[[np.ndarray], float], x: np.ndarray) -> float:
     try:
-        value = float(fun(x))
+        return float(fun(x))
     except ProbeFailure:
         return np.inf
+
+
+def _finite(value) -> float:
+    value = float(value)
     return value if np.isfinite(value) else np.inf
 
 
 def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | None:
-    """The first (alpha, value) pair of a ladder that passes the Armijo test.
-
-    ``values`` may be a generator: it is consumed only up to the accepted rung.
-    """
+    """The first (alpha, value) pair of a ladder that passes the Armijo test."""
     for alpha, fj in zip(alphas, values):
         if np.isfinite(fj) and fj <= f + ARMIJO_C * alpha * gp:
             return float(alpha), float(fj)
     return None
 
 
-def minimize_bfgs(
-    fun: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
+def bfgs_steps(
     x0: np.ndarray,
     *,
     tol: float,
     max_iters: int,
     stall_tol: float = 1e-12,
-    batch_fun: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> MinimizeResult:
-    """Minimize ``fun`` from ``x0``; stop at ``fun <= tol``, stall, or budget.
+    batched: bool = False,
+) -> Generator[tuple[str, np.ndarray], object, MinimizeResult]:
+    """The BFGS loop as a generator: it yields evaluation requests and returns the result.
 
-    ``grad`` supplies the gradient (analytic or finite-difference, the
-    caller decides). ``batch_fun``, if given, evaluates a (B, n) stack of
-    points in one call and is used for the line-search ladder: once with
-    rung 0 alone, then with the other rungs if rung 0 is rejected.
+    A request is ``("fun", x)``, answered with the objective at x (a probe
+    failure as +inf), ``("values", xs)``, answered with the objective at each
+    row of a (B, n) stack, or ``("grad", x)``, answered with the gradient.
+    The arithmetic is the same whoever answers, so a run's iterates depend
+    only on the replies. With ``batched`` the line search asks for ``values``:
+    rung 0 alone, then rung 1 alone, then rungs 2..29 in one stack, stopping
+    at the first stack with an accepted rung; otherwise it asks for ``fun``
+    rung by rung.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    f = _safe_eval(fun, x)
+    f = _finite((yield ("fun", x)))
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
@@ -111,7 +123,7 @@ def minimize_bfgs(
         if f <= tol:
             break
         if g is None:
-            g = np.asarray(grad(x), dtype=float)
+            g = np.asarray((yield ("grad", x)), dtype=float)
         p = -h_inv @ g
         gp = float(g @ p)
         if gp >= 0.0:
@@ -125,13 +137,16 @@ def minimize_bfgs(
 
         alpha0 = min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
-        if batch_fun is None:
-            accepted = _first_armijo(alphas, (_safe_eval(fun, x + a * p) for a in alphas), f, gp)
-        else:
-            # rung 0 alone; the rest of the ladder in one batch only if it fails
-            for rungs in (alphas[:1], alphas[1:]):
-                values = batch_fun(x[None, :] + rungs[:, None] * p[None, :])
+        accepted = None
+        if batched:
+            for rungs in (alphas[:1], alphas[1:2], alphas[2:]):
+                values = yield ("values", x[None, :] + rungs[:, None] * p[None, :])
                 accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
+                if accepted is not None:
+                    break
+        else:
+            for alpha in alphas:
+                accepted = _first_armijo((alpha,), (_finite((yield ("fun", x + alpha * p))),), f, gp)
                 if accepted is not None:
                     break
         if accepted is None:
@@ -140,7 +155,7 @@ def minimize_bfgs(
         alpha, f_new = accepted
 
         x_new = x + alpha * p
-        g_new = np.asarray(grad(x_new), dtype=float)
+        g_new = np.asarray((yield ("grad", x_new)), dtype=float)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -163,3 +178,35 @@ def minimize_bfgs(
     if f <= tol:
         stop = "tol"
     return MinimizeResult(x=x, fun=f, trace=trace, iterations=len(trace) - 1, stop_reason=stop)
+
+
+def minimize_bfgs(
+    fun: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    *,
+    tol: float,
+    max_iters: int,
+    stall_tol: float = 1e-12,
+    batch_fun: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> MinimizeResult:
+    """Minimize ``fun`` from ``x0``; stop at ``fun <= tol``, stall, or budget.
+
+    Drives one ``bfgs_steps`` run. ``grad`` supplies the gradient (analytic
+    or finite-difference, the caller decides). ``batch_fun``, if given,
+    evaluates a (B, n) stack of points in one call and is used for the
+    line-search ladder.
+    """
+    steps = bfgs_steps(x0, tol=tol, max_iters=max_iters, stall_tol=stall_tol, batched=batch_fun is not None)
+    reply = None
+    while True:
+        try:
+            kind, x = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        if kind == "fun":
+            reply = _safe_eval(fun, x)
+        elif kind == "values":
+            reply = batch_fun(x)
+        else:
+            reply = grad(x)

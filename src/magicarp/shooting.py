@@ -24,22 +24,31 @@ eigensystems and v_n (and c0). One backward pass then walks the steps in
 reverse. It pulls the cotangent of U_{n+1} through the exact derivative of
 each step exponential (eigenbasis divided differences, as in GRAPE) onto the
 amplitudes, then through the renormalization onto v_n, and then through the
-feedback v_n(U_n g U_n^dag) onto both U_n and g. ``optimize`` shares single-point
-forward passes between the line search and the gradient, so a typical
-iteration costs one forward and one backward pass. The central-difference
-``gradient`` (2(d^2-1) objective evaluations) is kept as its test reference.
+feedback v_n(U_n g U_n^dag) onto both U_n and g. Both passes take a batch of
+B points, and each row is bitwise the row of its point computed alone. The
+central-difference ``gradient`` (2(d^2-1) objective evaluations) is kept
+as the test reference.
+
+``run_restarts`` is the one restart runner: it runs the BFGS generators
+(``optimizer.bfgs_steps``) of several restarts in lockstep and answers
+their requests with one batched forward pass, ladder and backward pass per
+round. A restart keeps its last single-point forward pass, so the gradient
+at an accepted rung 0 or 1 costs only the backward pass and a typical
+iteration costs one forward and one backward pass. ``optimize`` is the
+runner with one seed, ``restarted_optimize`` the runner over its seeds, and
+campaign groups (``bench.py``) call it directly.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .optimizer import OptimizationReport, ProbeFailure, minimize_bfgs
+from .optimizer import MinimizeResult, OptimizationReport, ProbeFailure, bfgs_steps
 from .propagation import (
     PropagationResult,
     PulseSchedule,
@@ -51,6 +60,7 @@ from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
 
 ENVELOPE_FLOOR = 1e-14
 FD_STEP = 1e-6  # step of the central-difference reference ``gradient``
+LOCKSTEP_WIDTH = 32  # most restarts one lockstep group runs; bounds its tapes' memory
 
 MODES = ("energy_optimal", "time_optimal_renormalized")
 
@@ -122,23 +132,43 @@ class ShootingContext:
         return self.controls.dim ** 2 - 1
 
 
-def _structural_amplitudes(g_t: np.ndarray, hamiltonians: np.ndarray) -> np.ndarray:
-    """v_k = 1/2 Re Tr(g_t H_k) for a batch of evolved adjoints (B, d, d)."""
-    return 0.5 * np.einsum("bij,kji->bk", g_t, hamiltonians).real
+def _structural_amplitudes(g_t: np.ndarray, hams_t: np.ndarray) -> np.ndarray:
+    """v_k = 1/2 Re Tr(g_t H_k) for a batch of evolved adjoints (B, d, d).
+
+    ``hams_t`` is (d^2, K), column k the flattened transpose of H_k
+    (``_transposed_flat``). One (1, d^2) @ (d^2, K) product per point, so a
+    row does not depend on the batch around it (a single einsum sums in
+    another order for B = 1).
+    """
+    b, d, _ = g_t.shape
+    return 0.5 * (g_t.reshape(b, 1, d * d) @ hams_t)[:, 0].real
+
+
+def _transposed_flat(hamiltonians: np.ndarray) -> np.ndarray:
+    k, d, _ = hamiltonians.shape
+    return hamiltonians.swapaxes(-1, -2).reshape(k, d * d).T
 
 
 @dataclass(frozen=True)
 class _Tape:
-    """What the backward pass needs from the forward pass of one point."""
+    """What the backward pass needs from the forward pass of B points."""
 
-    g: np.ndarray  # (d, d)
-    amplitudes: np.ndarray  # (N, K) the pulse u_n
-    unitaries: np.ndarray  # (N+1, d, d): U_0 = 1 .. U_N
-    v: np.ndarray  # (N, K) structural amplitudes v_n
-    c0: float  # ||v_0||, the envelope in renormalized mode
-    w: np.ndarray  # (N, d) step eigenvalues
-    q: np.ndarray  # (N, d, d) step eigenvectors
-    steps: np.ndarray  # (N, d, d) step exponentials P_n
+    g: np.ndarray  # (B, d, d)
+    amplitudes: np.ndarray  # (B, N, K) the pulses u_n
+    unitaries: np.ndarray  # (B, N+1, d, d): U_0 = 1 .. U_N
+    v: np.ndarray  # (B, N, K) structural amplitudes v_n
+    c0: np.ndarray  # (B,) ||v_0||, the envelope in renormalized mode
+    w: np.ndarray  # (B, N, d) step eigenvalues
+    q: np.ndarray  # (B, N, d, d) step eigenvectors
+    steps: np.ndarray  # (B, N, d, d) step exponentials P_n
+
+    @staticmethod
+    def rows(held: list[tuple["_Tape", int]]) -> "_Tape":
+        """One tape of the given (tape, row) pairs, in order."""
+        tape = held[0][0]
+        if all(t is tape for t, _ in held) and [i for _, i in held] == list(range(len(tape.c0))):
+            return tape
+        return _Tape(*(np.concatenate([getattr(t, f.name)[i : i + 1] for t, i in held]) for f in fields(_Tape)))
 
 
 def _construct_batch(
@@ -147,14 +177,16 @@ def _construct_batch(
     n_steps: int,
     mode: str,
     basis: GeneratorBasis,
+    keep_tape: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Tape | None]:
     """Build pulses for B coefficient vectors at once.
 
     Returns (amplitudes (B, N, K), final unitaries (B, d, d), valid (B,),
     tape). Entries with a degenerate envelope are flagged invalid rather than
-    raising, so vectorized line-search ladders can mask them. For a single
-    vector (B = 1) the tape keeps the per-step states for the backward pass
-    of ``reverse_gradient``; for B > 1 it is None.
+    raising, so vectorized line-search ladders can mask them. With
+    ``keep_tape`` the tape keeps the per-step states of every point for the
+    backward pass; otherwise it is None. Each row is bitwise the same
+    whatever the batch around it.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
@@ -163,21 +195,27 @@ def _construct_batch(
     dt = 1.0 / n_steps
     hams = controls.hamiltonians
     renorm = mode == "time_optimal_renormalized"
-    kept = [] if b == 1 else None
 
     g = np.einsum("bm,mij->bij", coeff_batch, basis.generators)
     u_now = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
     amps = np.empty((b, n_steps, k))
     valid = np.ones(b, dtype=bool)
+    if keep_tape:
+        units = np.empty((b, n_steps + 1, d, d), dtype=complex)
+        v_n = np.empty((b, n_steps, k))
+        w_n = np.empty((b, n_steps, d))
+        q_n = np.empty((b, n_steps, d, d), dtype=complex)
+        p_n = np.empty((b, n_steps, d, d), dtype=complex)
 
-    v = _structural_amplitudes(g, hams)
+    hams_t = _transposed_flat(hams)
+    v = _structural_amplitudes(g, hams_t)
     c0 = np.linalg.norm(v, axis=1)
     if renorm:
         valid &= c0 >= ENVELOPE_FLOOR
     for n in range(n_steps):
         if n > 0:
             g_t = u_now @ g @ u_now.conj().swapaxes(-1, -2)
-            v = _structural_amplitudes(g_t, hams)
+            v = _structural_amplitudes(g_t, hams_t)
         if renorm and n > 0:
             norms = np.linalg.norm(v, axis=1)
             valid &= norms >= ENVELOPE_FLOOR
@@ -186,13 +224,13 @@ def _construct_batch(
             u = v
         amps[:, n] = u
         w, q, step = step_eigensystems(np.einsum("bk,kij->bij", u, hams), dt)
-        if kept is not None:
-            kept.append((u_now, v, w, q, step))
+        if keep_tape:
+            units[:, n], v_n[:, n], w_n[:, n], q_n[:, n], p_n[:, n] = u_now, v, w, q, step
         u_now = step @ u_now
     tape = None
-    if kept is not None:
-        u_n, v_n, w_n, q_n, p_n = (np.concatenate(parts) for parts in zip(*kept))
-        tape = _Tape(g[0], amps[0], np.concatenate([u_n, u_now]), v_n, float(c0[0]), w_n, q_n, p_n)
+    if keep_tape:
+        units[:, n_steps] = u_now
+        tape = _Tape(g, amps, units, v_n, c0, w_n, q_n, p_n)
     return amps, u_now, valid, tape
 
 
@@ -269,17 +307,17 @@ def gradient(
     return (values[:m] - values[m:]) / (2.0 * step)
 
 
-def _forward(g_coeffs: np.ndarray, context: ShootingContext) -> tuple[float, _Tape]:
-    """Objective value and tape of one point (+inf for a degenerate envelope)."""
+def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
+    """Objective values (+inf for a degenerate envelope) and the tape of a (B, d^2-1) stack."""
     cfg = context.config
     _, u_final, valid, tape = _construct_batch(
-        g_coeffs[None, :], context.controls, cfg.n_steps, cfg.mode, context.basis
+        points, context.controls, cfg.n_steps, cfg.mode, context.basis, True
     )
-    return float(_infidelities(u_final, valid, context)[0]), tape
+    return _infidelities(u_final, valid, context), tape
 
 
 def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
-    """dJ/dc from one forward pass, by reverse-mode differentiation.
+    """(B, d^2-1) gradients dJ/dc from the tape of B forward passes, by reverse mode.
 
     Cotangents X_bar are taken so that dJ = Re Tr(X_bar^dag dX). Walking
     the steps backward from U_bar_N = -2 Tr(V^dag U_N) V / d^2:
@@ -293,92 +331,71 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     * v_{n,k} = 1/2 Re Tr(U_n g U_n^dag H_k) with S_n = sum_k v_bar_{n,k} H_k
       gives the feedback term U_bar_n = P_n^dag U_bar_{n+1} + S_n U_n g and
       g_bar = 1/2 sum_n U_n^dag S_n U_n.
+
+    Every product is a stack of the per-point products (vectors as (1, K)
+    or (K, 1) matrices), so each row is bitwise the gradient of its point
+    computed alone.
     """
     d = context.controls.dim
     hams = context.controls.hamiltonians
-    n_steps, k = tape.v.shape
+    b, n_steps, k = tape.v.shape
     renorm = context.config.mode == "time_optimal_renormalized"
     dt = 1.0 / n_steps
-    units = tape.unitaries[:-1]
+    units = tape.unitaries[:, :-1]
     q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
 
     # per-step constants, batched over n ahead of the sequential sweep
     phi = exp_divided_differences(tape.w, dt)
     qu = q_dag @ units  # Q_n^dag U_n
-    h_eig = q_dag[:, None] @ hams[None] @ q[:, None]  # Q_n^dag H_k Q_n, (N, K, d, d)
-    h_eig_t = h_eig.swapaxes(-1, -2).reshape(n_steps, k, d * d)
-    ug = units @ tape.g
+    h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]  # Q_n^dag H_k Q_n, (B, N, K, d, d)
+    h_eig_t = h_eig.swapaxes(-1, -2).reshape(b, n_steps, k, d * d)
+    ug = units @ tape.g[:, None]
     p_dag = tape.steps.conj().swapaxes(-1, -2)
     hams_flat = hams.reshape(k, d * d)
 
-    overlap = np.sum(context.target.conj() * tape.unitaries[-1])
-    u_bar = (-2.0 * overlap / d**2) * context.target
-    v_bar = np.empty((n_steps, k))
-    c0_bar = 0.0
+    overlap = np.sum((context.target.conj() * tape.unitaries[:, -1]).reshape(b, d * d), axis=1)
+    u_bar = (-2.0 * overlap / d**2)[:, None, None] * context.target
+    v_bar = np.empty((b, n_steps, k))
+    c0_bar = np.zeros(b)
     for n in range(n_steps - 1, -1, -1):
         # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(U_bar^dag Q)
-        m = (qu[n] @ (u_bar.conj().T @ q[n])) * phi[n]
-        a_bar = (h_eig_t[n] @ m.ravel()).real
+        m = (qu[:, n] @ (u_bar.conj().swapaxes(-1, -2) @ q[:, n])) * phi[:, n]
+        a_bar = (h_eig_t[:, n] @ m.reshape(b, d * d, 1))[..., 0].real
         if renorm:
-            vn = tape.v[n]
+            vn = tape.v[:, n]
             if n > 0:
-                norm = float(np.linalg.norm(vn))
-                proj = float(vn @ a_bar) / norm
+                norm = np.sqrt(_dots(vn, vn))
+                proj = _dots(vn, a_bar) / norm
                 c0_bar += proj
-                a_bar = (tape.c0 / norm) * (a_bar - (proj / norm) * vn)
+                a_bar = (tape.c0 / norm)[:, None] * (a_bar - (proj / norm)[:, None] * vn)
             else:
-                a_bar = a_bar + (c0_bar / tape.c0) * vn
-        v_bar[n] = a_bar
+                a_bar = a_bar + (c0_bar / tape.c0)[:, None] * vn
+        v_bar[:, n] = a_bar
         if n > 0:
-            s = (a_bar @ hams_flat).reshape(d, d)
-            u_bar = p_dag[n] @ u_bar + s @ ug[n]
+            s = (a_bar[:, None] @ hams_flat).reshape(b, d, d)
+            u_bar = p_dag[:, n] @ u_bar + s @ ug[:, n]
 
-    s_all = (v_bar @ hams_flat).reshape(n_steps, d, d)
-    g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units.conj(), s_all, units)
-    return np.einsum("mij,ji->m", context.basis.generators, g_bar).real
+    s_all = (v_bar @ hams_flat).reshape(b, n_steps, d, d)
+    grads = np.empty((b, context.n_params))
+    for i in range(b):
+        g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units[i].conj(), s_all[i], units[i])
+        grads[i] = np.einsum("mij,ji->m", context.basis.generators, g_bar).real
+    return grads
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i . b_i of two (B, K) stacks, each the 1-D ``a_i @ b_i``."""
+    return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
 def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarray:
     """Exact gradient of ``objective``: one forward and one backward pass."""
-    value, tape = _forward(np.asarray(g_coeffs, dtype=float), context)
-    if not np.isfinite(value):
+    values, tape = _forward(np.asarray(g_coeffs, dtype=float)[None, :], context)
+    if not np.isfinite(values[0]):
         raise DegenerateEnvelopeError(
             "structural prediction vanished; gradient undefined at this point"
         )
-    return _backward(tape, context)
-
-
-class _SharedForward:
-    """``minimize_bfgs`` callables whose single-point evaluations share tapes.
-
-    The objective at the start and the line search's rung 0 are B = 1
-    forward passes. The last one is kept, so the gradient at an accepted
-    rung-0 point costs only the backward pass. Wider ladders go through
-    ``batch_objective``. A degenerate envelope reads as +inf, which the
-    line search rejects; the gradient is only asked for at accepted points.
-    """
-
-    def __init__(self, context: ShootingContext):
-        self.context = context
-        self._key: bytes | None = None
-        self._last: tuple[float, _Tape] | None = None
-
-    def _pass(self, x: np.ndarray) -> tuple[float, _Tape]:
-        key = x.tobytes()
-        if key != self._key:
-            self._key, self._last = key, _forward(x, self.context)
-        return self._last
-
-    def value(self, x: np.ndarray) -> float:
-        return self._pass(x)[0]
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        if xs.shape[0] != 1:
-            return batch_objective(xs, self.context)
-        return np.array([self._pass(xs[0])[0]])
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return _backward(self._pass(x)[1], self.context)
+    return _backward(tape, context)[0]
 
 
 def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
@@ -391,46 +408,192 @@ def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
     return config.init_sigma * rng.standard_normal(n_params)
 
 
+class _Restart:
+    """One BFGS run of the lockstep runner: its generator, its pending request
+    and its last single-point forward pass (value, tape and row, keyed by the
+    point's bytes)."""
+
+    def __init__(self, context: ShootingContext, seed: int):
+        cfg = replace(context.config, seed=int(seed))
+        self.seed = cfg.seed
+        self.steps = bfgs_steps(
+            initial_coeffs(cfg, context.n_params),
+            tol=cfg.convergence_tol,
+            max_iters=cfg.max_iters,
+            stall_tol=cfg.stall_tol,
+            batched=True,
+        )
+        self.request: tuple[str, np.ndarray] | None = None
+        self.key: bytes | None = None
+        self.held: tuple[float, _Tape, int] | None = None
+        self.result: MinimizeResult | None = None
+        self.error: Exception | None = None
+        self.forward_points = 0
+        self.backward_passes = 0
+        self.reply(None)
+
+    @property
+    def point(self) -> np.ndarray | None:
+        """The point of a single-point request (None for a wide ladder or no request)."""
+        if self.request is None:
+            return None
+        kind, x = self.request
+        return x if kind != "values" else x[0] if len(x) == 1 else None
+
+    def holds(self, x: np.ndarray) -> bool:
+        return self.key == x.tobytes()
+
+    def hold(self, x: np.ndarray, value: float, tape: _Tape, row: int) -> None:
+        self.key, self.held = x.tobytes(), (value, tape, row)
+        self.forward_points += 1
+
+    def reply(self, value) -> None:
+        """Answer the pending request; a finished run asks for its report pulse."""
+        try:
+            self.request = self.steps.send(value)
+        except StopIteration as done:
+            self.result = done.value
+            self.request = ("pulse", self.result.x)
+        except (ValueError, RuntimeError) as exc:
+            self.fail(exc)
+
+    def fail(self, exc: Exception) -> None:
+        self.error, self.request, self.held = exc, None, None
+
+
+def _serve(runs: list[_Restart], evaluate, deliver) -> None:
+    """``deliver(run, out)`` for each run and its share of ``evaluate(runs)``.
+
+    If the batch raises a numerical or runtime error, each run is evaluated
+    alone, so that only a run that fails on its own gets the error.
+    """
+    if not runs:
+        return
+    try:
+        outs = evaluate(runs)
+    except (ValueError, RuntimeError) as exc:
+        if len(runs) == 1:
+            runs[0].fail(exc)
+            return
+        for run in runs:
+            _serve([run], evaluate, deliver)
+        return
+    for run, out in zip(runs, outs):
+        deliver(run, out)
+
+
+def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[OptimizationReport | Exception]:
+    """Independent BFGS restarts from the given seeds, run in lockstep.
+
+    Each round batches the restarts' expensive evaluations in three phases:
+    (A) one tape-keeping forward pass over every single-point request (the
+    initial value, rungs 0 and 1, and any gradient point whose pass is not
+    held), after which the value requests are answered; (B) one
+    ``batch_objective`` call over every wider ladder; (C) one backward pass
+    over every gradient whose forward pass is held. Since each row of these
+    batches is bitwise the same as the row computed alone, every restart
+    follows the iterates of its lone run, and the gradient at an accepted
+    single rung costs only its backward pass.
+
+    Returns one report per seed, in order, or the ``ValueError`` or
+    ``RuntimeError`` that ended that restart; other errors propagate. Every
+    report's ``wall_time`` is that of the whole group.
+    """
+    cfg = context.config
+    t0 = time.perf_counter()
+    runs = [_Restart(context, seed) for seed in seeds]
+
+    def hold_passes(group):
+        values, tape = _forward(np.stack([run.point for run in group]), context)
+        return [(value, tape, row) for row, value in enumerate(values)]
+
+    def ladders(group):
+        values = batch_objective(np.concatenate([run.request[1] for run in group]), context)
+        return np.split(values, np.cumsum([len(run.request[1]) for run in group])[:-1])
+
+    def backward(group):
+        return _backward(_Tape.rows([run.held[1:] for run in group]), context)
+
+    def answer_ladder(run, values):
+        run.forward_points += len(values)
+        run.reply(values)
+
+    def answer_gradient(run, grad):
+        run.backward_passes += 1
+        run.reply(grad)
+
+    while live := [run for run in runs if run.request is not None]:
+        # (A) single-point forward passes; then answer the value requests
+        _serve(
+            [run for run in live if run.point is not None and not run.holds(run.point)],
+            hold_passes,
+            lambda run, held: run.hold(run.point, *held),
+        )
+        for run in live:
+            if run.point is not None and run.holds(run.point):
+                kind = run.request[0]
+                if kind == "pulse":
+                    run.request = None
+                elif kind != "grad":
+                    value = run.held[0]
+                    run.reply(value if kind == "fun" else np.array([value]))
+        # (B) wider ladders
+        _serve([run for run in live if run.request and run.point is None], ladders, answer_ladder)
+        # (C) gradients at held points
+        _serve(
+            [run for run in live if run.request and run.request[0] == "grad" and run.holds(run.point)],
+            backward,
+            answer_gradient,
+        )
+    wall = time.perf_counter() - t0
+
+    outcomes = []
+    for run in runs:
+        if run.error is not None:
+            outcomes.append(run.error)
+            continue
+        result, (_, tape, row) = run.result, run.held
+        schedule = PulseSchedule.from_amplitudes(tape.amplitudes[row])
+        infidelity = result.trace[-1]
+        outcomes.append(
+            OptimizationReport(
+                final_g=AdjointMatrix(context.controls.dim, result.x),
+                final_schedule=schedule,
+                infidelity=infidelity,
+                duration=schedule.duration(context.controls.omega_max),
+                cost_trace=result.trace,
+                iterations=result.iterations,
+                converged=infidelity <= cfg.convergence_tol,
+                seed=run.seed,
+                wall_time=wall,
+                stop_reason=result.stop_reason,
+                forward_points=run.forward_points,
+                backward_passes=run.backward_passes,
+            )
+        )
+    return outcomes
+
+
 def optimize(context: ShootingContext) -> OptimizationReport:
     """Quasi-Newton descent on infidelity over the d^2-1 adjoint coefficients."""
-    cfg = context.config
-    x0 = initial_coeffs(cfg, context.n_params)
-    shared = _SharedForward(context)
-    t0 = time.perf_counter()
-    result = minimize_bfgs(
-        shared.value,
-        shared.grad,
-        x0,
-        tol=cfg.convergence_tol,
-        max_iters=cfg.max_iters,
-        stall_tol=cfg.stall_tol,
-        batch_fun=shared.values,
-    )
-    wall = time.perf_counter() - t0
-    # the last forward pass; only a failed line search leaves it off result.x
-    schedule = PulseSchedule.from_amplitudes(shared._pass(result.x)[1].amplitudes)
-    infidelity = result.trace[-1]
-    return OptimizationReport(
-        final_g=AdjointMatrix(context.controls.dim, result.x),
-        final_schedule=schedule,
-        infidelity=infidelity,
-        duration=schedule.duration(context.controls.omega_max),
-        cost_trace=result.trace,
-        iterations=result.iterations,
-        converged=infidelity <= cfg.convergence_tol,
-        seed=cfg.seed,
-        wall_time=wall,
-        stop_reason=result.stop_reason,
-    )
+    return _raise_failure(run_restarts(context, [context.config.seed]))[0]
 
 
 def restarted_optimize(context: ShootingContext, seeds: Sequence[int]) -> list[OptimizationReport]:
-    """Independent restarts of ``optimize`` over the given seeds."""
+    """Independent restarts of ``optimize`` over the given seeds, LOCKSTEP_WIDTH at a time."""
+    seeds = list(seeds)
     reports = []
-    for seed in seeds:
-        ctx = replace(context, config=replace(context.config, seed=int(seed)))
-        reports.append(optimize(ctx))
+    for i in range(0, len(seeds), LOCKSTEP_WIDTH):
+        reports += _raise_failure(run_restarts(context, seeds[i : i + LOCKSTEP_WIDTH]))
     return reports
+
+
+def _raise_failure(outcomes: list) -> list[OptimizationReport]:
+    """The reports, or the error of the first restart that failed."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 # -- optimality certificate ------------------------------------------------

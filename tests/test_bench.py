@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-import magicarp.bench as bench
+from dataclasses import replace
+
+import magicarp.shooting as shooting
 from magicarp.bench import (
     BenchmarkRecord,
     BenchmarkSpec,
@@ -15,7 +17,8 @@ from magicarp.bench import (
     run_campaign,
     tau_qsl,
 )
-from magicarp.shooting import MagicarpConfig
+from magicarp.qudit import nearest_neighbor_control_set, target_gate
+from magicarp.shooting import MagicarpConfig, ShootingContext, initial_coeffs, optimize
 
 FAST_MAGICARP = MagicarpConfig(n_steps=16, max_iters=60, convergence_tol=1e-7, seed=0)
 
@@ -62,6 +65,21 @@ class TestDeriveSeed:
         assert 0 <= s < 2**64
 
 
+def lone_record(spec, dim, run_index):
+    """The record of one campaign cell, from a lone ``optimize`` run."""
+    seed = derive_seed(spec.base_seed, dim, run_index)
+    context = ShootingContext(
+        controls=nearest_neighbor_control_set(dim, spec.omega_max),
+        target=target_gate(spec.target, dim),
+        config=replace(spec.magicarp, seed=seed),
+    )
+    report = optimize(context)
+    return BenchmarkRecord(
+        dim, run_index, seed, report.infidelity, report.duration,
+        report.duration / tau_qsl(dim, spec.omega_max), report.iterations, report.converged,
+    )
+
+
 class TestRunCampaign:
     def test_single_cell_reproducible(self):
         spec = BenchmarkSpec(dims=(2,), runs_per_dim=1, magicarp=FAST_MAGICARP, base_seed=9)
@@ -92,10 +110,10 @@ class TestRunCampaign:
                 assert r.infidelity <= FAST_MAGICARP.convergence_tol
 
     def test_run_failure_recorded_not_raised(self, monkeypatch):
-        def boom(context):
+        def boom(*args):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(bench, "optimize", boom)
+        monkeypatch.setattr(shooting, "_construct_batch", boom)
         spec = BenchmarkSpec(dims=(2,), runs_per_dim=2, magicarp=FAST_MAGICARP, base_seed=2)
         records = run_campaign(spec)
         assert len(records) == 2
@@ -103,13 +121,40 @@ class TestRunCampaign:
         assert all(np.isinf(r.infidelity) for r in records)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def bug(context):
+        def bug(*args):
             raise TypeError("synthetic bug")
 
-        monkeypatch.setattr(bench, "optimize", bug)
+        monkeypatch.setattr(shooting, "_construct_batch", bug)
         spec = BenchmarkSpec(dims=(2,), runs_per_dim=2, magicarp=FAST_MAGICARP, base_seed=2)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_campaign(spec)
+
+    def test_failing_cell_leaves_its_peers_as_lone_runs(self, monkeypatch):
+        # the construction fails at cell 1's starting point only: its lockstep
+        # group re-runs the failed batch one restart at a time
+        spec = BenchmarkSpec(dims=(2,), runs_per_dim=4, magicarp=FAST_MAGICARP, base_seed=2)
+        clean = run_campaign(spec)
+        seed = derive_seed(2, 2, 1)
+        poison = initial_coeffs(replace(FAST_MAGICARP, seed=seed), 3)
+        real = shooting._construct_batch
+
+        def fails_at_poison(coeff_batch, *args):
+            if np.any(np.all(np.atleast_2d(coeff_batch) == poison, axis=1)):
+                raise np.linalg.LinAlgError("synthetic eigh failure")
+            return real(coeff_batch, *args)
+
+        monkeypatch.setattr(shooting, "_construct_batch", fails_at_poison)
+        records = run_campaign(spec)
+        assert records[1] == BenchmarkRecord(2, 1, seed, np.inf, np.inf, np.inf, 0, False)
+        assert records[:1] + records[2:] == clean[:1] + clean[2:]
+        assert records[:1] + records[2:] == [lone_record(spec, 2, i) for i in (0, 2, 3)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_records_equal_lone_runs(self, workers):
+        # lockstep groups of width 3, 2 and 1
+        spec = BenchmarkSpec(dims=(2, 3), runs_per_dim=3, magicarp=FAST_MAGICARP, base_seed=4)
+        expected = [lone_record(spec, d, i) for d in (2, 3) for i in range(3)]
+        assert run_campaign(spec, workers=workers) == expected
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -119,17 +119,26 @@ class TestMinimizeBfgs:
         assert sizes == [1]
 
     def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
-        # a unit step overshoots to the mirror point; the half step is exact
-        fun, grad = quadratic(np.array([0.3, -0.2]))
-        sizes = []
+        # rung 1 is tested alone; only when it fails too do rungs 2..29 come in one batch
+        center = np.array([0.03, -0.02])
 
-        def batch(xs):
-            sizes.append(xs.shape[0])
-            return np.array([fun(row) for row in xs])
+        def fun(x):
+            return float(np.sum((x - center) ** 2))
 
-        res = minimize_bfgs(fun, grad, np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch)
-        assert res.fun == 0.0
-        assert sizes == [1, 29]
+        for scale, expected in ((2.0, [1, 1]), (8.0, [1, 1, 28])):
+            # a gradient `scale` times too long: the unit step overshoots, and the
+            # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x)
+            sizes = []
+
+            def batch(xs):
+                sizes.append(xs.shape[0])
+                return np.array([fun(row) for row in xs])
+
+            res = minimize_bfgs(
+                fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch
+            )
+            assert res.fun == 0.0
+            assert sizes == expected
 
     def test_deterministic(self):
         runs = [

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import magicarp.optimizer as optimizer
 import magicarp.shooting as shooting
 from magicarp.propagation import PulseSchedule
-from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
+from magicarp.qudit import AdjointMatrix, ControlSet, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import (
+    MODES,
     DegenerateEnvelopeError,
     GradientProbeError,
     MagicarpConfig,
@@ -19,7 +23,9 @@ from magicarp.shooting import (
     optimize,
     pulses_from_adjoint,
     report_to_dict,
+    restarted_optimize,
     reverse_gradient,
+    run_restarts,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -267,21 +273,32 @@ class TestOptimize:
         assert 2 * (d * d - 1) not in rows
 
     def test_gradient_reuses_accepted_rung_zero(self, monkeypatch):
-        # one B = 1 construction per iteration: the gradient at an accepted
-        # rung-0 point reuses its forward pass; a wider ladder costs one more
-        sizes = []
+        # one B = 1 construction per single-rung test (rung 0, and rung 1 after a
+        # rejection): the gradient at an accepted single rung reuses its forward
+        # pass; a wider ladder costs one more, at its accepted rung
+        sizes, single_rungs = [], []
         real = shooting._construct_batch
+        real_armijo = optimizer._first_armijo
 
         def spy(coeff_batch, *args):
             sizes.append(np.atleast_2d(coeff_batch).shape[0])
             return real(coeff_batch, *args)
 
+        def armijo(alphas, *args):
+            if len(alphas) == 1:
+                single_rungs.append(alphas[0])
+            return real_armijo(alphas, *args)
+
         monkeypatch.setattr(shooting, "_construct_batch", spy)
+        monkeypatch.setattr(optimizer, "_first_armijo", armijo)
         report = optimize(context(d=3, target="qft", n_steps=16, seed=7))
         assert report.stop_reason == "tol"
         wide = sum(1 for b in sizes if b > 1)
-        # x0, one per iteration, one per wider ladder; the report reuses the last
-        assert sizes.count(1) == 1 + report.iterations + wide
+        assert len(single_rungs) > report.iterations  # some rung 0 was rejected
+        # x0, one per single rung, one per wider ladder; the report reuses the last
+        assert sizes.count(1) == 1 + len(single_rungs) + wide
+        assert report.forward_points == sum(sizes)
+        assert report.backward_passes == report.iterations + 1
 
     # (mode, n_steps, seed) -> stop reason, on QFT(2) with max_iters = 300; the
     # line-search stops reject an evaluated rung 0, so the report rebuilds at x
@@ -320,6 +337,82 @@ class TestOptimize:
     def test_explicit_init_wrong_length(self):
         with pytest.raises(ValueError):
             optimize(context(target="identity", init="explicit", init_coeffs=(0.1, 0.2)))
+
+
+class TestLockstep:
+    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..11 end on all four stop reasons
+    MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 80)]
+
+    @staticmethod
+    def assert_lone(ctx, seeds, reports):
+        for seed, report in zip(seeds, reports):
+            lone = optimize(replace(ctx, config=replace(ctx.config, seed=seed)))
+            assert np.array_equal(report.cost_trace, lone.cost_trace)
+            assert np.array_equal(report.final_g.coeffs, lone.final_g.coeffs)
+            assert np.array_equal(report.final_schedule.amplitudes, lone.final_schedule.amplitudes)
+            assert (report.stop_reason, report.seed, report.duration) == (lone.stop_reason, seed, lone.duration)
+            assert (report.forward_points, report.backward_passes) == (lone.forward_points, lone.backward_passes)
+
+    @pytest.mark.parametrize("mode,n_steps,max_iters", MIXED)
+    def test_group_mixing_every_stop_reason_equals_lone_runs(self, mode, n_steps, max_iters):
+        ctx = context(d=3, target="qft", mode=mode, n_steps=n_steps, max_iters=max_iters)
+        reports = restarted_optimize(ctx, range(12))
+        assert {r.stop_reason for r in reports} == {"tol", "stall", "max_iters", "line_search"}
+        self.assert_lone(ctx, range(12), reports)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_group_equals_lone_runs(self, d, mode):
+        ctx = context(d=d, target="qft", mode=mode, n_steps=16, max_iters=60)
+        seeds = [3, 1, 4, 15, 9]
+        self.assert_lone(ctx, seeds, run_restarts(ctx, seeds))
+
+    def test_group_equals_lone_runs_with_dense_controls(self):
+        # every product sums in an order that does not depend on the batch,
+        # also where the controls are not sparse Pauli pairs
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        hams = a + a.conj().swapaxes(-1, -2)
+        hams -= np.trace(hams, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+        ctx = ShootingContext(
+            controls=ControlSet(3, hams),
+            target=target_gate("qft", 3),
+            config=MagicarpConfig(n_steps=16, max_iters=40),
+        )
+        self.assert_lone(ctx, range(4), run_restarts(ctx, range(4)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_backward_rows_equal_lone_passes(self, d, mode):
+        ctx = context(d=d, target="qft", mode=mode, n_steps=12)
+        points = np.random.default_rng(d).standard_normal((5, d * d - 1))
+        values, tape = shooting._forward(points, ctx)
+        grads = shooting._backward(tape, ctx)
+        assert grads.shape == (5, d * d - 1)
+        for i, x in enumerate(points):
+            value, lone = shooting._forward(x[None], ctx)
+            assert values[i] == value[0]
+            assert np.array_equal(grads[i], shooting._backward(lone, ctx)[0])
+        # rows gathered out of order give the same rows
+        gathered = shooting._Tape.rows([(tape, 3), (lone, 0), (tape, 1)])
+        assert np.array_equal(shooting._backward(gathered, ctx), grads[[3, 4, 1]])
+
+    def test_failed_restart_is_returned_and_raised(self):
+        # a zero-envelope start: the objective is not finite at the initial point
+        ctx = context(mode="time_optimal_renormalized", init="explicit", init_coeffs=tuple(coeffs_from_matrix(SZ)))
+        outcomes = run_restarts(ctx, [0, 1])
+        assert all(isinstance(o, ValueError) for o in outcomes)
+        with pytest.raises(ValueError, match="not finite at the initial point"):
+            optimize(ctx)
+        with pytest.raises(ValueError, match="not finite at the initial point"):
+            restarted_optimize(ctx, [0, 1])
+
+    def test_restarts_beyond_one_group(self, monkeypatch):
+        monkeypatch.setattr(shooting, "LOCKSTEP_WIDTH", 2)
+        ctx = context(target="qft", n_steps=8, max_iters=30)
+        reports = restarted_optimize(ctx, range(5))
+        assert [r.seed for r in reports] == list(range(5))
+        self.assert_lone(ctx, range(5), reports)
 
 
 class TestCertificate:
