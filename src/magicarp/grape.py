@@ -11,9 +11,12 @@ energy, i.e. minimal duration for near-constant envelopes.
 Gradients of the fidelity term are exact: the derivative of each step
 exponential is evaluated in the eigenbasis of its Hermitian generator
 (first-order -i dt H_k approximations visibly fail the finite-difference
-check at modest N). The gradient takes its step eigensystems and forward
-products L_n from ``propagation`` (``step_eigensystems``, ``accumulate``)
-and contracts all steps at once in batched array expressions.
+check at modest N). One forward pass, the step eigensystems and products
+L_n from ``propagation`` (``step_eigensystems``, ``accumulate``), serves
+both the objective and the gradient. The gradient contracts all steps at
+once: batched d x d products, then one flat (N, d^2) @ (d^2, K) product.
+``grape_optimize`` holds the pass of the point it evaluated last, so the
+gradient at an accepted point and the final report build no second pass.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .propagation import (
     control_generator,
     exp_divided_differences,
     normalized_infidelity,
-    propagate,
     step_eigensystems,
 )
 from .qudit import ControlSet, assert_unitary, tau_qsl
@@ -69,15 +71,26 @@ def energy_integral(schedule: PulseSchedule) -> float:
     return schedule.dt * float(np.sum(schedule.amplitudes**2))
 
 
+def _forward_pass(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step eigensystems (w, q) and forward products L_0..L_N of a pulse."""
+    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), schedule.dt)
+    return w, q, accumulate(steps)
+
+
 def grape_objective(
     schedule: PulseSchedule,
     target: np.ndarray,
     controls: ControlSet,
     penalty_weight: float = 0.0,
+    *,
+    forward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Normalized infidelity plus the weighted energy integral in tau_qsl units."""
-    result = propagate(controls, schedule)
-    value = normalized_infidelity(target, result.final)
+    """Normalized infidelity plus the weighted energy integral in tau_qsl units.
+
+    ``forward`` is the schedule's forward pass if the caller already holds it.
+    """
+    _, _, products = _forward_pass(controls, schedule) if forward is None else forward
+    value = normalized_infidelity(target, products[-1])
     if penalty_weight != 0.0:
         value += penalty_weight * energy_integral(schedule) / tau_qsl(
             controls.dim, controls.omega_max
@@ -90,23 +103,31 @@ def grape_gradient(
     target: np.ndarray,
     controls: ControlSet,
     penalty_weight: float = 0.0,
+    *,
+    forward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Exact gradient of ``grape_objective`` w.r.t. every amplitude, shape (N, K)."""
+    """Exact gradient of ``grape_objective`` w.r.t. every amplitude, shape (N, K).
+
+    ``forward`` is the schedule's forward pass if the caller already holds it.
+    """
     d = controls.dim
     dt = schedule.dt
-    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), dt)
-    fwd = accumulate(steps)  # L_n = P_{n-1} ... P_0
+    w, q, fwd = _forward_pass(controls, schedule) if forward is None else forward  # L_n = P_{n-1} ... P_0
     u_final = fwd[-1]
     overlap = np.sum(target.conj() * u_final)
 
-    # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) with W = V^dag U_N;
-    # in the step eigenbasis D = Q (phi o (Q^dag H_k Q)) Q^dag. All steps at once.
+    # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) = Tr(M_n D_{n,k}) with
+    # W = V^dag U_N and M_n = L_n W L_{n+1}^dag. In the step eigenbasis
+    # D = Q (phi o (Q^dag H_k Q)) Q^dag, and phi is symmetric, so
+    # Tr(M D) = sum_ab X_ba H_k,ab with X = Q (phi o (Q^dag M Q)) Q^dag:
+    # one flat (N, d^2) @ (d^2, K) product against the transposed H_k.
     w_mat = target.conj().T @ u_final
     phi = exp_divided_differences(w, dt)
     m = fwd[:-1] @ w_mat @ fwd[1:].conj().swapaxes(-1, -2)
-    m_tilde = q.conj().swapaxes(-1, -2) @ m @ q
-    h_tilde = np.einsum("nap,kab,nbq->nkpq", q.conj(), controls.hamiltonians, q)
-    grad_tau = np.einsum("nqp,npq,nkpq->nk", m_tilde, phi, h_tilde)
+    q_dag = q.conj().swapaxes(-1, -2)
+    x = q @ (phi * (q_dag @ m @ q)) @ q_dag
+    h_flat = controls.hamiltonians.swapaxes(-1, -2).reshape(controls.n_controls, d * d)
+    grad_tau = x.reshape(schedule.n_steps, d * d) @ h_flat.T
 
     grad = -2.0 * (np.conj(overlap) * grad_tau).real / d**2
     if penalty_weight != 0.0:
@@ -114,6 +135,19 @@ def grape_gradient(
             2.0 * penalty_weight * dt / tau_qsl(d, controls.omega_max)
         ) * schedule.amplitudes
     return grad
+
+
+def _hold_last(fn):
+    """``fn(x)`` that keeps its last result, keyed by the bytes of x."""
+    key, value = None, None
+
+    def held(x: np.ndarray):
+        nonlocal key, value
+        if key != x.tobytes():
+            key, value = x.tobytes(), fn(x)
+        return value
+
+    return held
 
 
 def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:
@@ -142,11 +176,20 @@ def grape_optimize(
     def as_schedule(x: np.ndarray) -> PulseSchedule:
         return PulseSchedule.from_amplitudes(x.reshape(n, k))
 
+    # the line search evaluates fun at the point it accepts, then asks for
+    # the gradient there: both read one held forward pass, as does the report
+    @_hold_last
+    def held_pass(x: np.ndarray) -> tuple[PulseSchedule, tuple]:
+        schedule = as_schedule(x)
+        return schedule, _forward_pass(controls, schedule)
+
     def fun(x: np.ndarray) -> float:
-        return grape_objective(as_schedule(x), target, controls, config.penalty_weight)
+        schedule, passed = held_pass(x)
+        return grape_objective(schedule, target, controls, config.penalty_weight, forward=passed)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        return grape_gradient(as_schedule(x), target, controls, config.penalty_weight).ravel()
+        schedule, passed = held_pass(x)
+        return grape_gradient(schedule, target, controls, config.penalty_weight, forward=passed).ravel()
 
     x0 = initial_schedule(config, k).amplitudes.ravel()
     t0 = time.perf_counter()
@@ -159,14 +202,13 @@ def grape_optimize(
         stall_tol=config.stall_tol,
     )
     wall = time.perf_counter() - t0
-    schedule = as_schedule(result.x)
-    prop = propagate(controls, schedule)
-    infidelity = normalized_infidelity(target, prop.final)
+    schedule, (_, _, products) = held_pass(result.x)
+    infidelity = normalized_infidelity(target, products[-1])
     return OptimizationReport(
         final_g=None,
         final_schedule=schedule,
         infidelity=infidelity,
-        duration=prop.duration,
+        duration=schedule.duration(controls.omega_max),
         cost_trace=result.trace,
         iterations=result.iterations,
         converged=infidelity <= config.convergence_tol,

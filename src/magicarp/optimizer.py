@@ -3,7 +3,9 @@
 The engine is deliberately small: the parameter spaces here are tiny (d^2-1
 or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
-first-order methods on objective-call count.
+first-order methods on objective-call count. The inverse-Hessian update is
+the rank-two form (``bfgs_inverse_update``), O(n^2) per iteration, which
+matters for GRAPE's N*K = 512 parameters at QFT(5) over 64 steps.
 
 The loop is the generator ``bfgs_steps``: it yields evaluation requests
 and returns the result, and its arithmetic does not depend on who answers.
@@ -89,6 +91,18 @@ def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | 
     return None
 
 
+def bfgs_inverse_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The BFGS inverse-Hessian update (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T.
+
+    With rho = 1 / (s.y) and H symmetric it expands to the rank-two form
+    H + (rho^2 y.Hy + rho) s s^T - rho (Hy s^T + s (Hy)^T), which costs
+    O(n^2) and keeps H exactly symmetric.
+    """
+    rho = 1.0 / float(s @ y)
+    hy = h_inv @ y
+    return h_inv + ((rho * rho * float(y @ hy) + rho) * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy)))
+
+
 def bfgs_steps(
     x0: np.ndarray,
     *,
@@ -163,9 +177,7 @@ def bfgs_steps(
             if first_update:
                 h_inv = (sy / float(y @ y)) * np.eye(n)
                 first_update = False
-            rho = 1.0 / sy
-            v = np.eye(n) - rho * np.outer(s, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+            h_inv = bfgs_inverse_update(h_inv, s, y)
         x, f, g = x_new, f_new, g_new
         trace.append(f)
 

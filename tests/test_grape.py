@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicarp import grape, optimizer
 from magicarp.bench import tau_qsl
 from magicarp.grape import (
     GrapeConfig,
@@ -81,12 +82,16 @@ def loop_grape_gradient(schedule, target, controls, penalty_weight):
 class TestGrapeGradient:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("weight", [0.0, 0.4])
-    def test_equals_per_step_loop_bitwise(self, rng, d, weight):
+    def test_equals_per_step_loop_to_1e_13(self, rng, d, weight):
+        # the flat contraction sums in another order than the loop, so the
+        # two agree to rounding, not bitwise
         ctrl = nearest_neighbor_control_set(d)
         target = random_unitary(rng, d)
         for n in (1, 9, 64):
             s = PulseSchedule.from_amplitudes(3.0 * rng.standard_normal((n, ctrl.n_controls)))
-            assert np.array_equal(grape_gradient(s, target, ctrl, weight), loop_grape_gradient(s, target, ctrl, weight))
+            loop = loop_grape_gradient(s, target, ctrl, weight)
+            gap = np.max(np.abs(grape_gradient(s, target, ctrl, weight) - loop))
+            assert gap <= 1e-13 * max(1.0, np.max(np.abs(loop)))
 
     def test_zero_schedule_identity_target_zero_gradient(self):
         ctrl = nearest_neighbor_control_set(2)
@@ -208,3 +213,56 @@ class TestGrapeOptimize:
     def test_message_starts_with_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: "):
             GrapeConfig(**{field: value})
+
+
+class TestHeldPass:
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(grape, name)
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grape, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "d,n_steps,max_iters,stop", [(3, 16, 500, "tol"), (3, 16, 5, "max_iters"), (3, 2, 300, "stall")]
+    )
+    def test_one_forward_pass_per_evaluated_point(self, monkeypatch, d, n_steps, max_iters, stop):
+        passes = self.count(monkeypatch, "step_eigensystems")
+        points = self.count(monkeypatch, "grape_objective")
+        gradients = self.count(monkeypatch, "grape_gradient")
+        cfg = GrapeConfig(n_steps=n_steps, max_iters=max_iters, seed=0)
+        report = grape_optimize(target_gate("qft", d), nearest_neighbor_control_set(d), cfg)
+        assert report.stop_reason == stop
+        # the gradients and the report read the pass of the point fun evaluated last
+        assert len(gradients) == report.iterations + 1
+        assert len(passes) == len(points)
+
+    def test_line_search_stop_rebuilds_the_report_pass(self, monkeypatch):
+        # one rung per line search: a rejected rung 0 ends the run after the
+        # last accepted point, so the report builds that point's pass again
+        passes = self.count(monkeypatch, "step_eigensystems")
+        points = self.count(monkeypatch, "grape_objective")
+        monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 1)
+        cfg = GrapeConfig(n_steps=16, max_iters=500, seed=0)
+        report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
+        assert report.stop_reason == "line_search"
+        assert len(passes) == len(points) + 1
+        final = grape_objective(report.final_schedule, target_gate("qft", 3), nearest_neighbor_control_set(3))
+        assert report.infidelity == final == report.cost_trace[-1]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("weight", [0.0, 0.05])
+    def test_equals_runs_without_the_hold_bitwise(self, monkeypatch, d, weight):
+        target, ctrl = target_gate("qft", d), nearest_neighbor_control_set(d)
+        cfg = GrapeConfig(n_steps=16, max_iters=150, penalty_weight=weight, seed=d)
+        held = grape_optimize(target, ctrl, cfg)
+        monkeypatch.setattr(grape, "_hold_last", lambda fn: fn)
+        fresh = grape_optimize(target, ctrl, cfg)
+        assert np.array_equal(held.cost_trace, fresh.cost_trace)
+        assert np.array_equal(held.final_schedule.amplitudes, fresh.final_schedule.amplitudes)
+        assert (held.infidelity, held.stop_reason) == (fresh.infidelity, fresh.stop_reason)

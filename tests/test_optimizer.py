@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magicarp.optimizer import ProbeFailure, minimize_bfgs
+from magicarp.optimizer import ProbeFailure, bfgs_inverse_update, minimize_bfgs
 
 
 def quadratic(center):
@@ -149,3 +149,26 @@ class TestMinimizeBfgs:
         ]
         assert runs[0].trace == runs[1].trace
         assert np.array_equal(runs[0].x, runs[1].x)
+
+
+def product_form_update(h_inv, s, y):
+    """The textbook (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T: the reference of the rank-two form."""
+    rho = 1.0 / float(s @ y)
+    v = np.eye(s.size) - rho * np.outer(s, y)
+    return v @ h_inv @ v.T + rho * np.outer(s, s)
+
+
+class TestInverseUpdate:
+    @pytest.mark.parametrize("n", [3, 15, 512])
+    def test_equals_product_form_and_stays_symmetric(self, rng, n):
+        for _ in range(3):
+            a = rng.standard_normal((n, n))
+            h_inv = a @ a.T / n + np.eye(n)
+            h_inv = 0.5 * (h_inv + h_inv.T)  # exactly symmetric positive definite
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            if s @ y <= 0:
+                y = -y
+            h_new = bfgs_inverse_update(h_inv, s, y)
+            ref = product_form_update(h_inv, s, y)
+            assert np.linalg.norm(h_new - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(h_new, h_new.T)

@@ -310,7 +310,7 @@ class TestOptimize:
         ("time_optimal_renormalized", 2, 0, "tol"),
         ("time_optimal_renormalized", 3, 14, "max_iters"),
         ("time_optimal_renormalized", 1, 0, "stall"),
-        ("time_optimal_renormalized", 5, 3, "line_search"),
+        ("time_optimal_renormalized", 1, 1, "line_search"),
     ]
 
     @pytest.mark.parametrize("mode,n_steps,seed,stop", STOPS)
