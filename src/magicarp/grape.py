@@ -31,6 +31,7 @@ from .propagation import (
     PulseSchedule,
     accumulate,
     control_generator,
+    eigh_guard,
     exp_divided_differences,
     normalized_infidelity,
     step_eigensystems,
@@ -54,11 +55,11 @@ class GrapeConfig:
         for name, ok, expected in (
             ("n_steps", self.n_steps >= 1, "an integer >= 1"),
             ("max_iters", self.max_iters >= 1, "an integer >= 1"),
-            ("convergence_tol", self.convergence_tol > 0, "a positive number"),
+            ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
             ("penalty_weight", np.isfinite(self.penalty_weight) and self.penalty_weight >= 0, "a finite number >= 0"),
-            ("stall_tol", self.stall_tol > 0, "a positive number"),
+            ("stall_tol", 0 < self.stall_tol < np.inf, "a positive finite number"),
             ("init", self.init in ("zeros", "random_normal", "explicit"), "zeros|random_normal|explicit"),
-            ("init_sigma", self.init_sigma > 0, "a positive number"),
+            ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
             ("init_schedule", self.init != "explicit" or self.init_schedule is not None, "rows for explicit init"),
             ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
         ):
@@ -73,7 +74,9 @@ def energy_integral(schedule: PulseSchedule) -> float:
 
 def _forward_pass(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step eigensystems (w, q) and forward products L_0..L_N of a pulse."""
-    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), schedule.dt)
+    h = control_generator(controls, schedule.amplitudes)
+    with eigh_guard():
+        w, q, steps = step_eigensystems(h, schedule.dt)
     return w, q, accumulate(steps)
 
 

@@ -9,7 +9,9 @@ it is the plain envelope integral, i.e. T in units of 1/omega_max).
 
 ``step_eigensystems`` is the one step kernel and ``accumulate`` the one loop
 of step products; only the shooting construction, whose every step depends
-on the state before it, interleaves its own.
+on the state before it, interleaves its own. The kernel calls numpy's
+``eigh`` gufunc directly; its callers enter ``eigh_guard()`` once per pass
+so that a failed ``eigh`` raises ``np.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .qudit import AdjointMatrix, ControlSet
 
@@ -74,18 +77,42 @@ class PropagationResult:
         return self.unitaries[-1]
 
 
-def step_eigensystems(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shared step kernel: eigenvalues w, eigenvectors q and exp(-i dt H)
-    for a stack (..., d, d) of Hermitian H, from one batched ``eigh``.
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    The exponential is exactly unitary up to rounding. Together with
-    ``exp_divided_differences(w, dt)`` the eigensystems give the exact
-    derivative of each exponential, which GRAPE's gradient and the shooting
-    backward pass both use.
+
+def eigh_guard() -> np.errstate:
+    """The error state under which ``step_eigensystems`` reports a failed
+    ``eigh`` as ``np.linalg.LinAlgError``, as ``np.linalg.eigh`` does.
+
+    The ``eigh`` gufunc flags a failure as an invalid operation (a division
+    by zero may come with it) and fills its outputs with NaN. Enter the guard
+    once around a loop of steps, not once per step; inside it any other
+    invalid operation raises the same error, and overflow, underflow and
+    division warnings are silenced.
     """
-    w, q = np.linalg.eigh(h)
+    return np.errstate(call=_raise_nonconvergence, invalid="call", divide="ignore", over="ignore", under="ignore")
+
+
+def step_eigensystems(
+    h: np.ndarray, dt: float, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared step kernel: eigenvalues w, eigenvectors q and exp(-i dt H)
+    for a stack (..., d, d) of Hermitian H, from one call of the ``eigh``
+    gufunc (its lower triangle, as ``np.linalg.eigh`` reads it).
+
+    Call it under ``eigh_guard()``, which makes a failed ``eigh`` raise
+    ``np.linalg.LinAlgError``. ``out`` is an optional (w, q, exp) triple of
+    arrays to write the results into. The exponential is exactly unitary up
+    to rounding. Together with ``exp_divided_differences(w, dt)`` the
+    eigensystems give the exact derivative of each exponential, which GRAPE's
+    gradient and the shooting backward pass both use.
+    """
+    w, q, step = (None, None, None) if out is None else out
+    w, q = _umath_linalg.eigh_lo(h, out=(w, q))
     phases = np.exp(-1j * dt * w)
-    return w, q, (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    step = np.matmul(q * phases[..., None, :], q.conj().swapaxes(-1, -2), out=step)
+    return w, q, step
 
 
 def exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
@@ -104,7 +131,8 @@ def exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
 def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for Hermitian H via eigendecomposition; exactly unitary
     up to rounding. Accepts a stack (..., d, d) and exponentiates each."""
-    return step_eigensystems(h, dt)[2]
+    with eigh_guard():
+        return step_eigensystems(h, dt)[2]
 
 
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:

@@ -19,15 +19,17 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   ``optimality_certificate`` reports by how much.
 
 Gradients over g are exact and reverse-mode (``reverse_gradient``). One
-forward pass builds the pulse and keeps, per step, U_n, the step
-eigensystems and v_n (and c0). One backward pass then walks the steps in
-reverse. It pulls the cotangent of U_{n+1} through the exact derivative of
-each step exponential (eigenbasis divided differences, as in GRAPE) onto the
-amplitudes, then through the renormalization onto v_n, and then through the
-feedback v_n(U_n g U_n^dag) onto both U_n and g. Both passes take a batch of
-B points, and each row is bitwise the row of its point computed alone. The
-central-difference ``gradient`` (2(d^2-1) objective evaluations) is kept
-as the test reference.
+forward pass builds the pulse and writes, per step and in place, U_n, the
+step eigensystems and the amplitudes into its tape (and, in renormalized
+mode only, v_n and c0). One backward pass then walks the steps in reverse,
+carrying the adjoint of the cotangent of U_n. It pulls that cotangent
+through the exact derivative of each step exponential (eigenbasis divided
+differences, as in GRAPE) onto the amplitudes, then through the
+renormalization onto v_n, and then through the feedback v_n(U_n g U_n^dag)
+onto U_n; the cotangent of g is one stacked contraction over all steps after
+the sweep. Both passes take a batch of B points, and each row is bitwise the
+row of its point computed alone. The central-difference ``gradient``
+(2(d^2-1) objective evaluations) is kept as the test reference.
 
 ``run_restarts`` is the one restart runner: it runs the BFGS generators
 (``optimizer.bfgs_steps``) of several restarts in lockstep and answers
@@ -52,6 +54,7 @@ from .optimizer import MinimizeResult, OptimizationReport, ProbeFailure, bfgs_st
 from .propagation import (
     PropagationResult,
     PulseSchedule,
+    eigh_guard,
     exp_divided_differences,
     propagate,
     step_eigensystems,
@@ -94,15 +97,16 @@ class MagicarpConfig:
             ("mode", self.mode in MODES, "|".join(MODES)),
             ("n_steps", self.n_steps >= 1, "an integer >= 1"),
             ("max_iters", self.max_iters >= 1, "an integer >= 1"),
-            ("convergence_tol", self.convergence_tol > 0, "a positive number"),
-            ("stall_tol", self.stall_tol > 0, "a positive number"),
+            ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
+            ("stall_tol", 0 < self.stall_tol < np.inf, "a positive finite number"),
             ("init", self.init in ("random_normal", "explicit"), "random_normal|explicit"),
-            ("init_sigma", self.init_sigma > 0, "a positive number"),
+            ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
             (
                 "init_coeffs",
                 self.init != "explicit" or self.init_coeffs is not None and len(self.init_coeffs) > 0,
                 "coefficients for explicit init",
             ),
+            ("init_coeffs", self.init_coeffs is None or bool(np.all(np.isfinite(self.init_coeffs))), "finite coefficients"),
             ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
         ):
             if not ok:
@@ -132,16 +136,16 @@ class ShootingContext:
         return self.controls.dim ** 2 - 1
 
 
-def _structural_amplitudes(g_t: np.ndarray, hams_t: np.ndarray) -> np.ndarray:
+def _structural_amplitudes(g_t: np.ndarray, hams_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v_k = 1/2 Re Tr(g_t H_k) for a batch of evolved adjoints (B, d, d).
 
     ``hams_t`` is (d^2, K), column k the flattened transpose of H_k
     (``_transposed_flat``). One (1, d^2) @ (d^2, K) product per point, so a
     row does not depend on the batch around it (a single einsum sums in
-    another order for B = 1).
+    another order for B = 1). ``out`` is an optional (B, K) array for v.
     """
     b, d, _ = g_t.shape
-    return 0.5 * (g_t.reshape(b, 1, d * d) @ hams_t)[:, 0].real
+    return np.multiply(0.5, (g_t.reshape(b, 1, d * d) @ hams_t)[:, 0].real, out=out)
 
 
 def _transposed_flat(hamiltonians: np.ndarray) -> np.ndarray:
@@ -156,11 +160,11 @@ class _Tape:
     g: np.ndarray  # (B, d, d)
     amplitudes: np.ndarray  # (B, N, K) the pulses u_n
     unitaries: np.ndarray  # (B, N+1, d, d): U_0 = 1 .. U_N
-    v: np.ndarray  # (B, N, K) structural amplitudes v_n
     c0: np.ndarray  # (B,) ||v_0||, the envelope in renormalized mode
     w: np.ndarray  # (B, N, d) step eigenvalues
     q: np.ndarray  # (B, N, d, d) step eigenvectors
     steps: np.ndarray  # (B, N, d, d) step exponentials P_n
+    v: np.ndarray | None  # (B, N, K) structural amplitudes v_n, renormalized mode only
 
     @staticmethod
     def rows(held: list[tuple["_Tape", int]]) -> "_Tape":
@@ -168,7 +172,13 @@ class _Tape:
         tape = held[0][0]
         if all(t is tape for t, _ in held) and [i for _, i in held] == list(range(len(tape.c0))):
             return tape
-        return _Tape(*(np.concatenate([getattr(t, f.name)[i : i + 1] for t, i in held]) for f in fields(_Tape)))
+        return _Tape(
+            *(
+                None if getattr(tape, f.name) is None
+                else np.concatenate([getattr(t, f.name)[i : i + 1] for t, i in held])
+                for f in fields(_Tape)
+            )
+        )
 
 
 def _construct_batch(
@@ -187,51 +197,52 @@ def _construct_batch(
     ``keep_tape`` the tape keeps the per-step states of every point for the
     backward pass; otherwise it is None. Each row is bitwise the same
     whatever the batch around it.
+
+    Every step writes its amplitudes, eigensystem, exponential and product
+    U_{n+1} in place, into the tape's slots for step n; without a tape the
+    steps alternate between two slots.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
     d = controls.dim
     k = controls.n_controls
     dt = 1.0 / n_steps
-    hams = controls.hamiltonians
     renorm = mode == "time_optimal_renormalized"
+    slots = n_steps if keep_tape else 2  # one per step on a tape, else two that the steps take in turn
 
     g = np.einsum("bm,mij->bij", coeff_batch, basis.generators)
-    u_now = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
+    hams_t = _transposed_flat(controls.hamiltonians)
+    hams_ri = controls.hamiltonians.view(float).reshape(k, 2 * d * d)
     amps = np.empty((b, n_steps, k))
-    valid = np.ones(b, dtype=bool)
-    if keep_tape:
-        units = np.empty((b, n_steps + 1, d, d), dtype=complex)
-        v_n = np.empty((b, n_steps, k))
-        w_n = np.empty((b, n_steps, d))
-        q_n = np.empty((b, n_steps, d, d), dtype=complex)
-        p_n = np.empty((b, n_steps, d, d), dtype=complex)
+    units = np.empty((b, slots + 1, d, d), dtype=complex)
+    units[:, 0] = np.eye(d)
+    w_n = np.empty((b, slots, d))
+    q_n = np.empty((b, slots, d, d), dtype=complex)
+    p_n = np.empty((b, slots, d, d), dtype=complex)
+    v_n = np.empty((b, n_steps, k)) if renorm and keep_tape else None
 
-    hams_t = _transposed_flat(hams)
-    v = _structural_amplitudes(g, hams_t)
-    c0 = np.linalg.norm(v, axis=1)
-    if renorm:
-        valid &= c0 >= ENVELOPE_FLOOR
-    for n in range(n_steps):
-        if n > 0:
-            g_t = u_now @ g @ u_now.conj().swapaxes(-1, -2)
-            v = _structural_amplitudes(g_t, hams_t)
-        if renorm and n > 0:
-            norms = np.linalg.norm(v, axis=1)
-            valid &= norms >= ENVELOPE_FLOOR
-            u = v * (c0 / np.where(norms < ENVELOPE_FLOOR, 1.0, norms))[:, None]
-        else:
-            u = v
-        amps[:, n] = u
-        w, q, step = step_eigensystems(np.einsum("bk,kij->bij", u, hams), dt)
-        if keep_tape:
-            units[:, n], v_n[:, n], w_n[:, n], q_n[:, n], p_n[:, n] = u_now, v, w, q, step
-        u_now = step @ u_now
-    tape = None
-    if keep_tape:
-        units[:, n_steps] = u_now
-        tape = _Tape(g, amps, units, v_n, c0, w_n, q_n, p_n)
-    return amps, u_now, valid, tape
+    _structural_amplitudes(g, hams_t, out=amps[:, 0])
+    c0 = np.linalg.norm(amps[:, 0], axis=1)
+    valid = c0 >= ENVELOPE_FLOOR if renorm else np.ones(b, dtype=bool)
+    with eigh_guard():
+        for n in range(n_steps):
+            i, j = (n, n + 1) if keep_tape else (n % 2, (n + 1) % 2)
+            u_now, u = units[:, i], amps[:, n]
+            if n > 0:
+                _structural_amplitudes(u_now @ g @ u_now.conj().swapaxes(-1, -2), hams_t, out=u)
+            if v_n is not None:
+                v_n[:, n] = u
+            if renorm and n > 0:
+                norms = np.linalg.norm(u, axis=1)
+                valid &= norms >= ENVELOPE_FLOOR
+                u *= (c0 / np.where(norms < ENVELOPE_FLOOR, 1.0, norms))[:, None]
+            # H_n = sum_k u_k H_k over the float view of the H_k sums as the complex
+            # einsum does, for any control set; a matmul sums in another order
+            h = np.einsum("bk,kx->bx", u, hams_ri).view(complex).reshape(b, d, d)
+            step = step_eigensystems(h, dt, out=(w_n[:, i], q_n[:, i], p_n[:, i]))[2]
+            np.matmul(step, u_now, out=units[:, j])
+    tape = _Tape(g, amps, units, c0, w_n, q_n, p_n, v_n) if keep_tape else None
+    return amps, units[:, j], valid, tape
 
 
 def pulses_from_adjoint(
@@ -319,18 +330,18 @@ def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, 
 def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     """(B, d^2-1) gradients dJ/dc from the tape of B forward passes, by reverse mode.
 
-    Cotangents X_bar are taken so that dJ = Re Tr(X_bar^dag dX). Walking
-    the steps backward from U_bar_N = -2 Tr(V^dag U_N) V / d^2:
+    Cotangents X_bar are taken so that dJ = Re Tr(X_bar^dag dX). The sweep
+    carries Y_n = U_bar_n^dag backward from Y_N = -2 Tr(U_N^dag V) V^dag / d^2:
 
-    * P_bar_n = U_bar_{n+1} U_n^dag, pulled through the exact derivative of
+    * P_bar_n^dag = U_n Y_{n+1}, pulled through the exact derivative of
       P_n = exp(-i dt H_n) in its eigenbasis Q_n (divided differences phi_n),
       gives u_bar_{n,k} = Re Tr(((Q^dag P_bar^dag Q) o phi) Q^dag H_k Q);
     * in renormalized mode u_n = c0 v_n / ||v_n|| for n > 0, which projects
       u_bar onto the normal of v_n and feeds c0_bar, and c0 = ||v_0|| passes
       c0_bar on to v_0 (u_0 = v_0 in both modes);
     * v_{n,k} = 1/2 Re Tr(U_n g U_n^dag H_k) with S_n = sum_k v_bar_{n,k} H_k
-      gives the feedback term U_bar_n = P_n^dag U_bar_{n+1} + S_n U_n g and
-      g_bar = 1/2 sum_n U_n^dag S_n U_n.
+      gives the feedback term Y_n = Y_{n+1} P_n + (g U_n^dag) S_n and
+      g_bar = 1/2 sum_n U_n^dag S_n U_n, one stacked product over every step.
 
     Every product is a stack of the per-point products (vectors as (1, K)
     or (K, 1) matrices), so each row is bitwise the gradient of its point
@@ -338,10 +349,11 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     """
     d = context.controls.dim
     hams = context.controls.hamiltonians
-    b, n_steps, k = tape.v.shape
+    b, n_steps, k = tape.amplitudes.shape
     renorm = context.config.mode == "time_optimal_renormalized"
     dt = 1.0 / n_steps
     units = tape.unitaries[:, :-1]
+    units_dag = units.conj().swapaxes(-1, -2)
     q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
 
     # per-step constants, batched over n ahead of the sequential sweep
@@ -349,17 +361,16 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     qu = q_dag @ units  # Q_n^dag U_n
     h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]  # Q_n^dag H_k Q_n, (B, N, K, d, d)
     h_eig_t = h_eig.swapaxes(-1, -2).reshape(b, n_steps, k, d * d)
-    ug = units @ tape.g[:, None]
-    p_dag = tape.steps.conj().swapaxes(-1, -2)
+    gu = tape.g[:, None] @ units_dag
     hams_flat = hams.reshape(k, d * d)
 
     overlap = np.sum((context.target.conj() * tape.unitaries[:, -1]).reshape(b, d * d), axis=1)
-    u_bar = (-2.0 * overlap / d**2)[:, None, None] * context.target
+    y = (-2.0 * overlap.conj() / d**2)[:, None, None] * context.target.conj().T
     v_bar = np.empty((b, n_steps, k))
     c0_bar = np.zeros(b)
     for n in range(n_steps - 1, -1, -1):
-        # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(U_bar^dag Q)
-        m = (qu[:, n] @ (u_bar.conj().swapaxes(-1, -2) @ q[:, n])) * phi[:, n]
+        # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(Y Q)
+        m = (qu[:, n] @ (y @ q[:, n])) * phi[:, n]
         a_bar = (h_eig_t[:, n] @ m.reshape(b, d * d, 1))[..., 0].real
         if renorm:
             vn = tape.v[:, n]
@@ -373,14 +384,11 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
         v_bar[:, n] = a_bar
         if n > 0:
             s = (a_bar[:, None] @ hams_flat).reshape(b, d, d)
-            u_bar = p_dag[:, n] @ u_bar + s @ ug[:, n]
+            y = y @ tape.steps[:, n] + gu[:, n] @ s
 
     s_all = (v_bar @ hams_flat).reshape(b, n_steps, d, d)
-    grads = np.empty((b, context.n_params))
-    for i in range(b):
-        g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units[i].conj(), s_all[i], units[i])
-        grads[i] = np.einsum("mij,ji->m", context.basis.generators, g_bar).real
-    return grads
+    # dJ/dc_m = Re Tr(G_m g_bar) = 1/2 Re Tr(G_m sum_n U_n^dag S_n U_n)
+    return _structural_amplitudes((units_dag @ s_all @ units).sum(axis=1), _transposed_flat(context.basis.generators))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

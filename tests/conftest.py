@@ -15,6 +15,11 @@ def random_traceless_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h - np.trace(h) / d * np.eye(d)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: bitwise equal, signed zeros and NaN payloads included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

@@ -88,6 +88,14 @@ BAD_CONFIGS = [(path, at(path, value)) for path, values in BAD_VALUES.items() fo
     ("magicarp.init_coeffs", {"dim": 2, "magicarp": {"init": "explicit", "init_coeffs": [0.1, 0.2]}}),
     ("grape.init_schedule", at("grape.init", "explicit")),
     ("grape.init_schedule", {"grape": {"n_steps": 2, "init": "explicit", "init_schedule": [[0.1, 0.2], [0.3]]}}),
+] + [  # non-finite numbers are bad input too, not a runtime failure
+    ("magicarp.init_coeffs", {"magicarp": {"init": "explicit", "init_coeffs": [float("nan"), 0.0, 0.0]}}),
+    ("magicarp.init_coeffs", {"magicarp": {"init": "explicit", "init_coeffs": [0.0, float("-inf"), 0.0]}}),
+] + [
+    (path, at(path, value))
+    for path in ("magicarp.init_sigma", "magicarp.convergence_tol", "magicarp.stall_tol")
+    + ("grape.init_sigma", "grape.convergence_tol", "grape.stall_tol")
+    for value in (float("inf"), float("nan"))
 ]
 
 

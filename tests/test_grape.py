@@ -79,6 +79,33 @@ def loop_grape_gradient(schedule, target, controls, penalty_weight):
     return grad
 
 
+def filled_schedule(n, k, value):
+    """A schedule whose amplitudes all equal ``value``, past the finiteness check."""
+    s = zero_schedule(n, k)
+    object.__setattr__(s, "amplitudes", np.full((n, k), value))
+    return s
+
+
+class TestEighFailure:
+    # the eigh gufunc runs without numpy's wrapper: its failure must still
+    # raise LinAlgError, and no warning may come with it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [grape_objective, grape_gradient])
+    def test_nan_schedule_raises_linalg_error(self, call):
+        ctrl = nearest_neighbor_control_set(4)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            call(filled_schedule(8, ctrl.n_controls, np.nan), target_gate("qft", 4), ctrl)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [grape_objective, grape_gradient])
+    def test_inf_schedule_raises_linalg_error(self, call):
+        # forming H = sum_k u_k H_k from inf amplitudes warns before eigh runs
+        ctrl = nearest_neighbor_control_set(4)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in dot"):
+            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+                call(filled_schedule(8, ctrl.n_controls, np.inf), target_gate("qft", 4), ctrl)
+
+
 class TestGrapeGradient:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("weight", [0.0, 0.4])
@@ -212,6 +239,12 @@ class TestGrapeOptimize:
     )
     def test_message_starts_with_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: "):
+            GrapeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["convergence_tol", "stall_tol", "init_sigma"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected a positive finite number"):
             GrapeConfig(**{field: value})
 
 

@@ -11,18 +11,20 @@ from magicarp.propagation import (
     bloch_to_csv,
     bloch_trajectory,
     control_generator,
+    eigh_guard,
     expm_ihermitian,
     gate_fidelity,
     normalized_infidelity,
     propagate,
     schedule_from_csv,
     schedule_to_csv,
+    step_eigensystems,
     step_unitary,
     verify_adjoint_constancy,
 )
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, unitarity_defect
 
-from conftest import random_unitary
+from conftest import random_traceless_hermitian, random_unitary, same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -80,6 +82,38 @@ class TestStepUnitary:
         ref = scipy.linalg.expm(-1j * dt * control_generator(ctrl, amps))
         assert np.linalg.norm(u - ref) <= 1e-11
         assert unitarity_defect(u) <= 1e-12
+
+
+class TestStepEigensystems:
+    def test_gufunc_equals_numpy_eigh_bitwise(self, rng):
+        h = np.stack([random_traceless_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        w, q, _ = step_eigensystems(h, 0.1)
+        w_ref, q_ref = np.linalg.eigh(h)
+        assert same_bits(w, w_ref) and same_bits(q, q_ref)
+
+    def test_writes_into_out(self, rng):
+        h = np.stack([random_traceless_hermitian(rng, 3) for _ in range(4)])
+        fresh = step_eigensystems(h, 0.25)
+        tape = (np.empty((4, 2, 3)), np.empty((4, 2, 3, 3), dtype=complex), np.empty((4, 2, 3, 3), dtype=complex))
+        out = tuple(a[:, 1] for a in tape)
+        got = step_eigensystems(h, 0.25, out=out)
+        for g, o, f in zip(got, out, fresh):
+            assert g is o and same_bits(np.ascontiguousarray(g), f)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_failure_raises_under_the_guard(self, value):
+        h = np.full((2, 4, 4), value, dtype=complex)
+        with eigh_guard(), pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            step_eigensystems(h, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_propagate_raises_on_nan_schedule(self):
+        ctrl = nearest_neighbor_control_set(4)
+        s = zero_schedule(8, ctrl.n_controls)
+        object.__setattr__(s, "amplitudes", np.full((8, ctrl.n_controls), np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            propagate(ctrl, s)
 
 
 class TestPropagate:

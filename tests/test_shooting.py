@@ -1,3 +1,4 @@
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 import magicarp.optimizer as optimizer
 import magicarp.shooting as shooting
-from magicarp.propagation import PulseSchedule
+from magicarp.propagation import PulseSchedule, exp_divided_differences
 from magicarp.qudit import AdjointMatrix, ControlSet, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import (
+    ENVELOPE_FLOOR,
     MODES,
     DegenerateEnvelopeError,
     GradientProbeError,
@@ -27,6 +29,8 @@ from magicarp.shooting import (
     reverse_gradient,
     run_restarts,
 )
+
+from conftest import same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -221,6 +225,171 @@ class TestReverseGradient:
             reverse_gradient(coeffs_from_matrix(SZ), context(mode="time_optimal_renormalized"))
 
 
+# -- reference loops: the pulse construction with its step kernel on
+# numpy's eigh wrapper, copying each step into its tape, and the backward
+# sweep carrying U_bar itself with one g_bar einsum per row. The library's
+# passes must match them, the forward byte for byte and gradients to 1e-13.
+
+LoopTape = namedtuple("LoopTape", "g amplitudes unitaries v c0 w q steps")
+
+
+def loop_step_eigensystems(h, dt):
+    w, q = np.linalg.eigh(h)
+    phases = np.exp(-1j * dt * w)
+    return w, q, (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def loop_structural_amplitudes(g_t, hams_t):
+    b, d, _ = g_t.shape
+    return 0.5 * (g_t.reshape(b, 1, d * d) @ hams_t)[:, 0].real
+
+
+def loop_construct_batch(coeff_batch, controls, n_steps, mode, basis, keep_tape=False):
+    coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
+    b = coeff_batch.shape[0]
+    d = controls.dim
+    k = controls.n_controls
+    dt = 1.0 / n_steps
+    hams = controls.hamiltonians
+    renorm = mode == "time_optimal_renormalized"
+
+    g = np.einsum("bm,mij->bij", coeff_batch, basis.generators)
+    u_now = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
+    amps = np.empty((b, n_steps, k))
+    valid = np.ones(b, dtype=bool)
+    if keep_tape:
+        units = np.empty((b, n_steps + 1, d, d), dtype=complex)
+        v_n = np.empty((b, n_steps, k))
+        w_n = np.empty((b, n_steps, d))
+        q_n = np.empty((b, n_steps, d, d), dtype=complex)
+        p_n = np.empty((b, n_steps, d, d), dtype=complex)
+
+    hams_t = shooting._transposed_flat(hams)
+    v = loop_structural_amplitudes(g, hams_t)
+    c0 = np.linalg.norm(v, axis=1)
+    if renorm:
+        valid &= c0 >= ENVELOPE_FLOOR
+    for n in range(n_steps):
+        if n > 0:
+            g_t = u_now @ g @ u_now.conj().swapaxes(-1, -2)
+            v = loop_structural_amplitudes(g_t, hams_t)
+        if renorm and n > 0:
+            norms = np.linalg.norm(v, axis=1)
+            valid &= norms >= ENVELOPE_FLOOR
+            u = v * (c0 / np.where(norms < ENVELOPE_FLOOR, 1.0, norms))[:, None]
+        else:
+            u = v
+        amps[:, n] = u
+        w, q, step = loop_step_eigensystems(np.einsum("bk,kij->bij", u, hams), dt)
+        if keep_tape:
+            units[:, n], v_n[:, n], w_n[:, n], q_n[:, n], p_n[:, n] = u_now, v, w, q, step
+        u_now = step @ u_now
+    tape = None
+    if keep_tape:
+        units[:, n_steps] = u_now
+        tape = LoopTape(g, amps, units, v_n, c0, w_n, q_n, p_n)
+    return amps, u_now, valid, tape
+
+
+def loop_backward(tape, context):
+    d = context.controls.dim
+    hams = context.controls.hamiltonians
+    b, n_steps, k = tape.v.shape
+    renorm = context.config.mode == "time_optimal_renormalized"
+    dt = 1.0 / n_steps
+    units = tape.unitaries[:, :-1]
+    q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
+
+    phi = exp_divided_differences(tape.w, dt)
+    qu = q_dag @ units
+    h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]
+    h_eig_t = h_eig.swapaxes(-1, -2).reshape(b, n_steps, k, d * d)
+    ug = units @ tape.g[:, None]
+    p_dag = tape.steps.conj().swapaxes(-1, -2)
+    hams_flat = hams.reshape(k, d * d)
+
+    overlap = np.sum((context.target.conj() * tape.unitaries[:, -1]).reshape(b, d * d), axis=1)
+    u_bar = (-2.0 * overlap / d**2)[:, None, None] * context.target
+    v_bar = np.empty((b, n_steps, k))
+    c0_bar = np.zeros(b)
+    for n in range(n_steps - 1, -1, -1):
+        m = (qu[:, n] @ (u_bar.conj().swapaxes(-1, -2) @ q[:, n])) * phi[:, n]
+        a_bar = (h_eig_t[:, n] @ m.reshape(b, d * d, 1))[..., 0].real
+        if renorm:
+            vn = tape.v[:, n]
+            if n > 0:
+                norm = np.sqrt(shooting._dots(vn, vn))
+                proj = shooting._dots(vn, a_bar) / norm
+                c0_bar += proj
+                a_bar = (tape.c0 / norm)[:, None] * (a_bar - (proj / norm)[:, None] * vn)
+            else:
+                a_bar = a_bar + (c0_bar / tape.c0)[:, None] * vn
+        v_bar[:, n] = a_bar
+        if n > 0:
+            s = (a_bar[:, None] @ hams_flat).reshape(b, d, d)
+            u_bar = p_dag[:, n] @ u_bar + s @ ug[:, n]
+
+    s_all = (v_bar @ hams_flat).reshape(b, n_steps, d, d)
+    grads = np.empty((b, context.n_params))
+    for i in range(b):
+        g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units[i].conj(), s_all[i], units[i])
+        grads[i] = np.einsum("mij,ji->m", context.basis.generators, g_bar).real
+    return grads
+
+
+def dense_controls(d, seed):
+    """2(d-1) random dense traceless Hermitian controls."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2 * (d - 1), d, d)) + 1j * rng.standard_normal((2 * (d - 1), d, d))
+    hams = a + a.conj().swapaxes(-1, -2)
+    hams -= np.trace(hams, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+    return ControlSet(d, hams)
+
+
+class TestStepLoopOracle:
+    @pytest.mark.parametrize("kind", ["nearest_neighbor", "dense"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_forward_bitwise_and_gradients_to_1e_13(self, d, mode, kind):
+        controls = nearest_neighbor_control_set(d) if kind == "nearest_neighbor" else dense_controls(d, d)
+        ctx = ShootingContext(controls=controls, target=target_gate("qft", d), config=MagicarpConfig(mode=mode, n_steps=12))
+        points = np.random.default_rng(10 * d).standard_normal((3, d * d - 1))
+        for batch in (points, points[1:2]):
+            ref_amps, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
+            for keep_tape in (False, True):  # the checks below read the tape of the second pass
+                amps, final, valid, tape = shooting._construct_batch(batch, controls, 12, mode, ctx.basis, keep_tape)
+                assert same_bits(amps, ref_amps)
+                assert same_bits(np.ascontiguousarray(final), ref_final)
+                assert same_bits(valid, ref_valid)
+            for name in ("g", "amplitudes", "unitaries", "c0", "w", "q", "steps"):
+                assert same_bits(getattr(tape, name), getattr(ref_tape, name)), name
+            # energy-optimal pulses are their structural amplitudes; the tape keeps them once
+            assert tape.v is None if mode == "energy_optimal" else same_bits(tape.v, ref_tape.v)
+            ref = loop_backward(ref_tape, ctx)
+            assert np.linalg.norm(shooting._backward(tape, ctx) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_degenerate_rows_flagged_alike(self):
+        ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
+        points = np.random.default_rng(4).standard_normal((3, 8))
+        points[1] = 0.0
+        ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
+        got = shooting._construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
+        assert list(got[2]) == list(ref[2]) == [True, False, True]
+        assert same_bits(got[0], ref[0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eigh_failure_raises_linalg_error(self, mode, value):
+        # numpy's eigh wrapper is bypassed; its failure must still raise, with no warning
+        ctx = context(d=4, target="qft", mode=mode, n_steps=8)
+        point = np.full((1, 15), value)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            batch_objective(point, ctx)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            shooting._forward(point, ctx)
+
+
 class TestOptimize:
     def test_identity_target_converges(self):
         report = optimize(context(target="identity", n_steps=16, seed=11))
@@ -341,7 +510,7 @@ class TestOptimize:
 
 class TestLockstep:
     # QFT(3) (mode, n_steps, max_iters) whose seeds 0..11 end on all four stop reasons
-    MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 80)]
+    MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 100)]
 
     @staticmethod
     def assert_lone(ctx, seeds, reports):
@@ -509,3 +678,14 @@ class TestConfigValidation:
         explicit = {"init": "explicit"} if field == "init_coeffs" else {}
         with pytest.raises(ValueError, match=f"^{field}: "):
             MagicarpConfig(**explicit, **{field: value})
+
+    @pytest.mark.parametrize("field", ["convergence_tol", "stall_tol", "init_sigma"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected a positive finite number"):
+            MagicarpConfig(**{field: value})
+
+    @pytest.mark.parametrize("coeffs", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 0.0)])
+    def test_non_finite_init_coeffs_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="^init_coeffs: expected finite coefficients"):
+            MagicarpConfig(init="explicit", init_coeffs=coeffs)
