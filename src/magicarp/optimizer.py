@@ -15,11 +15,13 @@ batches, and each run still follows the iterates it would follow alone.
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
 trace, and stop reason are reproducible bitwise. With batched evaluation
-the line search is a lazy ladder: it evaluates rung 0 (the full step) alone,
-then rung 1 alone, and only if both fail the Armijo test rungs 2..29 in one
-batch. It picks the largest step satisfying the Armijo test, which accepts
-exactly the same step a sequential backtracking loop would. Without batched
-evaluation (GRAPE) the ladder is that sequential loop.
+the line search is a lazy ladder of doubling blocks: rung 0 (the full step)
+alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and 16-29, each block
+asked for only if every rung before it failed the Armijo test. Most wide
+ladders accept rung 2 or 3, so a rejection costs a few rows, not 28. It
+picks the largest step satisfying the Armijo test, which accepts exactly the
+same step a sequential backtracking loop would. Without batched evaluation
+(GRAPE) the ladder is that sequential loop.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .qudit import AdjointMatrix
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 30
+LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # batched ladder blocks: rungs [0], [1], [2, 3], ... [16, 29]
 STALL_WINDOW = 25
 CURVATURE_FLOOR = 1e-12
 
@@ -117,10 +120,10 @@ def bfgs_steps(
     failure as +inf), ``("values", xs)``, answered with the objective at each
     row of a (B, n) stack, or ``("grad", x)``, answered with the gradient.
     The arithmetic is the same whoever answers, so a run's iterates depend
-    only on the replies. With ``batched`` the line search asks for ``values``:
-    rung 0 alone, then rung 1 alone, then rungs 2..29 in one stack, stopping
-    at the first stack with an accepted rung; otherwise it asks for ``fun``
-    rung by rung.
+    only on the replies. With ``batched`` the line search asks for ``values``
+    block by block (``LADDER_EDGES``: rung 0, rung 1, rungs 2-3, 4-7, 8-15,
+    16-29), stopping at the first block with an accepted rung; otherwise it
+    asks for ``fun`` rung by rung.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -153,7 +156,8 @@ def bfgs_steps(
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
         accepted = None
         if batched:
-            for rungs in (alphas[:1], alphas[1:2], alphas[2:]):
+            for lo, hi in zip(LADDER_EDGES[:-1], LADDER_EDGES[1:]):
+                rungs = alphas[lo:hi]
                 values = yield ("values", x[None, :] + rungs[:, None] * p[None, :])
                 accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
                 if accepted is not None:

@@ -95,7 +95,10 @@ def eigh_guard() -> np.errstate:
 
 
 def step_eigensystems(
-    h: np.ndarray, dt: float, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    h: np.ndarray,
+    dt: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shared step kernel: eigenvalues w, eigenvectors q and exp(-i dt H)
     for a stack (..., d, d) of Hermitian H, from one call of the ``eigh``
@@ -103,16 +106,26 @@ def step_eigensystems(
 
     Call it under ``eigh_guard()``, which makes a failed ``eigh`` raise
     ``np.linalg.LinAlgError``. ``out`` is an optional (w, q, exp) triple of
-    arrays to write the results into. The exponential is exactly unitary up
-    to rounding. Together with ``exp_divided_differences(w, dt)`` the
-    eigensystems give the exact derivative of each exponential, which GRAPE's
-    gradient and the shooting backward pass both use.
+    arrays to write the results into; ``work`` is an optional triple of
+    contiguous complex scratch arrays, shaped (..., 1, d), (..., d, d) and
+    (..., d, d), that the kernel overwrites (``step_work``), so that a loop of
+    steps allocates nothing. The exponential is exactly unitary up to rounding.
+    Together with ``exp_divided_differences(w, dt)`` the eigensystems give the
+    exact derivative of each exponential, which GRAPE's gradient and the
+    shooting backward pass both use.
     """
     w, q, step = (None, None, None) if out is None else out
+    phases, q_e, q_conj = step_work(h.shape) if work is None else work
     w, q = _umath_linalg.eigh_lo(h, out=(w, q))
-    phases = np.exp(-1j * dt * w)
-    step = np.matmul(q * phases[..., None, :], q.conj().swapaxes(-1, -2), out=step)
+    np.exp(np.multiply(w[..., None, :], -1j * dt, out=phases), out=phases)
+    np.multiply(q, phases, out=q_e)
+    step = np.matmul(q_e, np.conjugate(q, out=q_conj).swapaxes(-1, -2), out=step)
     return w, q, step
+
+
+def step_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for ``step_eigensystems`` on a stack of the given (..., d, d) shape."""
+    return np.empty(shape[:-2] + (1, shape[-1]), dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
 
 
 def exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:

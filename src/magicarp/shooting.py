@@ -18,10 +18,16 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   heuristic: the exact structural equation holds only approximately, and
   ``optimality_certificate`` reports by how much.
 
+Since v_n is real linear in the evolved adjoint G_n = U_n g U_n^dag, the
+construction forms H_n = sum_k u_k H_k in energy-optimal mode as one product
+of G_n with a fixed matrix, and carries [U_n, U_n g] as one stack advanced by
+one product per step (``_construct_batch``).
+
 Gradients over g are exact and reverse-mode (``reverse_gradient``). One
-forward pass builds the pulse and writes, per step and in place, U_n, the
-step eigensystems and the amplitudes into its tape (and, in renormalized
-mode only, v_n and c0). One backward pass then walks the steps in reverse,
+forward pass builds the pulse and writes, per step and in place, U_n and the
+step eigensystems into its step-major tape, (N, B, ...); the amplitudes are
+one product over the kept G_n after the loop (in renormalized mode they, v_n
+and c0 are written per step). One backward pass then walks the steps in reverse,
 carrying the adjoint of the cotangent of U_n. It pulls that cotangent
 through the exact derivative of each step exponential (eigenbasis divided
 differences, as in GRAPE) onto the amplitudes, then through the
@@ -58,6 +64,7 @@ from .propagation import (
     exp_divided_differences,
     propagate,
     step_eigensystems,
+    step_work,
 )
 from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
 
@@ -136,35 +143,34 @@ class ShootingContext:
         return self.controls.dim ** 2 - 1
 
 
-def _structural_amplitudes(g_t: np.ndarray, hams_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v_k = 1/2 Re Tr(g_t H_k) for a batch of evolved adjoints (B, d, d).
+def _pairing(mats: np.ndarray) -> np.ndarray:
+    """The (2d^2, M) real matrix A with x @ A = (1/2 Re Tr(X M_m))_m for M = (M_m),
+    where x is the float view of a flattened complex (d, d) matrix X.
 
-    ``hams_t`` is (d^2, K), column k the flattened transpose of H_k
-    (``_transposed_flat``). One (1, d^2) @ (d^2, K) product per point, so a
-    row does not depend on the batch around it (a single einsum sums in
-    another order for B = 1). ``out`` is an optional (B, K) array for v.
+    Re Tr(X M_m) = sum_ij (Re X_ij Re M_mji - Im X_ij Im M_mji) is real
+    arithmetic on that view, so a stack of X pairs in one real product.
     """
-    b, d, _ = g_t.shape
-    return np.multiply(0.5, (g_t.reshape(b, 1, d * d) @ hams_t)[:, 0].real, out=out)
-
-
-def _transposed_flat(hamiltonians: np.ndarray) -> np.ndarray:
-    k, d, _ = hamiltonians.shape
-    return hamiltonians.swapaxes(-1, -2).reshape(k, d * d).T
+    m, d, _ = mats.shape
+    flat_t = mats.swapaxes(-1, -2).reshape(m, d * d)
+    return 0.5 * np.stack([flat_t.real, -flat_t.imag], axis=-1).reshape(m, 2 * d * d).T
 
 
 @dataclass(frozen=True)
 class _Tape:
-    """What the backward pass needs from the forward pass of B points."""
+    """What the backward pass needs from the forward pass of B points.
+
+    Per-step fields are step-major, (N, B, ...), so that each step's slice
+    is contiguous; ``g`` and ``c0`` are batch-major.
+    """
 
     g: np.ndarray  # (B, d, d)
-    amplitudes: np.ndarray  # (B, N, K) the pulses u_n
-    unitaries: np.ndarray  # (B, N+1, d, d): U_0 = 1 .. U_N
+    amplitudes: np.ndarray  # (N, B, K) the pulses u_n
+    unitaries: np.ndarray  # (N+1, B, d, d): U_0 = 1 .. U_N
     c0: np.ndarray  # (B,) ||v_0||, the envelope in renormalized mode
-    w: np.ndarray  # (B, N, d) step eigenvalues
-    q: np.ndarray  # (B, N, d, d) step eigenvectors
-    steps: np.ndarray  # (B, N, d, d) step exponentials P_n
-    v: np.ndarray | None  # (B, N, K) structural amplitudes v_n, renormalized mode only
+    w: np.ndarray  # (N, B, d) step eigenvalues
+    q: np.ndarray  # (N, B, d, d) step eigenvectors
+    steps: np.ndarray  # (N, B, d, d) step exponentials P_n
+    v: np.ndarray | None  # (N, B, K) structural amplitudes v_n, renormalized mode only
 
     @staticmethod
     def rows(held: list[tuple["_Tape", int]]) -> "_Tape":
@@ -172,13 +178,15 @@ class _Tape:
         tape = held[0][0]
         if all(t is tape for t, _ in held) and [i for _, i in held] == list(range(len(tape.c0))):
             return tape
-        return _Tape(
-            *(
-                None if getattr(tape, f.name) is None
-                else np.concatenate([getattr(t, f.name)[i : i + 1] for t, i in held])
-                for f in fields(_Tape)
-            )
-        )
+
+        def gather(name):
+            if getattr(tape, name) is None:
+                return None
+            if name in ("g", "c0"):
+                return np.concatenate([getattr(t, name)[i : i + 1] for t, i in held])
+            return np.concatenate([getattr(t, name)[:, i : i + 1] for t, i in held], axis=1)
+
+        return _Tape(*(gather(f.name) for f in fields(_Tape)))
 
 
 def _construct_batch(
@@ -188,19 +196,26 @@ def _construct_batch(
     mode: str,
     basis: GeneratorBasis,
     keep_tape: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Tape | None]:
+) -> tuple[np.ndarray, np.ndarray, _Tape | None]:
     """Build pulses for B coefficient vectors at once.
 
-    Returns (amplitudes (B, N, K), final unitaries (B, d, d), valid (B,),
-    tape). Entries with a degenerate envelope are flagged invalid rather than
-    raising, so vectorized line-search ladders can mask them. With
-    ``keep_tape`` the tape keeps the per-step states of every point for the
-    backward pass; otherwise it is None. Each row is bitwise the same
-    whatever the batch around it.
+    Returns (final unitaries (B, d, d), valid (B,), tape). Entries with a
+    degenerate envelope are flagged invalid rather than raising, so
+    vectorized line-search ladders can mask them. With ``keep_tape`` the
+    tape keeps the per-step states and the pulses of every point for the
+    backward pass and the report; otherwise it is None. Each row is the same
+    whatever the batch around it: every product is a stack of per-row
+    products.
 
-    Every step writes its amplitudes, eigensystem, exponential and product
-    U_{n+1} in place, into the tape's slots for step n; without a tape the
-    steps alternate between two slots.
+    The step loop carries the evolved adjoint G_n = U_n g U_n^dag and the
+    stack X_n = [U_n, U_n g]. Since v_{n,k} = 1/2 Re Tr(G_n H_k) is real
+    linear in G_n, energy-optimal mode forms H_n = sum_k v_{n,k} H_k as one
+    product of G_n's float view with a fixed (2d^2, 2d^2) matrix and takes the
+    amplitudes from the kept G_n after the loop; renormalized mode forms v_n,
+    its norm and u_n per step. Each step then writes its eigensystem and
+    exponential P_n, advances X_{n+1} = P_n X_n in one product and forms
+    G_{n+1} = (U g)(U^dag), all in place: into the tape's step-major slots
+    for step n, or without a tape into two slots that the steps take in turn.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
@@ -210,39 +225,61 @@ def _construct_batch(
     renorm = mode == "time_optimal_renormalized"
     slots = n_steps if keep_tape else 2  # one per step on a tape, else two that the steps take in turn
 
-    g = np.einsum("bm,mij->bij", coeff_batch, basis.generators)
-    hams_t = _transposed_flat(controls.hamiltonians)
-    hams_ri = controls.hamiltonians.view(float).reshape(k, 2 * d * d)
-    amps = np.empty((b, n_steps, k))
-    units = np.empty((b, slots + 1, d, d), dtype=complex)
-    units[:, 0] = np.eye(d)
-    w_n = np.empty((b, slots, d))
-    q_n = np.empty((b, slots, d, d), dtype=complex)
-    p_n = np.empty((b, slots, d, d), dtype=complex)
-    v_n = np.empty((b, n_steps, k)) if renorm and keep_tape else None
+    to_v = _pairing(controls.hamiltonians)  # (2d^2, K): v = G_ri @ to_v
+    hams_ri = controls.hamiltonians.view(float).reshape(k, 2 * d * d)  # H_ri = u @ hams_ri
+    adj = np.empty((slots, b, d, d), dtype=complex)  # G_n
+    adj_ri = adj.view(float).reshape(slots, b, 1, 2 * d * d)
+    stack = np.empty((slots + 1, 2, b, d, d), dtype=complex)  # X_n = [U_n, U_n g]
+    units, units_g = stack[:, 0], stack[:, 1]
+    w_n = np.empty((slots, b, d))
+    q_n = np.empty((slots, b, d, d), dtype=complex)
+    p_n = np.empty((slots, b, d, d), dtype=complex)
+    h = np.empty((b, d, d), dtype=complex)
+    h_ri = h.view(float).reshape(b, 1, 2 * d * d)
+    u_conj = np.empty((b, d, d), dtype=complex)
+    u_dag = u_conj.swapaxes(-1, -2)
+    work = step_work(h.shape)
 
-    _structural_amplitudes(g, hams_t, out=amps[:, 0])
-    c0 = np.linalg.norm(amps[:, 0], axis=1)
-    valid = c0 >= ENVELOPE_FLOOR if renorm else np.ones(b, dtype=bool)
+    g = np.einsum("bm,mij->bij", coeff_batch, basis.generators, out=adj[0])
+    units[0] = np.eye(d)
+    units_g[0] = g
+    if renorm:
+        v_n = np.empty((n_steps, b, 1, k))
+        amps = np.empty((n_steps, b, 1, k))
+        norms = np.empty((n_steps, b, 1, 1))
+        v_t = v_n.swapaxes(-1, -2)
+        scale = np.empty((b, 1, 1))
+    else:
+        to_h = to_v @ hams_ri  # (2d^2, 2d^2): H_ri = G_ri @ to_h
     with eigh_guard():
         for n in range(n_steps):
             i, j = (n, n + 1) if keep_tape else (n % 2, (n + 1) % 2)
-            u_now, u = units[:, i], amps[:, n]
             if n > 0:
-                _structural_amplitudes(u_now @ g @ u_now.conj().swapaxes(-1, -2), hams_t, out=u)
-            if v_n is not None:
-                v_n[:, n] = u
-            if renorm and n > 0:
-                norms = np.linalg.norm(u, axis=1)
-                valid &= norms >= ENVELOPE_FLOOR
-                u *= (c0 / np.where(norms < ENVELOPE_FLOOR, 1.0, norms))[:, None]
-            # H_n = sum_k u_k H_k over the float view of the H_k sums as the complex
-            # einsum does, for any control set; a matmul sums in another order
-            h = np.einsum("bk,kx->bx", u, hams_ri).view(complex).reshape(b, d, d)
-            step = step_eigensystems(h, dt, out=(w_n[:, i], q_n[:, i], p_n[:, i]))[2]
-            np.matmul(step, u_now, out=units[:, j])
-    tape = _Tape(g, amps, units, c0, w_n, q_n, p_n, v_n) if keep_tape else None
-    return amps, units[:, j], valid, tape
+                np.conjugate(units[i], out=u_conj)
+                np.matmul(units_g[i], u_dag, out=adj[i])
+            if renorm:
+                v = np.matmul(adj_ri[i], to_v, out=v_n[n])
+                np.sqrt(np.matmul(v, v_t[n], out=norms[n]), out=norms[n])
+                if n > 0:
+                    np.divide(norms[0], np.maximum(norms[n], ENVELOPE_FLOOR, out=scale), out=scale)
+                    v = np.multiply(v, scale, out=amps[n])
+                else:
+                    amps[0] = v
+                np.matmul(v, hams_ri, out=h_ri)
+            else:
+                np.matmul(adj_ri[i], to_h, out=h_ri)
+            step_eigensystems(h, dt, out=(w_n[i], q_n[i], p_n[i]), work=work)
+            np.matmul(p_n[i], stack[i], out=stack[j])
+    valid = np.all(norms >= ENVELOPE_FLOOR, axis=0)[:, 0, 0] if renorm else np.ones(b, dtype=bool)
+    if not keep_tape:
+        return units[j], valid, None
+    if renorm:
+        amplitudes, v, c0 = amps[..., 0, :], v_n[..., 0, :], norms[0, :, 0, 0]
+    else:
+        # one (1, 2d^2) @ (2d^2, K) product per step and point, after the loop
+        amplitudes = (adj_ri.reshape(n_steps * b, 1, 2 * d * d) @ to_v).reshape(n_steps, b, k)
+        v, c0 = None, np.linalg.norm(amplitudes[0], axis=1)
+    return units[j], valid, _Tape(g, amplitudes, units, c0, w_n, q_n, p_n, v)
 
 
 def pulses_from_adjoint(
@@ -257,13 +294,13 @@ def pulses_from_adjoint(
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
     basis = GeneratorBasis.create(controls.dim)
-    amps, _, valid, _ = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis)
+    _, valid, tape = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis, True)
     if not valid[0]:
         raise DegenerateEnvelopeError(
             "structural prediction has norm below "
             f"{ENVELOPE_FLOOR:g} at some step; pulse direction is undefined"
         )
-    schedule = PulseSchedule.from_amplitudes(amps[0])
+    schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, 0])
     return schedule, propagate(controls, schedule)
 
 
@@ -281,9 +318,7 @@ def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.nda
     Degenerate-envelope entries come back as +inf.
     """
     cfg = context.config
-    _, u_final, valid, _ = _construct_batch(
-        coeff_batch, context.controls, cfg.n_steps, cfg.mode, context.basis
-    )
+    u_final, valid, _ = _construct_batch(coeff_batch, context.controls, cfg.n_steps, cfg.mode, context.basis)
     return _infidelities(u_final, valid, context)
 
 
@@ -321,9 +356,7 @@ def gradient(
 def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
     """Objective values (+inf for a degenerate envelope) and the tape of a (B, d^2-1) stack."""
     cfg = context.config
-    _, u_final, valid, tape = _construct_batch(
-        points, context.controls, cfg.n_steps, cfg.mode, context.basis, True
-    )
+    u_final, valid, tape = _construct_batch(points, context.controls, cfg.n_steps, cfg.mode, context.basis, True)
     return _infidelities(u_final, valid, context), tape
 
 
@@ -349,31 +382,31 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     """
     d = context.controls.dim
     hams = context.controls.hamiltonians
-    b, n_steps, k = tape.amplitudes.shape
+    n_steps, b, k = tape.amplitudes.shape
     renorm = context.config.mode == "time_optimal_renormalized"
     dt = 1.0 / n_steps
-    units = tape.unitaries[:, :-1]
+    units = tape.unitaries[:-1]
     units_dag = units.conj().swapaxes(-1, -2)
     q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
 
     # per-step constants, batched over n ahead of the sequential sweep
     phi = exp_divided_differences(tape.w, dt)
     qu = q_dag @ units  # Q_n^dag U_n
-    h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]  # Q_n^dag H_k Q_n, (B, N, K, d, d)
-    h_eig_t = h_eig.swapaxes(-1, -2).reshape(b, n_steps, k, d * d)
-    gu = tape.g[:, None] @ units_dag
+    h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]  # Q_n^dag H_k Q_n, (N, B, K, d, d)
+    h_eig_t = h_eig.swapaxes(-1, -2).reshape(n_steps, b, k, d * d)
+    gu = tape.g @ units_dag
     hams_flat = hams.reshape(k, d * d)
 
-    overlap = np.sum((context.target.conj() * tape.unitaries[:, -1]).reshape(b, d * d), axis=1)
+    overlap = np.sum((context.target.conj() * tape.unitaries[-1]).reshape(b, d * d), axis=1)
     y = (-2.0 * overlap.conj() / d**2)[:, None, None] * context.target.conj().T
-    v_bar = np.empty((b, n_steps, k))
+    v_bar = np.empty((n_steps, b, k))
     c0_bar = np.zeros(b)
     for n in range(n_steps - 1, -1, -1):
         # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(Y Q)
-        m = (qu[:, n] @ (y @ q[:, n])) * phi[:, n]
-        a_bar = (h_eig_t[:, n] @ m.reshape(b, d * d, 1))[..., 0].real
+        m = (qu[n] @ (y @ q[n])) * phi[n]
+        a_bar = (h_eig_t[n] @ m.reshape(b, d * d, 1))[..., 0].real
         if renorm:
-            vn = tape.v[:, n]
+            vn = tape.v[n]
             if n > 0:
                 norm = np.sqrt(_dots(vn, vn))
                 proj = _dots(vn, a_bar) / norm
@@ -381,14 +414,17 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
                 a_bar = (tape.c0 / norm)[:, None] * (a_bar - (proj / norm)[:, None] * vn)
             else:
                 a_bar = a_bar + (c0_bar / tape.c0)[:, None] * vn
-        v_bar[:, n] = a_bar
+        v_bar[n] = a_bar
         if n > 0:
             s = (a_bar[:, None] @ hams_flat).reshape(b, d, d)
-            y = y @ tape.steps[:, n] + gu[:, n] @ s
+            y = y @ tape.steps[n] + gu[n] @ s
 
-    s_all = (v_bar @ hams_flat).reshape(b, n_steps, d, d)
+    # one (1, K) @ (K, d^2) product per step and point: a (B, K) operand would
+    # make B a dimension of one product, and rows depend on the batch
+    s_all = (v_bar.reshape(n_steps * b, 1, k) @ hams_flat).reshape(n_steps, b, d, d)
     # dJ/dc_m = Re Tr(G_m g_bar) = 1/2 Re Tr(G_m sum_n U_n^dag S_n U_n)
-    return _structural_amplitudes((units_dag @ s_all @ units).sum(axis=1), _transposed_flat(context.basis.generators))
+    g_bar = (units_dag @ s_all @ units).sum(axis=0)
+    return (g_bar.view(float).reshape(b, 1, 2 * d * d) @ _pairing(context.basis.generators))[:, 0]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -561,7 +597,7 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
             outcomes.append(run.error)
             continue
         result, (_, tape, row) = run.result, run.held
-        schedule = PulseSchedule.from_amplitudes(tape.amplitudes[row])
+        schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, row])
         infidelity = result.trace[-1]
         outcomes.append(
             OptimizationReport(

@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+# numpy >= 1.25 keeps it in numpy.exceptions, numpy 1.24 at the top level
+COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config):
+    # a complex value cast to float drops its imaginary part with only a
+    # warning; in-place buffers and .real views are where such a drop hides
+    config.addinivalue_line(
+        "filterwarnings", f"error::{COMPLEX_WARNING.__module__}.{COMPLEX_WARNING.__qualname__}"
+    )
+
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-ish random unitary from the QR of a complex Gaussian matrix."""

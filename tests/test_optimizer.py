@@ -119,13 +119,13 @@ class TestMinimizeBfgs:
         assert sizes == [1]
 
     def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
-        # rung 1 is tested alone; only when it fails too do rungs 2..29 come in one batch
+        # rung 1 is tested alone; only when it fails too come rungs 2-3, then 4-7, 8-15, 16-29
         center = np.array([0.03, -0.02])
 
         def fun(x):
             return float(np.sum((x - center) ** 2))
 
-        for scale, expected in ((2.0, [1, 1]), (8.0, [1, 1, 28])):
+        for scale, expected in ((2.0, [1, 1]), (8.0, [1, 1, 2])):
             # a gradient `scale` times too long: the unit step overshoots, and the
             # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x)
             sizes = []
@@ -139,6 +139,41 @@ class TestMinimizeBfgs:
             )
             assert res.fun == 0.0
             assert sizes == expected
+
+    def test_lazy_ladder_reaches_the_last_block(self):
+        # f(x) = -x + x^2 / delta from x = 0 along p = 1: the Armijo test passes
+        # only for steps below about delta, so the first accepted rung is 16,
+        # in the last block of rungs 16-29
+        delta = 1.5 * 2.0**-16
+        sizes = []
+
+        def fun(x):
+            return float(-x[0] + x[0] ** 2 / delta)
+
+        def batch(xs):
+            sizes.append(xs.shape[0])
+            return np.array([fun(row) for row in xs])
+
+        res = minimize_bfgs(
+            fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, batch_fun=batch
+        )
+        assert res.x[0] == 2.0**-16
+        assert sizes == [1, 1, 2, 4, 8, 14]
+
+    def test_lazy_ladder_asks_for_every_block_when_all_rungs_fail(self):
+        # a gradient of the wrong sign: every rung climbs, and the run stops
+        sizes = []
+
+        def fun(x):
+            return float(np.sum(x**2))
+
+        def batch(xs):
+            sizes.append(xs.shape[0])
+            return np.array([fun(row) for row in xs])
+
+        res = minimize_bfgs(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, batch_fun=batch)
+        assert (res.stop_reason, res.iterations) == ("line_search", 0)
+        assert sizes == [1, 1, 2, 4, 8, 14]
 
     def test_deterministic(self):
         runs = [

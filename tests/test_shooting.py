@@ -1,5 +1,6 @@
 from collections import namedtuple
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ def context(d=2, target="hadamard", mode="energy_optimal", n_steps=32, **kw):
 
 def coeffs_from_matrix(m, d=2):
     return AdjointMatrix.from_matrix(m).coeffs
+
+
+STOP_REASONS = ("tol", "stall", "max_iters", "line_search")
+
+
+def first_seed_by_stop(ctx, seeds):
+    """{stop reason: the first of the seeds whose run ends on it}.
+
+    At a plateau rounding decides between ``stall`` and ``line_search``, so
+    tests search a fixed seed range for a run ending on each reason rather
+    than pin one seed per reason.
+    """
+    found = {}
+    for report in restarted_optimize(ctx, seeds):
+        found.setdefault(report.stop_reason, report.seed)
+    return found
+
+
+@lru_cache(maxsize=None)
+def qft2_stops(mode, n_steps):
+    return first_seed_by_stop(context(target="qft", mode=mode, n_steps=n_steps, max_iters=300), range(32))
 
 
 class TestPulsesFromAdjoint:
@@ -226,11 +248,18 @@ class TestReverseGradient:
 
 
 # -- reference loops: the pulse construction with its step kernel on
-# numpy's eigh wrapper, copying each step into its tape, and the backward
-# sweep carrying U_bar itself with one g_bar einsum per row. The library's
-# passes must match them, the forward byte for byte and gradients to 1e-13.
+# numpy's eigh wrapper, forming H_n = sum_k v_k H_k from the structural
+# amplitudes at every step and copying each step into its batch-major tape,
+# and the backward sweep carrying U_bar itself with one g_bar einsum per row.
+# The library's forward pass must match the loop to rounding, and its
+# backward pass the loop's on the same tape to 1e-13.
 
 LoopTape = namedtuple("LoopTape", "g amplitudes unitaries v c0 w q steps")
+
+
+def _transposed_flat(hamiltonians):
+    k, d, _ = hamiltonians.shape
+    return hamiltonians.swapaxes(-1, -2).reshape(k, d * d).T
 
 
 def loop_step_eigensystems(h, dt):
@@ -264,7 +293,7 @@ def loop_construct_batch(coeff_batch, controls, n_steps, mode, basis, keep_tape=
         q_n = np.empty((b, n_steps, d, d), dtype=complex)
         p_n = np.empty((b, n_steps, d, d), dtype=complex)
 
-    hams_t = shooting._transposed_flat(hams)
+    hams_t = _transposed_flat(hams)
     v = loop_structural_amplitudes(g, hams_t)
     c0 = np.linalg.norm(v, axis=1)
     if renorm:
@@ -346,36 +375,80 @@ def dense_controls(d, seed):
     return ControlSet(d, hams)
 
 
+def rel_err(got, ref):
+    """||got - ref|| / ||ref|| (0 when both are zero)."""
+    scale = np.linalg.norm(ref)
+    return np.linalg.norm(got - ref) / scale if scale else np.linalg.norm(got)
+
+
+def phase_aligned(q, ref):
+    """Eigenvectors q with each column's phase turned onto the matching column of ref.
+
+    An eigenvector is defined up to a phase, and ``eigh`` may pick another
+    one for a matrix that differs by rounding; P_n and the gradient do not
+    depend on it.
+    """
+    overlap = np.sum(ref.conj() * q, axis=-2, keepdims=True)
+    return q * (overlap.conj() / np.abs(overlap))
+
+
+def as_loop_tape(tape):
+    """The library's step-major tape in the reference loop's batch-major layout."""
+    batch_major = {name: getattr(tape, name) for name in ("g", "c0")}
+    step_major = {
+        name: np.swapaxes(getattr(tape, name), 0, 1)
+        for name in ("amplitudes", "unitaries", "w", "q", "steps")
+    }
+    # an energy-optimal tape keeps no v: its pulses are their structural amplitudes
+    v = step_major["amplitudes"] if tape.v is None else np.swapaxes(tape.v, 0, 1)
+    return LoopTape(v=v, **batch_major, **step_major)
+
+
 class TestStepLoopOracle:
+    # the construction forms H_n in one product of the evolved adjoint, which
+    # sums in another order than the loop; the self-iterative feedback
+    # amplifies that rounding, most with dense controls
+    RTOL = {"nearest_neighbor": 1e-12, "dense": 1e-9}
+
     @pytest.mark.parametrize("kind", ["nearest_neighbor", "dense"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_forward_bitwise_and_gradients_to_1e_13(self, d, mode, kind):
+    def test_forward_to_rounding_and_backward_to_1e_13(self, d, mode, kind):
         controls = nearest_neighbor_control_set(d) if kind == "nearest_neighbor" else dense_controls(d, d)
         ctx = ShootingContext(controls=controls, target=target_gate("qft", d), config=MagicarpConfig(mode=mode, n_steps=12))
+        rtol = self.RTOL[kind]
         points = np.random.default_rng(10 * d).standard_normal((3, d * d - 1))
         for batch in (points, points[1:2]):
-            ref_amps, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
+            _, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
             for keep_tape in (False, True):  # the checks below read the tape of the second pass
-                amps, final, valid, tape = shooting._construct_batch(batch, controls, 12, mode, ctx.basis, keep_tape)
-                assert same_bits(amps, ref_amps)
-                assert same_bits(np.ascontiguousarray(final), ref_final)
+                final, valid, tape = shooting._construct_batch(batch, controls, 12, mode, ctx.basis, keep_tape)
+                assert rel_err(final, ref_final) <= rtol
                 assert same_bits(valid, ref_valid)
-            for name in ("g", "amplitudes", "unitaries", "c0", "w", "q", "steps"):
-                assert same_bits(getattr(tape, name), getattr(ref_tape, name)), name
+            loop_tape = as_loop_tape(tape)
+            assert same_bits(loop_tape.g, ref_tape.g)
+            for name in ("amplitudes", "unitaries", "c0", "w", "steps"):
+                assert rel_err(getattr(loop_tape, name), getattr(ref_tape, name)) <= rtol, name
+            assert rel_err(phase_aligned(loop_tape.q, ref_tape.q), ref_tape.q) <= rtol
             # energy-optimal pulses are their structural amplitudes; the tape keeps them once
-            assert tape.v is None if mode == "energy_optimal" else same_bits(tape.v, ref_tape.v)
-            ref = loop_backward(ref_tape, ctx)
+            assert tape.v is None if mode == "energy_optimal" else rel_err(loop_tape.v, ref_tape.v) <= rtol
+            ref = loop_backward(loop_tape, ctx)
             assert np.linalg.norm(shooting._backward(tape, ctx) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_objective_equals_the_tape_keeping_pass(self, mode):
+        # a value accepted from a ladder (no tape) equals the held pass's value
+        ctx = context(d=3, target="qft", mode=mode, n_steps=16)
+        points = np.random.default_rng(8).standard_normal((4, 8))
+        assert same_bits(batch_objective(points, ctx), shooting._forward(points, ctx)[0])
 
     def test_degenerate_rows_flagged_alike(self):
         ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
         points = np.random.default_rng(4).standard_normal((3, 8))
         points[1] = 0.0
         ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
-        got = shooting._construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
-        assert list(got[2]) == list(ref[2]) == [True, False, True]
-        assert same_bits(got[0], ref[0])
+        _, valid, tape = shooting._construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis, True)
+        assert list(valid) == list(ref[2]) == [True, False, True]
+        assert rel_err(tape.amplitudes.swapaxes(0, 1), ref[0]) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -469,22 +542,16 @@ class TestOptimize:
         assert report.forward_points == sum(sizes)
         assert report.backward_passes == report.iterations + 1
 
-    # (mode, n_steps, seed) -> stop reason, on QFT(2) with max_iters = 300; the
-    # line-search stops reject an evaluated rung 0, so the report rebuilds at x
-    STOPS = [
-        ("energy_optimal", 4, 0, "tol"),
-        ("energy_optimal", 2, 2, "max_iters"),
-        ("energy_optimal", 1, 0, "stall"),
-        ("energy_optimal", 3, 3, "line_search"),
-        ("time_optimal_renormalized", 2, 0, "tol"),
-        ("time_optimal_renormalized", 3, 14, "max_iters"),
-        ("time_optimal_renormalized", 1, 0, "stall"),
-        ("time_optimal_renormalized", 1, 1, "line_search"),
-    ]
-
-    @pytest.mark.parametrize("mode,n_steps,seed,stop", STOPS)
-    def test_report_pulse_equals_a_fresh_construction(self, mode, n_steps, seed, stop):
-        # the report reuses the last forward pass; it must be the pulse of final_g
+    @pytest.mark.parametrize("stop", STOP_REASONS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_pulse_equals_a_fresh_construction(self, mode, stop):
+        # the report reuses the last forward pass; it must be the pulse of final_g.
+        # A run on QFT(2), max_iters = 300, 1-4 steps and seeds 0..31, for each
+        # stop reason; the line-search stops reject an evaluated rung 0, so the
+        # report rebuilds at x
+        n_steps = next((n for n in (1, 2, 3, 4) if stop in qft2_stops(mode, n)), None)
+        assert n_steps is not None, f"no {mode} run ends on {stop}"
+        seed = qft2_stops(mode, n_steps)[stop]
         ctx = context(target="qft", mode=mode, n_steps=n_steps, seed=seed, max_iters=300)
         report = optimize(ctx)
         assert report.stop_reason == stop
@@ -509,7 +576,7 @@ class TestOptimize:
 
 
 class TestLockstep:
-    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..11 end on all four stop reasons
+    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..23 end on all four stop reasons
     MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 100)]
 
     @staticmethod
@@ -525,9 +592,10 @@ class TestLockstep:
     @pytest.mark.parametrize("mode,n_steps,max_iters", MIXED)
     def test_group_mixing_every_stop_reason_equals_lone_runs(self, mode, n_steps, max_iters):
         ctx = context(d=3, target="qft", mode=mode, n_steps=n_steps, max_iters=max_iters)
-        reports = restarted_optimize(ctx, range(12))
-        assert {r.stop_reason for r in reports} == {"tol", "stall", "max_iters", "line_search"}
-        self.assert_lone(ctx, range(12), reports)
+        seeds = list(first_seed_by_stop(ctx, range(24)).values())  # one seed per reason found
+        reports = restarted_optimize(ctx, seeds)
+        assert {r.stop_reason for r in reports} == set(STOP_REASONS)
+        self.assert_lone(ctx, seeds, reports)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [2, 3, 4])
