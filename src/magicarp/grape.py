@@ -73,11 +73,11 @@ def energy_integral(schedule: PulseSchedule) -> float:
 
 
 def _forward_pass(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step eigensystems (w, q) and forward products L_0..L_N of a pulse."""
-    h = control_generator(controls, schedule.amplitudes)
+    """The step eigensystems (theta, q) of Theta_n = -dt H_n and forward products L_0..L_N of a pulse."""
+    generators = control_generator(controls, -schedule.dt * schedule.amplitudes)  # Theta_n = -dt H_n
     with eigh_guard():
-        w, q, steps = step_eigensystems(h, schedule.dt)
-    return w, q, accumulate(steps)
+        theta, q, steps = step_eigensystems(generators)
+    return theta, q, accumulate(steps)
 
 
 def grape_objective(
@@ -115,24 +115,25 @@ def grape_gradient(
     """
     d = controls.dim
     dt = schedule.dt
-    w, q, fwd = _forward_pass(controls, schedule) if forward is None else forward  # L_n = P_{n-1} ... P_0
+    theta, q, fwd = _forward_pass(controls, schedule) if forward is None else forward  # L_n = P_{n-1} ... P_0
     u_final = fwd[-1]
     overlap = np.sum(target.conj() * u_final)
 
     # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) = Tr(M_n D_{n,k}) with
-    # W = V^dag U_N and M_n = L_n W L_{n+1}^dag. In the step eigenbasis
-    # D = Q (phi o (Q^dag H_k Q)) Q^dag, and phi is symmetric, so
-    # Tr(M D) = sum_ab X_ba H_k,ab with X = Q (phi o (Q^dag M Q)) Q^dag:
-    # one flat (N, d^2) @ (d^2, K) product against the transposed H_k.
+    # W = V^dag U_N and M_n = L_n W L_{n+1}^dag. With P_n = exp(i Theta_n),
+    # Theta_n = -dt H_n, in the step eigenbasis D = -dt Q (phi o (Q^dag H_k Q)) Q^dag,
+    # and phi is symmetric, so Tr(M D) = -dt sum_ab X_ba H_k,ab with
+    # X = Q (phi o (Q^dag M Q)) Q^dag: one flat (N, d^2) @ (d^2, K) product
+    # against the transposed H_k, with the -dt taken into the final factor.
     w_mat = target.conj().T @ u_final
-    phi = exp_divided_differences(w, dt)
+    phi = exp_divided_differences(theta)
     m = fwd[:-1] @ w_mat @ fwd[1:].conj().swapaxes(-1, -2)
     q_dag = q.conj().swapaxes(-1, -2)
     x = q @ (phi * (q_dag @ m @ q)) @ q_dag
     h_flat = controls.hamiltonians.swapaxes(-1, -2).reshape(controls.n_controls, d * d)
     grad_tau = x.reshape(schedule.n_steps, d * d) @ h_flat.T
 
-    grad = -2.0 * (np.conj(overlap) * grad_tau).real / d**2
+    grad = (2.0 * dt / d**2) * (np.conj(overlap) * grad_tau).real
     if penalty_weight != 0.0:
         grad = grad + (
             2.0 * penalty_weight * dt / tau_qsl(d, controls.omega_max)

@@ -9,9 +9,13 @@ it is the plain envelope integral, i.e. T in units of 1/omega_max).
 
 ``step_eigensystems`` is the one step kernel and ``accumulate`` the one loop
 of step products; only the shooting construction, whose every step depends
-on the state before it, interleaves its own. The kernel calls numpy's
-``eigh`` gufunc directly; its callers enter ``eigh_guard()`` once per pass
-so that a failed ``eigh`` raises ``np.linalg.LinAlgError``.
+on the state before it, interleaves its own. The kernel takes the scaled
+generator Theta = -dt H, so that the step is exp(i Theta): numpy's ``eigh``
+gufunc, called directly, writes the eigenvalues theta of Theta into the
+imaginary part of a phase buffer, and one ``exp`` of that buffer gives the
+phases e^{i theta}. Its callers enter ``eigh_guard()`` once per pass so that
+a failed ``eigh`` raises ``np.linalg.LinAlgError``. ``exp_divided_differences``
+on the same theta gives the exact derivative of each step exponential.
 """
 
 from __future__ import annotations
@@ -95,57 +99,79 @@ def eigh_guard() -> np.errstate:
 
 
 def step_eigensystems(
-    h: np.ndarray,
-    dt: float,
+    theta: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shared step kernel: eigenvalues w, eigenvectors q and exp(-i dt H)
-    for a stack (..., d, d) of Hermitian H, from one call of the ``eigh``
-    gufunc (its lower triangle, as ``np.linalg.eigh`` reads it).
+    """The shared step kernel: for a stack (..., d, d) of Hermitian
+    Theta = -dt H, the eigenvalues theta, the eigenvectors q and the step
+    exp(i Theta) = exp(-i dt H), from one call of the ``eigh`` gufunc (its
+    lower triangle, as ``np.linalg.eigh`` reads it).
 
-    Call it under ``eigh_guard()``, which makes a failed ``eigh`` raise
-    ``np.linalg.LinAlgError``. ``out`` is an optional (w, q, exp) triple of
-    arrays to write the results into; ``work`` is an optional triple of
-    contiguous complex scratch arrays, shaped (..., 1, d), (..., d, d) and
-    (..., d, d), that the kernel overwrites (``step_work``), so that a loop of
-    steps allocates nothing. The exponential is exactly unitary up to rounding.
-    Together with ``exp_divided_differences(w, dt)`` the eigensystems give the
-    exact derivative of each exponential, which GRAPE's gradient and the
-    shooting backward pass both use.
+    The gufunc writes theta into the imaginary part of a complex phase
+    buffer, shaped (..., d), whose real part is zero; one ``exp`` of that
+    buffer gives the phases e^{i theta}, and the returned theta is its
+    imaginary part. Call the kernel under ``eigh_guard()``, which makes a
+    failed ``eigh`` raise ``np.linalg.LinAlgError``. ``out`` is an optional
+    (phase buffer, q, exp) triple to write into, the buffer's real part zero
+    (``step_out``); ``work`` is optional scratch from ``step_work``, which the
+    kernel overwrites, so that a loop of steps allocates nothing. The
+    exponential is exactly unitary up to rounding.
     """
-    w, q, step = (None, None, None) if out is None else out
-    phases, q_e, q_conj = step_work(h.shape) if work is None else work
-    w, q = _umath_linalg.eigh_lo(h, out=(w, q))
-    np.exp(np.multiply(w[..., None, :], -1j * dt, out=phases), out=phases)
-    np.multiply(q, phases, out=q_e)
-    step = np.matmul(q_e, np.conjugate(q, out=q_conj).swapaxes(-1, -2), out=step)
-    return w, q, step
+    i_theta, q, step = step_out(theta.shape) if out is None else out
+    phases, phases_row, q_e, q_conj, q_dag = step_work(theta.shape) if work is None else work
+    _, q = _umath_linalg.eigh_lo(theta, out=(i_theta.imag, q))
+    np.exp(i_theta, out=phases)
+    np.multiply(q, phases_row, out=q_e)
+    np.conjugate(q, out=q_conj)
+    step = np.matmul(q_e, q_dag, out=step)
+    return i_theta.imag, q, step
 
 
-def step_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for ``step_eigensystems`` on a stack of the given (..., d, d) shape."""
-    return np.empty(shape[:-2] + (1, shape[-1]), dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+def step_out(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outputs of ``step_eigensystems`` on a stack of the given (..., d, d) shape:
+    the zeroed phase buffer, q and the exponential."""
+    return np.zeros(shape[:-1], dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
 
 
-def exp_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of z -> exp(-i dt z) on eigenvalue pairs.
+def step_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Scratch for ``step_eigensystems`` on a stack of the given (..., d, d)
+    shape, with the views the kernel reads it through."""
+    phases, q_conj = np.empty(shape[:-1], dtype=complex), np.empty(shape, dtype=complex)
+    return phases, phases[..., None, :], np.empty(shape, dtype=complex), q_conj, q_conj.swapaxes(-1, -2)
 
-    Entry (p, q) equals (e^{-i dt w_p} - e^{-i dt w_q}) / (w_p - w_q),
-    continued to -i dt e^{-i dt w_p} on the diagonal. Written via sinc, which
-    is exact for coincident eigenvalues as well. In the eigenbasis Q of H the
-    derivative of exp(-i dt H) along dH is Q (phi o (Q^dag dH Q)) Q^dag.
+
+def exp_divided_differences(theta: np.ndarray) -> np.ndarray:
+    """Divided differences of z -> e^{iz} on pairs of the eigenvalues theta of Theta.
+
+    Entry (p, q) is (e^{i theta_p} - e^{i theta_q}) / (theta_p - theta_q),
+    continued to i e^{i theta_p} where theta_p = theta_q. Written as
+    i e^{i m} sin(x)/x with m = (theta_p + theta_q)/2 and x = (theta_p - theta_q)/2:
+    e^{i m} is the product of the half phases e^{i theta_p/2} e^{i theta_q/2},
+    and where x = 0 (the diagonal, and coincident eigenvalues) sin(x)/x is
+    taken at x = 1e-300 instead, which gives exactly 1. In the eigenbasis
+    Q of Theta the derivative of exp(i Theta) along dTheta is
+    Q (phi o (Q^dag dTheta Q)) Q^dag; for Theta = -dt H that is -dt times the
+    derivative along dH.
     """
-    mean = 0.5 * (w[..., :, None] + w[..., None, :])
-    diff = w[..., :, None] - w[..., None, :]
-    return -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
+    half = 0.5 * theta
+    x = half[..., :, None] - half[..., None, :]
+    x += (x == 0) * 1e-300
+    ratio = np.sin(x)
+    ratio /= x
+    half_phases = np.zeros(theta.shape, dtype=complex)
+    half_phases.imag = half
+    np.exp(half_phases, out=half_phases)
+    phi = half_phases[..., :, None] * half_phases[..., None, :]
+    phi *= ratio
+    return np.multiply(phi, 1j, out=phi)
 
 
 def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for Hermitian H via eigendecomposition; exactly unitary
     up to rounding. Accepts a stack (..., d, d) and exponentiates each."""
     with eigh_guard():
-        return step_eigensystems(h, dt)[2]
+        return step_eigensystems(-dt * h)[2]
 
 
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:

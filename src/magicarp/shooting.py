@@ -19,23 +19,29 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   ``optimality_certificate`` reports by how much.
 
 Since v_n is real linear in the evolved adjoint G_n = U_n g U_n^dag, the
-construction forms H_n = sum_k u_k H_k in energy-optimal mode as one product
-of G_n with a fixed matrix, and carries [U_n, U_n g] as one stack advanced by
-one product per step (``_construct_batch``).
+construction forms the step generator Theta_n = -dt sum_k u_k H_k in
+energy-optimal mode as one product of G_n with a fixed matrix, and carries
+[U_n, U_n g] as one stack advanced by one product per step
+(``_construct_batch``); the step is P_n = exp(i Theta_n). The fixed matrices
+of both passes are built once per context (``ShootingContext.pairings``).
 
 Gradients over g are exact and reverse-mode (``reverse_gradient``). One
 forward pass builds the pulse and writes, per step and in place, U_n and the
-step eigensystems into its step-major tape, (N, B, ...); the amplitudes are
-one product over the kept G_n after the loop (in renormalized mode they, v_n
-and c0 are written per step). One backward pass then walks the steps in reverse,
-carrying the adjoint of the cotangent of U_n. It pulls that cotangent
+step eigensystems (the eigenvalues theta of Theta_n) into its step-major
+tape, (N, B, ...); the amplitudes are one product over the kept G_n after
+the loop (in renormalized mode they, v_n and c0 are written per step). One
+backward pass then walks the steps in reverse, carrying the adjoint of the
+cotangent of U_n, in five products per step. It pulls that cotangent
 through the exact derivative of each step exponential (eigenbasis divided
-differences, as in GRAPE) onto the amplitudes, then through the
-renormalization onto v_n, and then through the feedback v_n(U_n g U_n^dag)
-onto U_n; the cotangent of g is one stacked contraction over all steps after
-the sweep. Both passes take a batch of B points, and each row is bitwise the
-row of its point computed alone. The central-difference ``gradient``
-(2(d^2-1) objective evaluations) is kept as the test reference.
+differences, as in GRAPE) onto the amplitudes with one real product against
+a pairing table built ahead of the sweep, which in renormalized mode also
+carries the renormalization onto v_n; then through the feedback
+v_n(U_n g U_n^dag) onto U_n, in one block product that also advances the
+cotangent. The envelope's cotangent c0_bar and the cotangent of g are each
+one contraction over all steps after the sweep. Both passes take a batch of
+B points, and each row is bitwise the row of its point computed alone. The
+central-difference ``gradient`` (2(d^2-1) objective evaluations) is kept as
+the test reference.
 
 ``run_restarts`` is the one restart runner: it runs the BFGS generators
 (``optimizer.bfgs_steps``) of several restarts in lockstep and answers
@@ -64,6 +70,7 @@ from .propagation import (
     exp_divided_differences,
     propagate,
     step_eigensystems,
+    step_out,
     step_work,
 )
 from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
@@ -128,6 +135,7 @@ class ShootingContext:
     target: np.ndarray
     config: MagicarpConfig
     basis: GeneratorBasis = field(init=False, repr=False)
+    pairings: "_Pairings" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         target = assert_unitary(self.target)
@@ -137,6 +145,7 @@ class ShootingContext:
             )
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "basis", GeneratorBasis.create(self.controls.dim))
+        object.__setattr__(self, "pairings", _Pairings.create(self.controls, self.config.n_steps, self.basis))
 
     @property
     def n_params(self) -> int:
@@ -156,6 +165,34 @@ def _pairing(mats: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Pairings:
+    """The fixed matrices of the shooting passes for one control set and step
+    count, built once per ``ShootingContext``. Float views ``*_ri`` are of
+    complex (d, d) matrices flattened to 2d^2 reals."""
+
+    n_steps: int
+    generators: np.ndarray  # (d^2-1, d, d): g = sum_m c_m generators_m
+    theta_hams: np.ndarray  # (K, d, d): Theta_n = -dt H_n = sum_k u_{n,k} theta_hams_k
+    to_v: np.ndarray  # (2d^2, K): v_n = G_ri @ to_v
+    to_theta: np.ndarray  # (2d^2, 2d^2): Theta_ri = G_ri @ to_theta, energy-optimal mode
+    to_coeffs: np.ndarray  # (2d^2, d^2-1): dJ/dc = g_bar_ri @ to_coeffs
+
+    @classmethod
+    def create(cls, controls: ControlSet, n_steps: int, basis: GeneratorBasis) -> "_Pairings":
+        k, d = controls.n_controls, controls.dim
+        theta_hams = (-1.0 / n_steps) * controls.hamiltonians
+        to_v = _pairing(controls.hamiltonians)
+        to_theta = to_v @ theta_hams.view(float).reshape(k, 2 * d * d)
+        return cls(n_steps, basis.generators, theta_hams, to_v, to_theta, _pairing(basis.generators))
+
+    @property
+    def theta_hams_ri(self) -> np.ndarray:
+        """(K, 2d^2): Theta_ri = u @ theta_hams_ri."""
+        k, d, _ = self.theta_hams.shape
+        return self.theta_hams.view(float).reshape(k, 2 * d * d)
+
+
+@dataclass(frozen=True)
 class _Tape:
     """What the backward pass needs from the forward pass of B points.
 
@@ -167,7 +204,7 @@ class _Tape:
     amplitudes: np.ndarray  # (N, B, K) the pulses u_n
     unitaries: np.ndarray  # (N+1, B, d, d): U_0 = 1 .. U_N
     c0: np.ndarray  # (B,) ||v_0||, the envelope in renormalized mode
-    w: np.ndarray  # (N, B, d) step eigenvalues
+    theta: np.ndarray  # (N, B, d) eigenvalues of Theta_n = -dt H_n
     q: np.ndarray  # (N, B, d, d) step eigenvectors
     steps: np.ndarray  # (N, B, d, d) step exponentials P_n
     v: np.ndarray | None  # (N, B, K) structural amplitudes v_n, renormalized mode only
@@ -191,10 +228,8 @@ class _Tape:
 
 def _construct_batch(
     coeff_batch: np.ndarray,
-    controls: ControlSet,
-    n_steps: int,
+    pairings: _Pairings,
     mode: str,
-    basis: GeneratorBasis,
     keep_tape: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, _Tape | None]:
     """Build pulses for B coefficient vectors at once.
@@ -209,38 +244,39 @@ def _construct_batch(
 
     The step loop carries the evolved adjoint G_n = U_n g U_n^dag and the
     stack X_n = [U_n, U_n g]. Since v_{n,k} = 1/2 Re Tr(G_n H_k) is real
-    linear in G_n, energy-optimal mode forms H_n = sum_k v_{n,k} H_k as one
-    product of G_n's float view with a fixed (2d^2, 2d^2) matrix and takes the
-    amplitudes from the kept G_n after the loop; renormalized mode forms v_n,
-    its norm and u_n per step. Each step then writes its eigensystem and
-    exponential P_n, advances X_{n+1} = P_n X_n in one product and forms
-    G_{n+1} = (U g)(U^dag), all in place: into the tape's step-major slots
-    for step n, or without a tape into two slots that the steps take in turn.
+    linear in G_n, energy-optimal mode forms Theta_n = -dt sum_k v_{n,k} H_k
+    as one product of G_n's float view with a fixed (2d^2, 2d^2) matrix and
+    takes the amplitudes from the kept G_n after the loop; renormalized mode
+    forms v_n, its norm and u_n per step. Each step then writes its
+    eigensystem and exponential P_n = exp(i Theta_n), advances
+    X_{n+1} = P_n X_n in one product and forms G_{n+1} = (U g)(U^dag), all in
+    place: into the tape's step-major slots for step n, or without a tape
+    into two slots that the steps take in turn.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
-    d = controls.dim
-    k = controls.n_controls
-    dt = 1.0 / n_steps
+    k, d, _ = pairings.theta_hams.shape
+    n_steps = pairings.n_steps
     renorm = mode == "time_optimal_renormalized"
     slots = n_steps if keep_tape else 2  # one per step on a tape, else two that the steps take in turn
 
-    to_v = _pairing(controls.hamiltonians)  # (2d^2, K): v = G_ri @ to_v
-    hams_ri = controls.hamiltonians.view(float).reshape(k, 2 * d * d)  # H_ri = u @ hams_ri
     adj = np.empty((slots, b, d, d), dtype=complex)  # G_n
     adj_ri = adj.view(float).reshape(slots, b, 1, 2 * d * d)
     stack = np.empty((slots + 1, 2, b, d, d), dtype=complex)  # X_n = [U_n, U_n g]
     units, units_g = stack[:, 0], stack[:, 1]
-    w_n = np.empty((slots, b, d))
-    q_n = np.empty((slots, b, d, d), dtype=complex)
-    p_n = np.empty((slots, b, d, d), dtype=complex)
-    h = np.empty((b, d, d), dtype=complex)
-    h_ri = h.view(float).reshape(b, 1, 2 * d * d)
+    i_theta, q_n, p_n = step_out((slots, b, d, d))  # eigh writes theta_n into i_theta's imaginary part
+    # per-slot views, taken once: indexing a view costs about as much as a small
+    # product's dispatch. Slot i advances X into slot i + 1, or without a tape
+    # into the other slot.
+    nexts = stack[1:] if keep_tape else stack[1::-1]
+    slot_views = list(zip(units, units_g, adj, adj_ri, i_theta, q_n, p_n, stack, nexts))
+    theta = np.empty((b, d, d), dtype=complex)
+    theta_ri = theta.view(float).reshape(b, 1, 2 * d * d)
     u_conj = np.empty((b, d, d), dtype=complex)
     u_dag = u_conj.swapaxes(-1, -2)
-    work = step_work(h.shape)
+    work = step_work(theta.shape)
 
-    g = np.einsum("bm,mij->bij", coeff_batch, basis.generators, out=adj[0])
+    g = np.einsum("bm,mij->bij", coeff_batch, pairings.generators, out=adj[0])
     units[0] = np.eye(d)
     units_g[0] = g
     if renorm:
@@ -249,37 +285,38 @@ def _construct_batch(
         norms = np.empty((n_steps, b, 1, 1))
         v_t = v_n.swapaxes(-1, -2)
         scale = np.empty((b, 1, 1))
+        to_v, v_to_theta = pairings.to_v, pairings.theta_hams_ri
     else:
-        to_h = to_v @ hams_ri  # (2d^2, 2d^2): H_ri = G_ri @ to_h
+        to_theta = pairings.to_theta
     with eigh_guard():
         for n in range(n_steps):
-            i, j = (n, n + 1) if keep_tape else (n % 2, (n + 1) % 2)
+            unit, unit_g, adj_n, adj_ri_n, i_theta_n, q, p, x, x_next = slot_views[n % slots]
             if n > 0:
-                np.conjugate(units[i], out=u_conj)
-                np.matmul(units_g[i], u_dag, out=adj[i])
+                np.conjugate(unit, out=u_conj)
+                np.matmul(unit_g, u_dag, out=adj_n)
             if renorm:
-                v = np.matmul(adj_ri[i], to_v, out=v_n[n])
+                v = np.matmul(adj_ri_n, to_v, out=v_n[n])
                 np.sqrt(np.matmul(v, v_t[n], out=norms[n]), out=norms[n])
                 if n > 0:
                     np.divide(norms[0], np.maximum(norms[n], ENVELOPE_FLOOR, out=scale), out=scale)
                     v = np.multiply(v, scale, out=amps[n])
                 else:
                     amps[0] = v
-                np.matmul(v, hams_ri, out=h_ri)
+                np.matmul(v, v_to_theta, out=theta_ri)
             else:
-                np.matmul(adj_ri[i], to_h, out=h_ri)
-            step_eigensystems(h, dt, out=(w_n[i], q_n[i], p_n[i]), work=work)
-            np.matmul(p_n[i], stack[i], out=stack[j])
+                np.matmul(adj_ri_n, to_theta, out=theta_ri)
+            step_eigensystems(theta, out=(i_theta_n, q, p), work=work)
+            np.matmul(p, x, out=x_next)
     valid = np.all(norms >= ENVELOPE_FLOOR, axis=0)[:, 0, 0] if renorm else np.ones(b, dtype=bool)
     if not keep_tape:
-        return units[j], valid, None
+        return units[n_steps % 2], valid, None
     if renorm:
         amplitudes, v, c0 = amps[..., 0, :], v_n[..., 0, :], norms[0, :, 0, 0]
     else:
         # one (1, 2d^2) @ (2d^2, K) product per step and point, after the loop
-        amplitudes = (adj_ri.reshape(n_steps * b, 1, 2 * d * d) @ to_v).reshape(n_steps, b, k)
+        amplitudes = (adj_ri.reshape(n_steps * b, 1, 2 * d * d) @ pairings.to_v).reshape(n_steps, b, k)
         v, c0 = None, np.linalg.norm(amplitudes[0], axis=1)
-    return units[j], valid, _Tape(g, amplitudes, units, c0, w_n, q_n, p_n, v)
+    return units[n_steps], valid, _Tape(g, amplitudes, units, c0, i_theta.imag, q_n, p_n, v)
 
 
 def pulses_from_adjoint(
@@ -293,8 +330,8 @@ def pulses_from_adjoint(
         raise ValueError(f"unknown mode {mode!r}")
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
-    basis = GeneratorBasis.create(controls.dim)
-    _, valid, tape = _construct_batch(g.coeffs[None, :], controls, n_steps, mode, basis, True)
+    pairings = _Pairings.create(controls, n_steps, GeneratorBasis.create(controls.dim))
+    _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, mode, True)
     if not valid[0]:
         raise DegenerateEnvelopeError(
             "structural prediction has norm below "
@@ -317,8 +354,7 @@ def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.nda
 
     Degenerate-envelope entries come back as +inf.
     """
-    cfg = context.config
-    u_final, valid, _ = _construct_batch(coeff_batch, context.controls, cfg.n_steps, cfg.mode, context.basis)
+    u_final, valid, _ = _construct_batch(coeff_batch, context.pairings, context.config.mode)
     return _infidelities(u_final, valid, context)
 
 
@@ -355,8 +391,7 @@ def gradient(
 
 def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
     """Objective values (+inf for a degenerate envelope) and the tape of a (B, d^2-1) stack."""
-    cfg = context.config
-    u_final, valid, tape = _construct_batch(points, context.controls, cfg.n_steps, cfg.mode, context.basis, True)
+    u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode, True)
     return _infidelities(u_final, valid, context), tape
 
 
@@ -367,69 +402,89 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     carries Y_n = U_bar_n^dag backward from Y_N = -2 Tr(U_N^dag V) V^dag / d^2:
 
     * P_bar_n^dag = U_n Y_{n+1}, pulled through the exact derivative of
-      P_n = exp(-i dt H_n) in its eigenbasis Q_n (divided differences phi_n),
-      gives u_bar_{n,k} = Re Tr(((Q^dag P_bar^dag Q) o phi) Q^dag H_k Q);
-    * in renormalized mode u_n = c0 v_n / ||v_n|| for n > 0, which projects
-      u_bar onto the normal of v_n and feeds c0_bar, and c0 = ||v_0|| passes
-      c0_bar on to v_0 (u_0 = v_0 in both modes);
+      P_n = exp(i Theta_n), Theta_n = -dt H_n, in its eigenbasis Q_n (divided
+      differences phi_n), gives u_bar_{n,k} = Re Tr((Q^dag Theta_k Q)(M_n o phi_n))
+      with Theta_k = -dt H_k and M_n = (Q^dag U_n)(Y_{n+1} Q). Since
+      Q^dag Theta_k Q is Hermitian and phi_n symmetric, that is the float view
+      of the pairing A_{n,k} = (Q^dag Theta_k Q) o conj(phi_n) dotted with the
+      float view of M_n: one real product per step;
+    * in renormalized mode u_n = c0 v_n / ||v_n|| for n > 0, so
+      v_bar_n = (c0/||v_n||)(1 - v^ v^T) u_bar_n, folded into that step's
+      pairing ahead of the sweep, and c0 = ||v_0|| gathers
+      c0_bar = sum_{n>0} v^_n . u_bar_n, which passes on to v_0 (u_0 = v_0 in
+      both modes) after the sweep;
     * v_{n,k} = 1/2 Re Tr(U_n g U_n^dag H_k) with S_n = sum_k v_bar_{n,k} H_k
-      gives the feedback term Y_n = Y_{n+1} P_n + (g U_n^dag) S_n and
+      gives the feedback term Y_n = Y_{n+1} P_n + (g U_n^dag) S_n, one block
+      product [Y_{n+1} | g U_n^dag] @ [P_n ; S_n], and
       g_bar = 1/2 sum_n U_n^dag S_n U_n, one stacked product over every step.
 
-    Every product is a stack of the per-point products (vectors as (1, K)
-    or (K, 1) matrices), so each row is bitwise the gradient of its point
-    computed alone.
+    So a step costs five products: Y Q, M, v_bar, S and the block product,
+    each written into a step-major buffer. Every product is a stack of the
+    per-point products (vectors as (1, K) or (K, 1) matrices), so each row is
+    bitwise the gradient of its point computed alone.
     """
     d = context.controls.dim
-    hams = context.controls.hamiltonians
+    pairings = context.pairings
     n_steps, b, k = tape.amplitudes.shape
     renorm = context.config.mode == "time_optimal_renormalized"
-    dt = 1.0 / n_steps
+    hams_ri = context.controls.hamiltonians.view(float).reshape(k, 2 * d * d)
     units = tape.unitaries[:-1]
     units_dag = units.conj().swapaxes(-1, -2)
     q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
 
     # per-step constants, batched over n ahead of the sequential sweep
-    phi = exp_divided_differences(tape.w, dt)
     qu = q_dag @ units  # Q_n^dag U_n
-    h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]  # Q_n^dag H_k Q_n, (N, B, K, d, d)
-    h_eig_t = h_eig.swapaxes(-1, -2).reshape(n_steps, b, k, d * d)
-    gu = tape.g @ units_dag
-    hams_flat = hams.reshape(k, d * d)
+    pair = q_dag[:, :, None] @ pairings.theta_hams @ q[:, :, None]  # Q_n^dag Theta_k Q_n, (N, B, K, d, d)
+    pair *= np.conjugate(exp_divided_differences(tape.theta))[:, :, None]
+    pair_ri = pair.view(float).reshape(n_steps, b, k, 2 * d * d)
+    if renorm:
+        # the rows of J_n = (c0/||v_n||)(1 - v^ v^T) (J_0 = 1) and v^_n^T mix the
+        # pairing of step n, so that it gives v_bar_n = J_n u_bar_n and u_bar_n . v^_n
+        v = tape.v[:, :, None]  # (N, B, 1, K)
+        norms = np.sqrt(v @ v.swapaxes(-1, -2))
+        v_hat, scale = v / norms, tape.c0[:, None, None] / norms
+        mix = np.empty((n_steps, b, k + 1, k))
+        jac = np.multiply(v_hat.swapaxes(-1, -2), -scale * v_hat, out=mix[:, :, :k])
+        np.einsum("...ii->...i", jac)[...] += scale[..., 0]
+        jac[0] = np.eye(k)
+        mix[:, :, k:] = v_hat
+        pair_ri = mix @ pair_ri
+    to_v, to_c0 = pair_ri[:, :, :k], pair_ri[:, :, k:]  # to_c0_n . M_n = u_bar_n . v^_n
+
+    left = np.empty((n_steps, b, d, 2 * d), dtype=complex)  # [Y_{n+1} | g U_n^dag]
+    right = np.empty((n_steps, b, 2 * d, d), dtype=complex)  # [P_n ; S_n]
+    np.matmul(tape.g, units_dag, out=left[..., d:])
+    right[:, :, :d] = tape.steps
+    y, s = left[..., :d], right[:, :, d:]
+    s_ri = s.view(float).reshape(n_steps, b, 1, 2 * d * d)
+    m = np.empty((n_steps, b, d, d), dtype=complex)
+    m_ri = m.view(float).reshape(n_steps, b, 2 * d * d, 1)
+    yq = np.empty((b, d, d), dtype=complex)
+    v_bar = np.empty((n_steps, b, k, 1))
+    v_bar_t = v_bar.swapaxes(-1, -2)
 
     overlap = np.sum((context.target.conj() * tape.unitaries[-1]).reshape(b, d * d), axis=1)
-    y = (-2.0 * overlap.conj() / d**2)[:, None, None] * context.target.conj().T
-    v_bar = np.empty((n_steps, b, k))
-    c0_bar = np.zeros(b)
-    for n in range(n_steps - 1, -1, -1):
-        # (Q^dag P_bar^dag Q) o phi, with Q^dag P_bar^dag Q = (Q^dag U_n)(Y Q)
-        m = (qu[n] @ (y @ q[n])) * phi[n]
-        a_bar = (h_eig_t[n] @ m.reshape(b, d * d, 1))[..., 0].real
-        if renorm:
-            vn = tape.v[n]
-            if n > 0:
-                norm = np.sqrt(_dots(vn, vn))
-                proj = _dots(vn, a_bar) / norm
-                c0_bar += proj
-                a_bar = (tape.c0 / norm)[:, None] * (a_bar - (proj / norm)[:, None] * vn)
-            else:
-                a_bar = a_bar + (c0_bar / tape.c0)[:, None] * vn
-        v_bar[n] = a_bar
-        if n > 0:
-            s = (a_bar[:, None] @ hams_flat).reshape(b, d, d)
-            y = y @ tape.steps[n] + gu[n] @ s
+    np.multiply((-2.0 * overlap.conj() / d**2)[:, None, None], context.target.conj().T, out=y[-1])
+    # per-step views, taken once: indexing a view costs about as much as a product's dispatch
+    sweep = list(zip(y, q, qu, m, m_ri, to_v, v_bar, v_bar_t, s_ri, left, right, [None, *y]))
+    for y_n, q_n, qu_n, m_n, m_ri_n, to_v_n, v_bar_n, v_bar_t_n, s_ri_n, left_n, right_n, y_prev in reversed(sweep):
+        np.matmul(qu_n, np.matmul(y_n, q_n, out=yq), out=m_n)
+        np.matmul(to_v_n, m_ri_n, out=v_bar_n)
+        if y_prev is not None:  # step 0 ends the sweep
+            np.matmul(v_bar_t_n, hams_ri, out=s_ri_n)
+            np.matmul(left_n, right_n, out=y_prev)
+    if renorm:
+        # c0_bar = sum_{n>0} to_c0_n . M_n, one dot per row over its steps
+        def by_row(a):
+            return np.ascontiguousarray(a[1:].swapaxes(0, 1)).reshape(b, 1, -1)
 
-    # one (1, K) @ (K, d^2) product per step and point: a (B, K) operand would
-    # make B a dimension of one product, and rows depend on the batch
-    s_all = (v_bar.reshape(n_steps * b, 1, k) @ hams_flat).reshape(n_steps, b, d, d)
+        c0_bar = by_row(to_c0) @ by_row(m_ri).swapaxes(-1, -2)
+        v_bar[0] += (c0_bar / tape.c0[:, None, None]) * tape.v[0, :, :, None]
+    np.matmul(v_bar_t[0], hams_ri, out=s_ri[0])
+
     # dJ/dc_m = Re Tr(G_m g_bar) = 1/2 Re Tr(G_m sum_n U_n^dag S_n U_n)
-    g_bar = (units_dag @ s_all @ units).sum(axis=0)
-    return (g_bar.view(float).reshape(b, 1, 2 * d * d) @ _pairing(context.basis.generators))[:, 0]
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a_i . b_i of two (B, K) stacks, each the 1-D ``a_i @ b_i``."""
-    return (a[:, None] @ b[:, :, None])[:, 0, 0]
+    g_bar = (units_dag @ s @ units).sum(axis=0)
+    return (g_bar.view(float).reshape(b, 1, 2 * d * d) @ pairings.to_coeffs)[:, 0]
 
 
 def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarray:

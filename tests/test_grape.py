@@ -59,19 +59,19 @@ class TestGrapeObjective:
 def loop_grape_gradient(schedule, target, controls, penalty_weight):
     """``grape_gradient`` as a Python loop over steps: the reference of its batched form."""
     n, k, d, dt = schedule.n_steps, schedule.n_controls, controls.dim, schedule.dt
-    w, q, steps = step_eigensystems(control_generator(controls, schedule.amplitudes), dt)
+    theta, q, steps = step_eigensystems(-dt * control_generator(controls, schedule.amplitudes))
     fwd = np.empty((n + 1, d, d), dtype=complex)
     fwd[0] = np.eye(d)
     for i in range(n):
         fwd[i + 1] = steps[i] @ fwd[i]
     overlap = np.sum(target.conj() * fwd[n])
     w_mat = target.conj().T @ fwd[n]
-    phi = exp_divided_differences(w, dt)
+    phi = exp_divided_differences(theta)  # derivative along Theta = -dt H
     grad_tau = np.empty((n, k), dtype=complex)
     for i in range(n):
         m = fwd[i] @ w_mat @ fwd[i + 1].conj().T
         m_tilde = q[i].conj().T @ m @ q[i]
-        h_tilde = np.einsum("ap,kab,bq->kpq", q[i].conj(), controls.hamiltonians, q[i])
+        h_tilde = np.einsum("ap,kab,bq->kpq", q[i].conj(), -dt * controls.hamiltonians, q[i])
         grad_tau[i] = np.einsum("qp,pq,kpq->k", m_tilde, phi[i], h_tilde)
     grad = -2.0 * (np.conj(overlap) * grad_tau).real / d**2
     if penalty_weight != 0.0:
@@ -255,11 +255,18 @@ class TestHeldPass:
         real = getattr(grape, name)
 
         def spy(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(grape, name, spy)
         return calls
+
+    @staticmethod
+    def new_points(schedules):
+        """Objective calls at another point than the call before: at a plateau
+        a line search can ask again for the point it holds (x + alpha p == x)."""
+        keys = [s.amplitudes.tobytes() for s in schedules]
+        return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
 
     @pytest.mark.parametrize(
         "d,n_steps,max_iters,stop", [(3, 16, 500, "tol"), (3, 16, 5, "max_iters"), (3, 2, 300, "stall")]
@@ -273,7 +280,7 @@ class TestHeldPass:
         assert report.stop_reason == stop
         # the gradients and the report read the pass of the point fun evaluated last
         assert len(gradients) == report.iterations + 1
-        assert len(passes) == len(points)
+        assert len(passes) == self.new_points(points)
 
     def test_line_search_stop_rebuilds_the_report_pass(self, monkeypatch):
         # one rung per line search: a rejected rung 0 ends the run after the
@@ -284,7 +291,7 @@ class TestHeldPass:
         cfg = GrapeConfig(n_steps=16, max_iters=500, seed=0)
         report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
         assert report.stop_reason == "line_search"
-        assert len(passes) == len(points) + 1
+        assert len(passes) == self.new_points(points) + 1
         final = grape_objective(report.final_schedule, target_gate("qft", 3), nearest_neighbor_control_set(3))
         assert report.infidelity == final == report.cost_trace[-1]
 

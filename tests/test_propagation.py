@@ -12,6 +12,7 @@ from magicarp.propagation import (
     bloch_trajectory,
     control_generator,
     eigh_guard,
+    exp_divided_differences,
     expm_ihermitian,
     gate_fidelity,
     normalized_infidelity,
@@ -19,7 +20,9 @@ from magicarp.propagation import (
     schedule_from_csv,
     schedule_to_csv,
     step_eigensystems,
+    step_out,
     step_unitary,
+    step_work,
     verify_adjoint_constancy,
 )
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, unitarity_defect
@@ -84,28 +87,73 @@ class TestStepUnitary:
         assert unitarity_defect(u) <= 1e-12
 
 
+def sinc_divided_differences(w: np.ndarray, dt: float) -> np.ndarray:
+    """Divided differences of z -> exp(-i dt z) on eigenvalue pairs of H, via np.sinc:
+    the former form of ``exp_divided_differences``, kept as its reference."""
+    mean = 0.5 * (w[..., :, None] + w[..., None, :])
+    diff = w[..., :, None] - w[..., None, :]
+    return -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
+
+
 class TestStepEigensystems:
-    def test_gufunc_equals_numpy_eigh_bitwise(self, rng):
+    def test_theta_equals_numpy_eigh_of_minus_dt_h_bitwise(self, rng):
         h = np.stack([random_traceless_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-        w, q, _ = step_eigensystems(h, 0.1)
-        w_ref, q_ref = np.linalg.eigh(h)
-        assert same_bits(w, w_ref) and same_bits(q, q_ref)
+        theta, q, _ = step_eigensystems(-0.1 * h)
+        theta_ref, q_ref = np.linalg.eigh(-0.1 * h)
+        assert same_bits(np.ascontiguousarray(theta), theta_ref) and same_bits(q, q_ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_exponentials_match_scipy_expm(self, rng, d):
+        dt = 0.37
+        h = np.stack([3.0 * random_traceless_hermitian(rng, d) for _ in range(5)])
+        _, _, steps = step_eigensystems(-dt * h)
+        for step, hn in zip(steps, h):
+            assert np.linalg.norm(step - scipy.linalg.expm(-1j * dt * hn)) <= 1e-13
 
     def test_writes_into_out(self, rng):
         h = np.stack([random_traceless_hermitian(rng, 3) for _ in range(4)])
-        fresh = step_eigensystems(h, 0.25)
-        tape = (np.empty((4, 2, 3)), np.empty((4, 2, 3, 3), dtype=complex), np.empty((4, 2, 3, 3), dtype=complex))
+        fresh = step_eigensystems(-0.25 * h)
+        tape = (np.zeros((4, 2, 3), dtype=complex), np.empty((4, 2, 3, 3), dtype=complex), np.empty((4, 2, 3, 3), dtype=complex))
         out = tuple(a[:, 1] for a in tape)
-        got = step_eigensystems(h, 0.25, out=out)
-        for g, o, f in zip(got, out, fresh):
-            assert g is o and same_bits(np.ascontiguousarray(g), f)
+        theta, q, step = step_eigensystems(-0.25 * h, out=out)
+        assert np.shares_memory(theta, out[0]) and same_bits(out[0].real, np.zeros((4, 3)))
+        assert q is out[1] and step is out[2]
+        for g, f in zip((theta, q, step), fresh):
+            assert same_bits(np.ascontiguousarray(g), f)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_failure_raises_under_the_guard(self, value):
-        h = np.full((2, 4, 4), value, dtype=complex)
+        # the eigenvalues go to the strided imaginary part of the phase buffer
+        theta = np.full((2, 4, 4), value, dtype=complex)
         with eigh_guard(), pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-            step_eigensystems(h, 0.1)
+            step_eigensystems(theta, out=step_out(theta.shape), work=step_work(theta.shape))
+
+
+class TestExpDividedDifferences:
+    @pytest.mark.parametrize("gap", [0.0, 1e-300, 1e-12])
+    def test_equals_the_sinc_form_to_1e_15(self, rng, gap):
+        # eigenvalues theta = (0, gap, a, a + gap, b) with a, b of order one (a + gap
+        # rounds to a for the tiny gaps); dt is a power of two, so theta = -dt w and
+        # the factors -dt between the two forms are exact
+        dt = 0.125
+        a, b = rng.uniform(-3.0, 3.0, (2, 8, 1))
+        theta = np.concatenate([0.0 * a, 0.0 * a + gap, a, a + gap, b], axis=-1)
+        ref = sinc_divided_differences(theta / -dt, dt) / -dt
+        got = exp_divided_differences(theta)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.all(np.isfinite(got))
+
+    def test_is_the_derivative_of_exp_i_theta(self, rng):
+        # Q (phi o (Q^dag E Q)) Q^dag is the directional derivative of exp(i Theta) along E
+        theta_mat = random_traceless_hermitian(rng, 4)
+        e = random_traceless_hermitian(rng, 4)
+        theta, q, _ = step_eigensystems(theta_mat)
+        q_dag = q.conj().T
+        deriv = q @ (exp_divided_differences(theta) * (q_dag @ e @ q)) @ q_dag
+        h = 1e-6
+        central = (scipy.linalg.expm(1j * (theta_mat + h * e)) - scipy.linalg.expm(1j * (theta_mat - h * e))) / (2 * h)
+        assert np.linalg.norm(deriv - central) <= 1e-8
 
     @pytest.mark.filterwarnings("error")
     def test_propagate_raises_on_nan_schedule(self):

@@ -248,13 +248,15 @@ class TestReverseGradient:
 
 
 # -- reference loops: the pulse construction with its step kernel on
-# numpy's eigh wrapper, forming H_n = sum_k v_k H_k from the structural
-# amplitudes at every step and copying each step into its batch-major tape,
-# and the backward sweep carrying U_bar itself with one g_bar einsum per row.
-# The library's forward pass must match the loop to rounding, and its
-# backward pass the loop's on the same tape to 1e-13.
+# numpy's eigh wrapper of H_n, forming H_n = sum_k v_k H_k from the structural
+# amplitudes at every step and copying each step into its batch-major tape
+# (theta = -dt eig(H_n), in the order of eig(H_n)), and the backward sweep
+# carrying U_bar itself, pairing each step's derivative with the complex
+# Q^dag H_k Q, projecting u_bar per step in renormalized mode and taking
+# g_bar with one einsum per row. The library's forward pass must match the
+# loop to rounding, and its backward pass the loop's on the same tape to 1e-13.
 
-LoopTape = namedtuple("LoopTape", "g amplitudes unitaries v c0 w q steps")
+LoopTape = namedtuple("LoopTape", "g amplitudes unitaries v c0 theta q steps")
 
 
 def _transposed_flat(hamiltonians):
@@ -289,7 +291,7 @@ def loop_construct_batch(coeff_batch, controls, n_steps, mode, basis, keep_tape=
     if keep_tape:
         units = np.empty((b, n_steps + 1, d, d), dtype=complex)
         v_n = np.empty((b, n_steps, k))
-        w_n = np.empty((b, n_steps, d))
+        theta_n = np.empty((b, n_steps, d))
         q_n = np.empty((b, n_steps, d, d), dtype=complex)
         p_n = np.empty((b, n_steps, d, d), dtype=complex)
 
@@ -311,13 +313,18 @@ def loop_construct_batch(coeff_batch, controls, n_steps, mode, basis, keep_tape=
         amps[:, n] = u
         w, q, step = loop_step_eigensystems(np.einsum("bk,kij->bij", u, hams), dt)
         if keep_tape:
-            units[:, n], v_n[:, n], w_n[:, n], q_n[:, n], p_n[:, n] = u_now, v, w, q, step
+            units[:, n], v_n[:, n], theta_n[:, n], q_n[:, n], p_n[:, n] = u_now, v, -dt * w, q, step
         u_now = step @ u_now
     tape = None
     if keep_tape:
         units[:, n_steps] = u_now
-        tape = LoopTape(g, amps, units, v_n, c0, w_n, q_n, p_n)
+        tape = LoopTape(g, amps, units, v_n, c0, theta_n, q_n, p_n)
     return amps, u_now, valid, tape
+
+
+def _dots(a, b):
+    """Row-wise a_i . b_i of two (B, K) stacks, each the 1-D ``a_i @ b_i``."""
+    return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
 def loop_backward(tape, context):
@@ -329,7 +336,7 @@ def loop_backward(tape, context):
     units = tape.unitaries[:, :-1]
     q, q_dag = tape.q, tape.q.conj().swapaxes(-1, -2)
 
-    phi = exp_divided_differences(tape.w, dt)
+    phi = -dt * exp_divided_differences(tape.theta)  # the derivative along H = Theta / (-dt)
     qu = q_dag @ units
     h_eig = q_dag[:, :, None] @ hams @ q[:, :, None]
     h_eig_t = h_eig.swapaxes(-1, -2).reshape(b, n_steps, k, d * d)
@@ -347,8 +354,8 @@ def loop_backward(tape, context):
         if renorm:
             vn = tape.v[:, n]
             if n > 0:
-                norm = np.sqrt(shooting._dots(vn, vn))
-                proj = shooting._dots(vn, a_bar) / norm
+                norm = np.sqrt(_dots(vn, vn))
+                proj = _dots(vn, a_bar) / norm
                 c0_bar += proj
                 a_bar = (tape.c0 / norm)[:, None] * (a_bar - (proj / norm)[:, None] * vn)
             else:
@@ -397,7 +404,7 @@ def as_loop_tape(tape):
     batch_major = {name: getattr(tape, name) for name in ("g", "c0")}
     step_major = {
         name: np.swapaxes(getattr(tape, name), 0, 1)
-        for name in ("amplitudes", "unitaries", "w", "q", "steps")
+        for name in ("amplitudes", "unitaries", "theta", "q", "steps")
     }
     # an energy-optimal tape keeps no v: its pulses are their structural amplitudes
     v = step_major["amplitudes"] if tape.v is None else np.swapaxes(tape.v, 0, 1)
@@ -421,14 +428,17 @@ class TestStepLoopOracle:
         for batch in (points, points[1:2]):
             _, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
             for keep_tape in (False, True):  # the checks below read the tape of the second pass
-                final, valid, tape = shooting._construct_batch(batch, controls, 12, mode, ctx.basis, keep_tape)
+                final, valid, tape = shooting._construct_batch(batch, ctx.pairings, mode, keep_tape)
                 assert rel_err(final, ref_final) <= rtol
                 assert same_bits(valid, ref_valid)
             loop_tape = as_loop_tape(tape)
             assert same_bits(loop_tape.g, ref_tape.g)
-            for name in ("amplitudes", "unitaries", "c0", "w", "steps"):
+            for name in ("amplitudes", "unitaries", "c0", "steps"):
                 assert rel_err(getattr(loop_tape, name), getattr(ref_tape, name)) <= rtol, name
-            assert rel_err(phase_aligned(loop_tape.q, ref_tape.q), ref_tape.q) <= rtol
+            # theta = eig(-dt H) ascends where the loop's -dt eig(H) descends
+            ref_theta, ref_q = ref_tape.theta[..., ::-1], ref_tape.q[..., ::-1]
+            assert rel_err(loop_tape.theta, ref_theta) <= rtol
+            assert rel_err(phase_aligned(loop_tape.q, ref_q), ref_q) <= rtol
             # energy-optimal pulses are their structural amplitudes; the tape keeps them once
             assert tape.v is None if mode == "energy_optimal" else rel_err(loop_tape.v, ref_tape.v) <= rtol
             ref = loop_backward(loop_tape, ctx)
@@ -446,7 +456,7 @@ class TestStepLoopOracle:
         points = np.random.default_rng(4).standard_normal((3, 8))
         points[1] = 0.0
         ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
-        _, valid, tape = shooting._construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis, True)
+        _, valid, tape = shooting._construct_batch(points, ctx.pairings, ctx.config.mode, True)
         assert list(valid) == list(ref[2]) == [True, False, True]
         assert rel_err(tape.amplitudes.swapaxes(0, 1), ref[0]) <= 1e-12
 
@@ -546,10 +556,10 @@ class TestOptimize:
     @pytest.mark.parametrize("mode", MODES)
     def test_report_pulse_equals_a_fresh_construction(self, mode, stop):
         # the report reuses the last forward pass; it must be the pulse of final_g.
-        # A run on QFT(2), max_iters = 300, 1-4 steps and seeds 0..31, for each
+        # A run on QFT(2), max_iters = 300, 1-8 steps and seeds 0..31, for each
         # stop reason; the line-search stops reject an evaluated rung 0, so the
         # report rebuilds at x
-        n_steps = next((n for n in (1, 2, 3, 4) if stop in qft2_stops(mode, n)), None)
+        n_steps = next((n for n in range(1, 9) if stop in qft2_stops(mode, n)), None)
         assert n_steps is not None, f"no {mode} run ends on {stop}"
         seed = qft2_stops(mode, n_steps)[stop]
         ctx = context(target="qft", mode=mode, n_steps=n_steps, seed=seed, max_iters=300)
@@ -576,7 +586,7 @@ class TestOptimize:
 
 
 class TestLockstep:
-    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..23 end on all four stop reasons
+    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..31 end on all four stop reasons
     MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 100)]
 
     @staticmethod
@@ -592,7 +602,7 @@ class TestLockstep:
     @pytest.mark.parametrize("mode,n_steps,max_iters", MIXED)
     def test_group_mixing_every_stop_reason_equals_lone_runs(self, mode, n_steps, max_iters):
         ctx = context(d=3, target="qft", mode=mode, n_steps=n_steps, max_iters=max_iters)
-        seeds = list(first_seed_by_stop(ctx, range(24)).values())  # one seed per reason found
+        seeds = list(first_seed_by_stop(ctx, range(32)).values())  # one seed per reason found
         reports = restarted_optimize(ctx, seeds)
         assert {r.stop_reason for r in reports} == set(STOP_REASONS)
         self.assert_lone(ctx, seeds, reports)
@@ -618,21 +628,21 @@ class TestLockstep:
         )
         self.assert_lone(ctx, range(4), run_restarts(ctx, range(4)))
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode,b", [("energy_optimal", 5), ("time_optimal_renormalized", 5), ("time_optimal_renormalized", 8)])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_batched_backward_rows_equal_lone_passes(self, d, mode):
+    def test_batched_backward_rows_equal_lone_passes(self, d, mode, b):
         ctx = context(d=d, target="qft", mode=mode, n_steps=12)
-        points = np.random.default_rng(d).standard_normal((5, d * d - 1))
+        points = np.random.default_rng(d).standard_normal((b, d * d - 1))
         values, tape = shooting._forward(points, ctx)
         grads = shooting._backward(tape, ctx)
-        assert grads.shape == (5, d * d - 1)
+        assert grads.shape == (b, d * d - 1)
         for i, x in enumerate(points):
             value, lone = shooting._forward(x[None], ctx)
             assert values[i] == value[0]
             assert np.array_equal(grads[i], shooting._backward(lone, ctx)[0])
         # rows gathered out of order give the same rows
         gathered = shooting._Tape.rows([(tape, 3), (lone, 0), (tape, 1)])
-        assert np.array_equal(shooting._backward(gathered, ctx), grads[[3, 4, 1]])
+        assert np.array_equal(shooting._backward(gathered, ctx), grads[[3, b - 1, 1]])
 
     def test_failed_restart_is_returned_and_raised(self):
         # a zero-envelope start: the objective is not finite at the initial point
