@@ -12,11 +12,15 @@ Gradients of the fidelity term are exact: the derivative of each step
 exponential is evaluated in the eigenbasis of its Hermitian generator
 (first-order -i dt H_k approximations visibly fail the finite-difference
 check at modest N). One forward pass, the step eigensystems and products
-L_n from ``propagation`` (``step_eigensystems``, ``accumulate``), serves
-both the objective and the gradient. The gradient contracts all steps at
-once: batched d x d products, then one flat (N, d^2) @ (d^2, K) product.
+L_n from ``propagation`` (``pulse_eigensystems``, ``accumulate``), serves
+both the objective and the gradient; for adjacent-level controls its
+eigensystems come from real ``eigh`` calls in a diagonal phase gauge. The
+gradient contracts all steps at once: batched d x d products, then one flat
+(N, d^2) @ (d^2, K) product.
 ``grape_optimize`` holds the pass of the point it evaluated last, so the
 gradient at an accepted point and the final report build no second pass.
+Its report counts the passes built, the gradients contracted and the
+curvature updates BFGS took (in memory only).
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ from .optimizer import OptimizationReport, minimize_bfgs
 from .propagation import (
     PulseSchedule,
     accumulate,
-    control_generator,
-    eigh_guard,
     exp_divided_differences,
     normalized_infidelity,
-    step_eigensystems,
+    pulse_eigensystems,
 )
 from .qudit import ControlSet, assert_unitary, tau_qsl
 
@@ -74,9 +76,7 @@ def energy_integral(schedule: PulseSchedule) -> float:
 
 def _forward_pass(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step eigensystems (theta, q) of Theta_n = -dt H_n and forward products L_0..L_N of a pulse."""
-    generators = control_generator(controls, -schedule.dt * schedule.amplitudes)  # Theta_n = -dt H_n
-    with eigh_guard():
-        theta, q, steps = step_eigensystems(generators)
+    theta, q, steps = pulse_eigensystems(controls, schedule)
     return theta, q, accumulate(steps)
 
 
@@ -180,10 +180,13 @@ def grape_optimize(
     def as_schedule(x: np.ndarray) -> PulseSchedule:
         return PulseSchedule.from_amplitudes(x.reshape(n, k))
 
+    counts = {"forward_points": 0, "backward_passes": 0}
+
     # the line search evaluates fun at the point it accepts, then asks for
     # the gradient there: both read one held forward pass, as does the report
     @_hold_last
     def held_pass(x: np.ndarray) -> tuple[PulseSchedule, tuple]:
+        counts["forward_points"] += 1
         schedule = as_schedule(x)
         return schedule, _forward_pass(controls, schedule)
 
@@ -192,6 +195,7 @@ def grape_optimize(
         return grape_objective(schedule, target, controls, config.penalty_weight, forward=passed)
 
     def grad(x: np.ndarray) -> np.ndarray:
+        counts["backward_passes"] += 1
         schedule, passed = held_pass(x)
         return grape_gradient(schedule, target, controls, config.penalty_weight, forward=passed).ravel()
 
@@ -219,4 +223,7 @@ def grape_optimize(
         seed=config.seed,
         wall_time=wall,
         stop_reason=result.stop_reason,
+        forward_points=counts["forward_points"],
+        backward_passes=counts["backward_passes"],
+        curvature_updates=result.curvature_updates,
     )

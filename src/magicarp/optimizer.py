@@ -4,8 +4,11 @@ The engine is deliberately small: the parameter spaces here are tiny (d^2-1
 or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
 first-order methods on objective-call count. The inverse-Hessian update is
-the rank-two form (``bfgs_inverse_update``), O(n^2) per iteration, which
-matters for GRAPE's N*K = 512 parameters at QFT(5) over 64 steps.
+the rank-two form (``bfgs_inverse_update``), O(n^2) per iteration and in
+place: a run owns its inverse Hessian and two (n, n) scratch buffers, and
+no update allocates an n x n array. That matters for GRAPE's N*K = 512
+parameters at QFT(5) over 64 steps, where a fresh 2 MB temporary costs
+about as much as a pass over the matrix.
 
 The loop is the generator ``bfgs_steps``: it yields evaluation requests
 and returns the result, and its arithmetic does not depend on who answers.
@@ -53,6 +56,7 @@ class MinimizeResult:
     trace: list[float]
     iterations: int
     stop_reason: str  # "tol" | "stall" | "max_iters" | "line_search"
+    curvature_updates: int  # iterations whose s.y passed the curvature floor
 
 
 @dataclass
@@ -69,9 +73,10 @@ class OptimizationReport:
     seed: int
     wall_time: float  # of the whole lockstep group for a shooting restart
     stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
-    # in memory only as well; counted by the shooting runner, 0 for GRAPE
-    forward_points: int = 0  # points constructed: single passes plus ladder rows
-    backward_passes: int = 0
+    # in memory only as well
+    forward_points: int = 0  # points whose forward pass was built, ladder rows included
+    backward_passes: int = 0  # gradients contracted
+    curvature_updates: int = 0  # MinimizeResult.curvature_updates
 
 
 def _safe_eval(fun: Callable[[np.ndarray], float], x: np.ndarray) -> float:
@@ -94,16 +99,33 @@ def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | 
     return None
 
 
-def bfgs_inverse_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The BFGS inverse-Hessian update (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T.
+def bfgs_inverse_update(
+    h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, work: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """The BFGS inverse-Hessian update (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T, in place.
 
     With rho = 1 / (s.y) and H symmetric it expands to the rank-two form
-    H + (rho^2 y.Hy + rho) s s^T - rho (Hy s^T + s (Hy)^T), which costs
-    O(n^2) and keeps H exactly symmetric.
+    H + s w^T + w s^T with w = (rho^2 y.Hy + rho)/2 s - rho Hy, which costs
+    O(n^2). ``work`` is two (n, n) scratch buffers, so the update allocates
+    no n x n array. Entry (i, j) of s w^T + w s^T is s_i w_j + w_i s_j, and
+    entry (j, i) adds the same two products in the other order, so the sum
+    is symmetric bit for bit and a symmetric H stays exactly symmetric. It
+    equals s w^T + (s w^T)^T bit for bit without reading a transposed array.
     """
+    sw, ws = work
     rho = 1.0 / float(s @ y)
     hy = h_inv @ y
-    return h_inv + ((rho * rho * float(y @ hy) + rho) * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy)))
+    w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
+    w -= rho * hy
+    np.outer(s, w, out=sw)
+    np.outer(w, s, out=ws)
+    ws += sw
+    h_inv += ws
+
+
+def _set_scaled_identity(h: np.ndarray, scale: float) -> None:
+    h.fill(0.0)
+    np.fill_diagonal(h, scale)
 
 
 def bfgs_steps(
@@ -132,6 +154,8 @@ def bfgs_steps(
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
     h_inv = np.eye(n)
+    work = (np.empty((n, n)), np.empty((n, n)))
+    updates = 0
     first_update = True
     g = None
     stop = "max_iters"
@@ -141,10 +165,10 @@ def bfgs_steps(
             break
         if g is None:
             g = np.asarray((yield ("grad", x)), dtype=float)
-        p = -h_inv @ g
+        p = -(h_inv @ g)  # negating the product, not h_inv, which would copy it
         gp = float(g @ p)
         if gp >= 0.0:
-            h_inv = np.eye(n)
+            _set_scaled_identity(h_inv, 1.0)
             first_update = True
             p = -g
             gp = float(g @ p)
@@ -179,9 +203,10 @@ def bfgs_steps(
         sy = float(s @ y)
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             if first_update:
-                h_inv = (sy / float(y @ y)) * np.eye(n)
+                _set_scaled_identity(h_inv, sy / float(y @ y))
                 first_update = False
-            h_inv = bfgs_inverse_update(h_inv, s, y)
+            bfgs_inverse_update(h_inv, s, y, work)
+            updates += 1
         x, f, g = x_new, f_new, g_new
         trace.append(f)
 
@@ -193,7 +218,9 @@ def bfgs_steps(
 
     if f <= tol:
         stop = "tol"
-    return MinimizeResult(x=x, fun=f, trace=trace, iterations=len(trace) - 1, stop_reason=stop)
+    return MinimizeResult(
+        x=x, fun=f, trace=trace, iterations=len(trace) - 1, stop_reason=stop, curvature_updates=updates
+    )
 
 
 def minimize_bfgs(

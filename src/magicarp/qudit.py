@@ -159,11 +159,20 @@ class AdjointMatrix:
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Ordered traceless Hermitian control Hamiltonians plus the drive bound."""
+    """Ordered traceless Hermitian control Hamiltonians plus the drive bound.
+
+    ``tridiagonal`` records once whether every control is zero off the
+    tridiagonal band (true of adjacent-level sets); the step kernel of whole
+    pulses then builds each step generator from ``superdiagonal`` and
+    ``diagonal`` alone.
+    """
 
     dim: int
     hamiltonians: np.ndarray = field(repr=False)  # (K, d, d)
     omega_max: float = 1.0
+    tridiagonal: bool = field(init=False, repr=False, compare=False)
+    superdiagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d-1): H_k[j, j+1]
+    diagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d): H_k[j, j], real
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonians, dtype=complex)
@@ -176,6 +185,11 @@ class ControlSet:
         if not self.omega_max > 0:
             raise ValueError("omega_max must be positive")
         object.__setattr__(self, "hamiltonians", h)
+        levels = np.arange(self.dim)
+        off_band = np.abs(levels[:, None] - levels[None, :]) > 1
+        object.__setattr__(self, "tridiagonal", not np.any(h[:, off_band]))
+        object.__setattr__(self, "superdiagonal", np.ascontiguousarray(np.diagonal(h, 1, 1, 2)))
+        object.__setattr__(self, "diagonal", np.ascontiguousarray(np.diagonal(h, 0, 1, 2).real))
 
     @property
     def n_controls(self) -> int:

@@ -668,6 +668,7 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
                 stop_reason=result.stop_reason,
                 forward_points=run.forward_points,
                 backward_passes=run.backward_passes,
+                curvature_updates=result.curvature_updates,
             )
         )
     return outcomes

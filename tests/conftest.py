@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from magicarp.qudit import ControlSet, nearest_neighbor_control_set
+
 # numpy >= 1.25 keeps it in numpy.exceptions, numpy 1.24 at the top level
 COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
 
@@ -24,6 +26,28 @@ def random_traceless_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = 0.5 * (z + z.conj().T)
     return h - np.trace(h) / d * np.eye(d)
+
+
+# the three kinds of control set the whole-pulse step kernel tells apart
+KERNEL_SETS = ("zero_pair", "detuned", "dense")
+
+
+def kernel_case(name: str, d: int, rng: np.random.Generator, n_steps: int) -> tuple[ControlSet, np.ndarray]:
+    """A control set and (n_steps, K) amplitudes: adjacent-level controls whose
+    last pair is driven with amplitudes exactly 0 (a zero superdiagonal entry),
+    adjacent-level controls plus a real diagonal (detuning) control, both
+    tridiagonal, or three dense random controls."""
+    adjacent = nearest_neighbor_control_set(d)
+    if name == "zero_pair":
+        amplitudes = 3.0 * rng.standard_normal((n_steps, adjacent.n_controls))
+        amplitudes[:, -2:] = 0.0
+        return adjacent, amplitudes
+    if name == "detuned":
+        detuning = np.diag(np.arange(d) - (d - 1) / 2.0).astype(complex)
+        controls = ControlSet(dim=d, hamiltonians=np.concatenate([adjacent.hamiltonians, detuning[None]]))
+    else:
+        controls = ControlSet(dim=d, hamiltonians=np.stack([random_traceless_hermitian(rng, d) for _ in range(3)]))
+    return controls, 3.0 * rng.standard_normal((n_steps, controls.n_controls))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -14,12 +14,13 @@ from magicarp.grape import (
 from magicarp.propagation import (
     PulseSchedule,
     control_generator,
+    eigh_guard,
     exp_divided_differences,
     step_eigensystems,
 )
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
 
-from conftest import random_unitary
+from conftest import KERNEL_SETS, kernel_case, random_unitary
 
 
 def zero_schedule(n, k):
@@ -99,9 +100,9 @@ class TestEighFailure:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call", [grape_objective, grape_gradient])
     def test_inf_schedule_raises_linalg_error(self, call):
-        # forming H = sum_k u_k H_k from inf amplitudes warns before eigh runs
+        # forming the step generators from inf amplitudes warns before eigh runs
         ctrl = nearest_neighbor_control_set(4)
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in dot"):
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
             with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
                 call(filled_schedule(8, ctrl.n_controls, np.inf), target_gate("qft", 4), ctrl)
 
@@ -167,6 +168,69 @@ class TestGrapeGradient:
         assert np.allclose(p2, 2.0 * p1, rtol=1e-12)
         expected = 2.0 * w * (1.0 / 6) * amps / tau_qsl(2)
         assert np.allclose(p1, expected, rtol=1e-12)
+
+
+def central_difference_gradient(schedule, target, controls, weight, h=1e-5):
+    amps = schedule.amplitudes
+    numeric = np.zeros_like(amps)
+    for index in np.ndindex(amps.shape):
+        up, dn = amps.copy(), amps.copy()
+        up[index] += h
+        dn[index] -= h
+        numeric[index] = (
+            grape_objective(PulseSchedule.from_amplitudes(up), target, controls, weight)
+            - grape_objective(PulseSchedule.from_amplitudes(dn), target, controls, weight)
+        ) / (2 * h)
+    return numeric
+
+
+class TestGaugeKernel:
+    """Tridiagonal control sets take the real-gauge kernel; the complex kernel is the oracle."""
+
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("weight", [0.0, 0.4])
+    def test_gradient_equals_the_complex_kernel_loop_to_1e_13(self, rng, name, d, weight):
+        target = random_unitary(rng, d)
+        for n in (1, 9, 64):
+            controls, amplitudes = kernel_case(name, d, rng, n)
+            s = PulseSchedule.from_amplitudes(amplitudes)
+            loop = loop_grape_gradient(s, target, controls, weight)
+            gap = np.max(np.abs(grape_gradient(s, target, controls, weight) - loop))
+            assert gap <= 1e-13 * max(1.0, np.max(np.abs(loop)))
+
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    def test_gradient_matches_central_differences(self, rng, name):
+        target = target_gate("qft", 3)
+        for weight in (0.0, 0.05):
+            controls, amplitudes = kernel_case(name, 3, rng, 6)
+            s = PulseSchedule.from_amplitudes(amplitudes / 3.0)
+            analytic = grape_gradient(s, target, controls, weight)
+            numeric = central_difference_gradient(s, target, controls, weight)
+            assert np.max(np.abs(analytic - numeric)) <= 1e-6 * max(np.max(np.abs(numeric)), 1e-12)
+
+    def test_dense_run_equals_the_complex_kernel_run_bitwise(self, monkeypatch, rng):
+        # a dense set's forward pass is the complex kernel on the formed
+        # generators, then the plain loop of step products
+        controls, _ = kernel_case("dense", 3, rng, 1)
+        target, cfg = target_gate("qft", 3), GrapeConfig(n_steps=12, max_iters=150, penalty_weight=0.05, seed=4)
+        run = grape_optimize(target, controls, cfg)
+
+        def complex_forward_pass(controls, schedule):
+            with eigh_guard():
+                theta, q, steps = step_eigensystems(control_generator(controls, -schedule.dt * schedule.amplitudes))
+            fwd = np.empty((schedule.n_steps + 1, 3, 3), dtype=complex)
+            fwd[0] = np.eye(3)
+            for i, step in enumerate(steps):
+                fwd[i + 1] = step @ fwd[i]
+            return theta, q, fwd
+
+        monkeypatch.setattr(grape, "_forward_pass", complex_forward_pass)
+        ref = grape_optimize(target, controls, cfg)
+        assert run.iterations > 10
+        assert np.array_equal(run.cost_trace, ref.cost_trace)
+        assert np.array_equal(run.final_schedule.amplitudes, ref.final_schedule.amplitudes)
+        assert (run.infidelity, run.stop_reason) == (ref.infidelity, ref.stop_reason)
 
 
 class TestGrapeOptimize:
@@ -272,26 +336,37 @@ class TestHeldPass:
         "d,n_steps,max_iters,stop", [(3, 16, 500, "tol"), (3, 16, 5, "max_iters"), (3, 2, 300, "stall")]
     )
     def test_one_forward_pass_per_evaluated_point(self, monkeypatch, d, n_steps, max_iters, stop):
-        passes = self.count(monkeypatch, "step_eigensystems")
+        # the first seed whose run ends on ``stop``: rounding decides which
+        # plateau runs stall and which end on a failed line search
+        target, ctrl = target_gate("qft", d), nearest_neighbor_control_set(d)
+        configs = (GrapeConfig(n_steps=n_steps, max_iters=max_iters, seed=seed) for seed in range(16))
+        cfg = next(cfg for cfg in configs if grape_optimize(target, ctrl, cfg).stop_reason == stop)
+        passes = self.count(monkeypatch, "pulse_eigensystems")
         points = self.count(monkeypatch, "grape_objective")
         gradients = self.count(monkeypatch, "grape_gradient")
-        cfg = GrapeConfig(n_steps=n_steps, max_iters=max_iters, seed=0)
-        report = grape_optimize(target_gate("qft", d), nearest_neighbor_control_set(d), cfg)
+        updates = []
+        real_update = optimizer.bfgs_inverse_update
+        monkeypatch.setattr(optimizer, "bfgs_inverse_update", lambda *args: updates.append(real_update(*args)))
+        report = grape_optimize(target, ctrl, cfg)
         assert report.stop_reason == stop
         # the gradients and the report read the pass of the point fun evaluated last
         assert len(gradients) == report.iterations + 1
         assert len(passes) == self.new_points(points)
+        # the report counts the same work
+        assert (report.forward_points, report.backward_passes) == (len(passes), len(gradients))
+        assert report.curvature_updates == len(updates)
 
     def test_line_search_stop_rebuilds_the_report_pass(self, monkeypatch):
         # one rung per line search: a rejected rung 0 ends the run after the
         # last accepted point, so the report builds that point's pass again
-        passes = self.count(monkeypatch, "step_eigensystems")
+        passes = self.count(monkeypatch, "pulse_eigensystems")
         points = self.count(monkeypatch, "grape_objective")
         monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 1)
         cfg = GrapeConfig(n_steps=16, max_iters=500, seed=0)
         report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
         assert report.stop_reason == "line_search"
         assert len(passes) == self.new_points(points) + 1
+        assert report.forward_points == len(passes)
         final = grape_objective(report.final_schedule, target_gate("qft", 3), nearest_neighbor_control_set(3))
         assert report.infidelity == final == report.cost_trace[-1]
 

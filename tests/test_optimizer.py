@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ class TestMinimizeBfgs:
         assert res.stop_reason == "tol"
         assert res.fun <= 1e-12
         assert np.allclose(res.x, [1.0, -2.0, 3.0], atol=1e-6)
+        # s.y = 2 |s|^2 > 0: every accepted step updates the curvature
+        assert res.curvature_updates == res.iterations >= 1
 
     def test_rosenbrock_converges(self):
         res = minimize_bfgs(
@@ -203,7 +207,25 @@ class TestInverseUpdate:
             s, y = rng.standard_normal(n), rng.standard_normal(n)
             if s @ y <= 0:
                 y = -y
-            h_new = bfgs_inverse_update(h_inv, s, y)
+            h_new = h_inv.copy()
+            bfgs_inverse_update(h_new, s, y, (np.empty((n, n)), np.empty((n, n))))
             ref = product_form_update(h_inv, s, y)
             assert np.linalg.norm(h_new - ref) <= 1e-13 * np.linalg.norm(ref)
             assert np.array_equal(h_new, h_new.T)
+
+    def test_allocates_no_n_by_n_array(self, rng):
+        # numpy reports its buffers to tracemalloc: the update's peak stays
+        # below one (n, n) float array
+        n = 512
+        h_inv, work = np.eye(n), (np.empty((n, n)), np.empty((n, n)))
+        s, y = rng.standard_normal(n), rng.standard_normal(n)
+        if s @ y <= 0:
+            y = -y
+        tracemalloc.start()
+        try:
+            bfgs_inverse_update(h_inv, s, y, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert not np.array_equal(h_inv, np.eye(n))

@@ -17,6 +17,7 @@ from magicarp.propagation import (
     gate_fidelity,
     normalized_infidelity,
     propagate,
+    pulse_eigensystems,
     schedule_from_csv,
     schedule_to_csv,
     step_eigensystems,
@@ -27,7 +28,7 @@ from magicarp.propagation import (
 )
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, unitarity_defect
 
-from conftest import random_traceless_hermitian, random_unitary, same_bits
+from conftest import KERNEL_SETS, kernel_case, random_traceless_hermitian, random_unitary, same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -128,6 +129,48 @@ class TestStepEigensystems:
         theta = np.full((2, 4, 4), value, dtype=complex)
         with eigh_guard(), pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
             step_eigensystems(theta, out=step_out(theta.shape), work=step_work(theta.shape))
+
+
+class TestPulseEigensystems:
+    @staticmethod
+    def complex_kernel(controls, schedule):
+        """The complex kernel on the formed Theta_n = -dt H_n: the oracle of the gauge path."""
+        with eigh_guard():
+            return step_eigensystems(control_generator(controls, -schedule.dt * schedule.amplitudes))
+
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_equals_the_complex_kernel_to_1e_13(self, rng, name, d):
+        controls, amplitudes = kernel_case(name, d, rng, 24)
+        schedule = PulseSchedule.from_amplitudes(amplitudes)
+        theta, q, steps = pulse_eigensystems(controls, schedule)
+        theta_ref, _, steps_ref = self.complex_kernel(controls, schedule)
+        generators = control_generator(controls, -schedule.dt * amplitudes)
+        assert np.max(np.abs(theta - theta_ref)) <= 1e-13
+        assert np.max(np.abs(steps - steps_ref)) <= 1e-13
+        # q diagonalizes Theta_n, whichever phase each eigenvector takes
+        q_dag = q.conj().swapaxes(-1, -2)
+        assert np.max(np.abs((q * theta[:, None, :]) @ q_dag - generators)) <= 1e-13
+        assert np.max(np.abs(q_dag @ q - np.eye(d))) <= 1e-13
+
+    def test_dense_sets_take_the_complex_kernel_bitwise(self, rng):
+        controls, amplitudes = kernel_case("dense", 4, rng, 16)
+        schedule = PulseSchedule.from_amplitudes(amplitudes)
+        got, ref = pulse_eigensystems(controls, schedule), self.complex_kernel(controls, schedule)
+        for a, b in zip(got, ref):
+            assert same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+    def test_zero_superdiagonal_splits_the_gauge(self, rng):
+        # with the last pair undriven, T splits into blocks: the top-left
+        # block evolves alone and the last level stays put
+        controls, amplitudes = kernel_case("zero_pair", 4, rng, 8)
+        _, _, steps = pulse_eigensystems(controls, PulseSchedule.from_amplitudes(amplitudes))
+        assert np.all(steps[:, 3, :3] == 0) and np.all(steps[:, :3, 3] == 0)
+        assert np.max(np.abs(steps[:, 3, 3] - 1)) <= 1e-15
+
+    def test_control_count_mismatch(self):
+        with pytest.raises(ValueError, match="controls"):
+            pulse_eigensystems(nearest_neighbor_control_set(3), zero_schedule(4, 3))
 
 
 class TestExpDividedDifferences:
@@ -242,6 +285,17 @@ class TestAccumulate:
             assert products.shape == (5, 3, 3)
             assert np.array_equal(products[0], x0)
             assert np.array_equal(products[4], steps[3] @ (steps[2] @ (steps[1] @ (steps[0] @ x0))))
+
+
+    def test_equals_the_step_loop_bitwise(self, rng):
+        steps = np.stack([random_unitary(rng, 5) for _ in range(64)])
+        start = random_unitary(rng, 5)
+        for begin, x0 in ((None, np.eye(5, dtype=complex)), (start, start)):
+            ref = np.empty((65, 5, 5), dtype=complex)
+            ref[0] = x0
+            for i in range(64):
+                ref[i + 1] = steps[i] @ ref[i]
+            assert same_bits(accumulate(steps, begin), ref)
 
 
 class TestGateFidelity:

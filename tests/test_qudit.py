@@ -15,7 +15,7 @@ from magicarp.qudit import (
     trace_inner,
 )
 
-from conftest import random_traceless_hermitian, random_unitary
+from conftest import KERNEL_SETS, kernel_case, random_traceless_hermitian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -201,6 +201,21 @@ class TestControlSet:
         cs = ControlSet(dim=2, hamiltonians=np.stack([drift]))
         h = cs.hamiltonians[0]
         assert np.linalg.norm(h - h.conj().T) == 0.0
+
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_tridiagonal_maps(self, rng, d):
+        from magicarp.qudit import ControlSet
+
+        for name in KERNEL_SETS:
+            cs, _ = kernel_case(name, d, rng, 1)
+            assert cs.tridiagonal == (name != "dense" or d == 2)  # every 2 x 2 matrix is tridiagonal
+            for h, sup, diag in zip(cs.hamiltonians, cs.superdiagonal, cs.diagonal):
+                assert np.array_equal(sup, [h[j, j + 1] for j in range(d - 1)])
+                assert np.array_equal(diag, np.diagonal(h).real) and diag.dtype == float
+        corner = np.zeros((d, d), dtype=complex)
+        corner[0, -1] = corner[-1, 0] = 1.0
+        assert ControlSet(dim=d, hamiltonians=corner[None]).tridiagonal == (d == 2)
 
 
 class TestMatrixHelpers:
