@@ -18,7 +18,6 @@ from .propagation import (
     normalized_infidelity,
     propagate,
     read_schedule_csv,
-    step_unitary,
     verify_adjoint_constancy,
     write_schedule_csv,
 )
@@ -37,7 +36,6 @@ from .shooting import (
     DegenerateEnvelopeError,
     MagicarpConfig,
     ShootingContext,
-    gradient,
     objective,
     optimality_certificate,
     optimize,
@@ -65,7 +63,6 @@ __all__ = [
     "derive_seed",
     "gate_fidelity",
     "generalized_pauli_pair",
-    "gradient",
     "grape_gradient",
     "grape_objective",
     "grape_optimize",
@@ -81,7 +78,6 @@ __all__ = [
     "restarted_optimize",
     "reverse_gradient",
     "run_campaign",
-    "step_unitary",
     "target_gate",
     "tau_qsl",
     "trace_inner",

@@ -86,9 +86,10 @@ def _run_group(args: tuple[BenchmarkSpec, int, range]) -> list[BenchmarkRecord]:
 
     The group's restarts run in lockstep (``run_restarts``), and each record
     is bitwise the one its cell gives alone. A restart that ends in a
-    numerical or runtime error (np.linalg.LinAlgError is a ValueError,
-    ProbeFailure a RuntimeError) becomes an ``inf`` record; the spec checked
-    the input, and a programming error such as a TypeError propagates.
+    numerical or runtime error (a ValueError, such as np.linalg.LinAlgError
+    or a degenerate envelope at the initial point, or a RuntimeError)
+    becomes an ``inf`` record; the spec checked the input, and a programming
+    error such as a TypeError propagates.
     """
     spec, dim, run_indices = args
     seeds = [derive_seed(spec.base_seed, dim, i) for i in run_indices]

@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "grape":
             return cmd_grape(cfg, args.out)
         if args.command == "benchmark":
-            workers = args.workers if args.workers else (os.cpu_count() or 1)
+            workers = (os.cpu_count() or 1) if args.workers is None else args.workers
             if workers < 1:
                 raise ConfigError("--workers must be >= 1")
             return cmd_benchmark(cfg, args.out, workers)

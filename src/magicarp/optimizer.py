@@ -17,14 +17,14 @@ module's lockstep runner drives many runs and answers their requests in
 batches, and each run still follows the iterates it would follow alone.
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
-trace, and stop reason are reproducible bitwise. With batched evaluation
-the line search is a lazy ladder of doubling blocks: rung 0 (the full step)
-alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and 16-29, each block
-asked for only if every rung before it failed the Armijo test. Most wide
-ladders accept rung 2 or 3, so a rejection costs a few rows, not 28. It
-picks the largest step satisfying the Armijo test, which accepts exactly the
-same step a sequential backtracking loop would. Without batched evaluation
-(GRAPE) the ladder is that sequential loop.
+trace, and stop reason are reproducible bitwise. The line search is one
+ladder loop over blocks of Armijo rungs, each block asked for only if every
+rung before it failed the test. With batched evaluation the blocks double:
+rung 0 (the full step) alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15
+and 16-29 (``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a
+rejection costs a few rows, not 28. Without it (GRAPE) every block is one
+rung, which is a sequential backtracking loop. Either way the ladder picks
+the largest step that passes the Armijo test, so both accept the same step.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ MAX_BACKTRACKS = 30
 LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # batched ladder blocks: rungs [0], [1], [2, 3], ... [16, 29]
 STALL_WINDOW = 25
 CURVATURE_FLOOR = 1e-12
-
-
-class ProbeFailure(RuntimeError):
-    """Raised by an objective to abort a single line-search probe."""
 
 
 @dataclass
@@ -77,18 +73,6 @@ class OptimizationReport:
     forward_points: int = 0  # points whose forward pass was built, ladder rows included
     backward_passes: int = 0  # gradients contracted
     curvature_updates: int = 0  # MinimizeResult.curvature_updates
-
-
-def _safe_eval(fun: Callable[[np.ndarray], float], x: np.ndarray) -> float:
-    try:
-        return float(fun(x))
-    except ProbeFailure:
-        return np.inf
-
-
-def _finite(value) -> float:
-    value = float(value)
-    return value if np.isfinite(value) else np.inf
 
 
 def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | None:
@@ -138,18 +122,19 @@ def bfgs_steps(
 ) -> Generator[tuple[str, np.ndarray], object, MinimizeResult]:
     """The BFGS loop as a generator: it yields evaluation requests and returns the result.
 
-    A request is ``("fun", x)``, answered with the objective at x (a probe
-    failure as +inf), ``("values", xs)``, answered with the objective at each
-    row of a (B, n) stack, or ``("grad", x)``, answered with the gradient.
-    The arithmetic is the same whoever answers, so a run's iterates depend
-    only on the replies. With ``batched`` the line search asks for ``values``
-    block by block (``LADDER_EDGES``: rung 0, rung 1, rungs 2-3, 4-7, 8-15,
-    16-29), stopping at the first block with an accepted rung; otherwise it
-    asks for ``fun`` rung by rung.
+    A request is ``("values", xs)``, answered with the objective at each row
+    of a (B, n) stack (+inf where it is undefined), or ``("grad", x)``,
+    answered with the gradient. The initial value is a one-row ``values``
+    request. The arithmetic is the same whoever answers, so a run's iterates
+    depend only on the replies. The line search asks for its rungs block by
+    block, stopping at the first block with an accepted rung: with
+    ``batched`` the blocks are ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3,
+    4-7, 8-15, 16-29), otherwise one rung each.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    f = _finite((yield ("fun", x)))
+    edges = LADDER_EDGES if batched else range(MAX_BACKTRACKS + 1)
+    f = float((yield ("values", x[None, :]))[0])
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
@@ -179,18 +164,12 @@ def bfgs_steps(
         alpha0 = min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
         accepted = None
-        if batched:
-            for lo, hi in zip(LADDER_EDGES[:-1], LADDER_EDGES[1:]):
-                rungs = alphas[lo:hi]
-                values = yield ("values", x[None, :] + rungs[:, None] * p[None, :])
-                accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
-                if accepted is not None:
-                    break
-        else:
-            for alpha in alphas:
-                accepted = _first_armijo((alpha,), (_finite((yield ("fun", x + alpha * p))),), f, gp)
-                if accepted is not None:
-                    break
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rungs = alphas[lo:hi]
+            values = yield ("values", x[None, :] + rungs[:, None] * p[None, :])
+            accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
+            if accepted is not None:
+                break
         if accepted is None:
             stop = "line_search"
             break
@@ -237,19 +216,16 @@ def minimize_bfgs(
 
     Drives one ``bfgs_steps`` run. ``grad`` supplies the gradient (analytic
     or finite-difference, the caller decides). ``batch_fun``, if given,
-    evaluates a (B, n) stack of points in one call and is used for the
-    line-search ladder.
+    evaluates a (B, n) stack of points in one call and answers every value
+    request, batching the line-search ladder; otherwise ``fun`` is called on
+    each row in turn.
     """
     steps = bfgs_steps(x0, tol=tol, max_iters=max_iters, stall_tol=stall_tol, batched=batch_fun is not None)
+    values = batch_fun if batch_fun is not None else lambda xs: [fun(x) for x in xs]
     reply = None
     while True:
         try:
             kind, x = steps.send(reply)
         except StopIteration as done:
             return done.value
-        if kind == "fun":
-            reply = _safe_eval(fun, x)
-        elif kind == "values":
-            reply = batch_fun(x)
-        else:
-            reply = grad(x)
+        reply = values(x) if kind == "values" else grad(x)

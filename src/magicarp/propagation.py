@@ -18,9 +18,10 @@ a failed ``eigh`` raises ``np.linalg.LinAlgError``. ``exp_divided_differences``
 on the same theta gives the exact derivative of each step exponential.
 
 ``pulse_eigensystems`` runs the kernel over a whole pulse, for GRAPE's
-forward pass and ``propagate``. When every control is tridiagonal it calls
-``eigh`` on real symmetric matrices in a diagonal phase gauge, about 1.5x
-cheaper than complex ``eigh`` on a batch of 64 steps at d = 5. The shooting
+forward pass, ``propagate`` and ``verify_adjoint_constancy``. When every
+control is tridiagonal it calls ``eigh`` on real symmetric matrices in a
+diagonal phase gauge, about 1.5x cheaper than complex ``eigh`` on a batch
+of 64 steps at d = 5. The shooting
 construction keeps the complex kernel: it exponentiates one step at a time
 for at most 32 restarts, where forming the gauge costs more numpy calls
 than the real ``eigh`` saves.
@@ -216,29 +217,12 @@ def pulse_eigensystems(controls: ControlSet, schedule: PulseSchedule) -> tuple[n
     return i_theta.imag, q, steps
 
 
-def expm_ihermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) for Hermitian H via eigendecomposition; exactly unitary
-    up to rounding. Accepts a stack (..., d, d) and exponentiates each."""
-    with eigh_guard():
-        return step_eigensystems(-dt * h)[2]
-
-
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:
     """H(u) = sum_k u_k H_k. Batched over leading amplitude axes."""
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape[-1] != controls.n_controls:
         raise ValueError(f"amplitudes have {amplitudes.shape[-1]} controls, control set has {controls.n_controls}")
     return np.tensordot(amplitudes, controls.hamiltonians, axes=([-1], [0]))
-
-
-def step_unitary(controls: ControlSet, amplitudes_at_step: np.ndarray, dt: float) -> np.ndarray:
-    """Single-step propagator exp(-i dt sum_k u_k H_k)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    amplitudes_at_step = np.asarray(amplitudes_at_step, dtype=float)
-    if not np.all(np.isfinite(amplitudes_at_step)):
-        raise ValueError("amplitudes must be finite")
-    return expm_ihermitian(control_generator(controls, amplitudes_at_step), dt)
 
 
 def accumulate(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -278,14 +262,14 @@ def verify_adjoint_constancy(
 ) -> float:
     """Max deviation of the integrated costate from U(t) @ (i g).
 
-    Integrates lambda' = -i H(t) lambda from lambda(0) = i g with the same
-    step exponentials as the propagator and returns
+    Integrates lambda' = -i H(t) lambda from lambda(0) = i g with the
+    propagator's step exponentials (``pulse_eigensystems``) and returns
     max_n || lambda(n dt) - U(n dt) i g ||_F; the two sides associate the
     same step products differently.
     """
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
-    steps = expm_ihermitian(control_generator(controls, schedule.amplitudes), schedule.dt)
+    _, _, steps = pulse_eigensystems(controls, schedule)
     lam0 = 1j * g.to_matrix()
     drift = accumulate(steps, start=lam0)[1:] - accumulate(steps)[1:] @ lam0
     return max([0.0] + [float(np.linalg.norm(r)) for r in drift])
@@ -344,6 +328,8 @@ def schedule_from_csv(text: str) -> PulseSchedule:
         if step != i:
             raise ValueError(f"schedule row {i} has step index {step}")
         rows.append(values)
+    if not rows:
+        raise ValueError("schedule has no rows")
     return PulseSchedule.from_amplitudes(np.array(rows))
 
 

@@ -39,9 +39,7 @@ carries the renormalization onto v_n; then through the feedback
 v_n(U_n g U_n^dag) onto U_n, in one block product that also advances the
 cotangent. The envelope's cotangent c0_bar and the cotangent of g are each
 one contraction over all steps after the sweep. Both passes take a batch of
-B points, and each row is bitwise the row of its point computed alone. The
-central-difference ``gradient`` (2(d^2-1) objective evaluations) is kept as
-the test reference.
+B points, and each row is bitwise the row of its point computed alone.
 
 ``run_restarts`` is the one restart runner: it runs the BFGS generators
 (``optimizer.bfgs_steps``) of several restarts in lockstep and answers
@@ -62,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimizer import MinimizeResult, OptimizationReport, ProbeFailure, bfgs_steps
+from .optimizer import MinimizeResult, OptimizationReport, bfgs_steps
 from .propagation import (
     PropagationResult,
     PulseSchedule,
@@ -76,22 +74,13 @@ from .propagation import (
 from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
 
 ENVELOPE_FLOOR = 1e-14
-FD_STEP = 1e-6  # step of the central-difference reference ``gradient``
 LOCKSTEP_WIDTH = 32  # most restarts one lockstep group runs; bounds its tapes' memory
 
 MODES = ("energy_optimal", "time_optimal_renormalized")
 
 
-class DegenerateEnvelopeError(ProbeFailure):
+class DegenerateEnvelopeError(RuntimeError):
     """Structural prediction vanished at some step in renormalized mode."""
-
-
-class GradientProbeError(RuntimeError):
-    """A finite-difference probe produced a non-finite objective."""
-
-    def __init__(self, message: str, coeffs: np.ndarray):
-        super().__init__(message)
-        self.coeffs = coeffs
 
 
 @dataclass(frozen=True)
@@ -369,26 +358,6 @@ def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
     return float(value)
 
 
-def gradient(
-    g_coeffs: np.ndarray, context: ShootingContext, step: float = FD_STEP
-) -> np.ndarray:
-    """Central-difference gradient, exactly 2(d^2-1) objective evaluations.
-
-    The reference for ``reverse_gradient``; ``optimize`` does not use it.
-    """
-    g_coeffs = np.asarray(g_coeffs, dtype=float)
-    m = g_coeffs.size
-    probes = np.vstack([g_coeffs + step * np.eye(m), g_coeffs - step * np.eye(m)])
-    values = batch_objective(probes, context)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise GradientProbeError(
-            f"objective not finite at finite-difference probe {idx}", probes[idx]
-        )
-    return (values[:m] - values[m:]) / (2.0 * step)
-
-
 def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
     """Objective values (+inf for a degenerate envelope) and the tape of a (B, d^2-1) stack."""
     u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode, True)
@@ -633,9 +602,8 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
                 kind = run.request[0]
                 if kind == "pulse":
                     run.request = None
-                elif kind != "grad":
-                    value = run.held[0]
-                    run.reply(value if kind == "fun" else np.array([value]))
+                elif kind == "values":
+                    run.reply(np.array([run.held[0]]))
         # (B) wider ladders
         _serve([run for run in live if run.request and run.point is None], ladders, answer_ladder)
         # (C) gradients at held points

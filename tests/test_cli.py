@@ -260,6 +260,36 @@ class TestBenchmarkCommand:
         assert "error: magicarp.init_coeffs: expected 8 coefficients for d = 3, got 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_cells)
+        rc = main(["benchmark", "--out", str(tmp_path / "bench"), "--workers", workers])
+        assert rc == EXIT_INVALID
+        assert "error: --workers must be >= 1" in capsys.readouterr().err
+
+    def test_best_row_replays_with_optimize(self, tmp_path):
+        # the Hadamard recipe: a campaign, then `optimize --seed` on the seed of
+        # its minimal-duration converged row reproduces that row bit for bit
+        from magicarp.bench import read_records_csv
+
+        magicarp = dict(FAST_MAGICARP, mode="time_optimal_renormalized")
+        bench = {"dims": [2], "runs_per_dim": 4, "target": "hadamard", "base_seed": 11}
+        cfg = write_config(tmp_path, {"dim": 2, "target": "hadamard", "magicarp": magicarp, "benchmark": bench})
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "bench"), "--workers", "1"]) == EXIT_OK
+        converged = [r for r in read_records_csv(tmp_path / "bench" / "records.csv") if r.converged]
+        best = min(converged, key=lambda r: r.duration_qsl)
+        out = tmp_path / "replay"
+        assert main(["optimize", "--config", cfg, "--seed", str(best.seed), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert (report["duration"], report["infidelity"], report["iterations"]) == (
+            best.duration_omega,
+            best.infidelity,
+            best.iterations,
+        )
+
     def test_deterministic_across_workers(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -302,6 +332,13 @@ class TestCertifyCommand:
 
     def test_missing_schedule_exits_2(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.csv")]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_header_only_schedule_exits_2_with_the_reason(self, tmp_path, capsys, command):
+        path = tmp_path / "header.csv"
+        path.write_text("step,t,u_0,u_1,envelope\n", encoding="utf-8")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert "error: schedule has no rows" in capsys.readouterr().err
 
 
 class TestBlochCommand:

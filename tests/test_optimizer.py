@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicarp.optimizer import ProbeFailure, bfgs_inverse_update, minimize_bfgs
+from magicarp.optimizer import MAX_BACKTRACKS, bfgs_inverse_update, bfgs_steps, minimize_bfgs
 
 
 def quadratic(center):
@@ -79,12 +79,12 @@ class TestMinimizeBfgs:
             minimize_bfgs(fun, lambda x: x, np.zeros(2), tol=1e-8, max_iters=10)
 
     def test_probe_failure_aborts_probe_not_run(self):
-        # objective undefined (raises) on a half-space: line search backs off
+        # objective undefined (+inf) on a half-space: line search backs off
         center = np.array([0.5, 0.5])
 
         def fun(x):
             if np.any(x > 1.0):
-                raise ProbeFailure("out of domain")
+                return np.inf
             return float(np.sum((x - center) ** 2))
 
         def grad(x):
@@ -120,16 +120,17 @@ class TestMinimizeBfgs:
 
         res = minimize_bfgs(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch)
         assert res.fun == 0.0
-        assert sizes == [1]
+        assert sizes == [1, 1]  # the initial value, then rung 0
 
     def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
         # rung 1 is tested alone; only when it fails too come rungs 2-3, then 4-7, 8-15, 16-29
+        # (the first call is the initial value)
         center = np.array([0.03, -0.02])
 
         def fun(x):
             return float(np.sum((x - center) ** 2))
 
-        for scale, expected in ((2.0, [1, 1]), (8.0, [1, 1, 2])):
+        for scale, expected in ((2.0, [1, 1, 1]), (8.0, [1, 1, 1, 2])):
             # a gradient `scale` times too long: the unit step overshoots, and the
             # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x)
             sizes = []
@@ -162,7 +163,20 @@ class TestMinimizeBfgs:
             fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, batch_fun=batch
         )
         assert res.x[0] == 2.0**-16
-        assert sizes == [1, 1, 2, 4, 8, 14]
+        assert sizes == [1, 1, 1, 2, 4, 8, 14]  # the initial value, then the ladder
+
+    def test_sequential_ladder_calls_fun_once_per_rung(self):
+        # the last-block case above without batch_fun: one call per row, in order
+        delta = 1.5 * 2.0**-16
+        calls = []
+
+        def fun(x):
+            calls.append(float(x[0]))
+            return float(-x[0] + x[0] ** 2 / delta)
+
+        res = minimize_bfgs(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1)
+        assert res.x[0] == 2.0**-16
+        assert calls == [0.0] + [2.0**-j for j in range(17)]
 
     def test_lazy_ladder_asks_for_every_block_when_all_rungs_fail(self):
         # a gradient of the wrong sign: every rung climbs, and the run stops
@@ -177,7 +191,7 @@ class TestMinimizeBfgs:
 
         res = minimize_bfgs(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, batch_fun=batch)
         assert (res.stop_reason, res.iterations) == ("line_search", 0)
-        assert sizes == [1, 1, 2, 4, 8, 14]
+        assert sizes == [1, 1, 1, 2, 4, 8, 14]  # the initial value, then the ladder
 
     def test_deterministic(self):
         runs = [
@@ -188,6 +202,50 @@ class TestMinimizeBfgs:
         ]
         assert runs[0].trace == runs[1].trace
         assert np.array_equal(runs[0].x, runs[1].x)
+
+
+def drive_at_fixed_point(x0, f0, g0, batched):
+    """Run ``bfgs_steps`` with a constant objective f0 and gradient g0, whatever
+    the point; log every evaluated row as ("point", bytes) and every gradient
+    request as ("grad", bytes), whatever kind of request carried them."""
+    steps = bfgs_steps(x0, tol=-1.0, max_iters=100, batched=batched)
+    log, reply = [], None
+    while True:
+        try:
+            kind, x = steps.send(reply)
+        except StopIteration as done:
+            return done.value, log
+        if kind == "grad":
+            log.append(("grad", x.tobytes()))
+            reply = g0.copy()
+        else:
+            rows = np.atleast_2d(x)
+            log += [("point", row.tobytes()) for row in rows]
+            reply = np.full(len(rows), f0) if kind == "values" else f0
+
+
+class TestLadderBelowResolution:
+    # |alpha p| <= 2.2e-20 on x = (1, -2): every rung's x + alpha p is x bitwise
+    X0 = np.array([1.0, -2.0])
+    G0 = np.array([1e-20, 2e-20])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_armijo_product_rounds_away_so_rung_zero_passes_until_stall(self, batched):
+        # f + c alpha g.p rounds to f = 1, so the row equal to x passes at rung 0;
+        # s = y = 0 takes no curvature update, and the flat trace stalls
+        res, log = drive_at_fixed_point(self.X0, 1.0, self.G0, batched)
+        point, grad = ("point", self.X0.tobytes()), ("grad", self.X0.tobytes())
+        assert log == [point, grad] + [point, grad] * 25
+        assert (res.stop_reason, res.iterations, res.curvature_updates) == ("stall", 25, 0)
+        assert res.trace == [1.0] * 26 and res.x.tobytes() == self.X0.tobytes()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_armijo_product_kept_so_every_rung_fails(self, batched):
+        # at f = 0 the bound c alpha g.p < 0 survives, and no row equal to x passes
+        res, log = drive_at_fixed_point(self.X0, 0.0, self.G0, batched)
+        point, grad = ("point", self.X0.tobytes()), ("grad", self.X0.tobytes())
+        assert log == [point, grad] + [point] * MAX_BACKTRACKS
+        assert (res.stop_reason, res.iterations, res.trace) == ("line_search", 0, [0.0])
 
 
 def product_form_update(h_inv, s, y):

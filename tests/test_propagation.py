@@ -13,7 +13,6 @@ from magicarp.propagation import (
     control_generator,
     eigh_guard,
     exp_divided_differences,
-    expm_ihermitian,
     gate_fidelity,
     normalized_infidelity,
     propagate,
@@ -22,7 +21,6 @@ from magicarp.propagation import (
     schedule_to_csv,
     step_eigensystems,
     step_out,
-    step_unitary,
     step_work,
     verify_adjoint_constancy,
 )
@@ -53,26 +51,25 @@ class TestPulseSchedule:
             PulseSchedule.from_amplitudes(amps)
 
 
-class TestStepUnitary:
+def step_exponential(controls, amplitudes, dt):
+    """exp(-i dt sum_k u_k H_k) from the step kernel."""
+    with eigh_guard():
+        return step_eigensystems(-dt * control_generator(controls, amplitudes))[2]
+
+
+class TestStepExponential:
     def test_zero_amplitudes_is_identity(self):
         ctrl = nearest_neighbor_control_set(3)
-        u = step_unitary(ctrl, np.zeros(ctrl.n_controls), 0.01)
+        u = step_exponential(ctrl, np.zeros(ctrl.n_controls), 0.01)
         assert np.allclose(u, np.eye(3), atol=1e-15)
 
     def test_pauli_rotation_identity(self):
         ctrl = nearest_neighbor_control_set(2)
         theta = 0.7
         dt = 0.1
-        u = step_unitary(ctrl, np.array([theta / dt, 0.0]), dt)
+        u = step_exponential(ctrl, np.array([theta / dt, 0.0]), dt)
         expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * SX
         assert np.allclose(u, expected, atol=1e-13)
-
-    def test_rejects_non_finite(self):
-        ctrl = nearest_neighbor_control_set(2)
-        with pytest.raises(ValueError):
-            step_unitary(ctrl, np.array([np.nan, 0.0]), 0.1)
-        with pytest.raises(ValueError):
-            step_unitary(ctrl, np.array([1.0, 0.0]), -0.1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
@@ -82,7 +79,7 @@ class TestStepUnitary:
         ctrl = nearest_neighbor_control_set(d)
         amps = rng.uniform(-10, 10, ctrl.n_controls)
         dt = rng.uniform(1e-4, 0.1)
-        u = step_unitary(ctrl, amps, dt)
+        u = step_exponential(ctrl, amps, dt)
         ref = scipy.linalg.expm(-1j * dt * control_generator(ctrl, amps))
         assert np.linalg.norm(u - ref) <= 1e-11
         assert unitarity_defect(u) <= 1e-12
@@ -346,11 +343,11 @@ class TestAdjointConstancy:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_equals_step_loop_bitwise(self, rng, d):
-        # the reference: its own exponentials and one loop per side, as before accumulate
+        # the reference: the propagator's exponentials and one loop per side, as before accumulate
         ctrl = nearest_neighbor_control_set(d)
         g = AdjointMatrix(d, rng.standard_normal(d * d - 1))
         schedule = PulseSchedule.from_amplitudes(rng.standard_normal((50, ctrl.n_controls)))
-        steps = expm_ihermitian(control_generator(ctrl, schedule.amplitudes), schedule.dt)
+        _, _, steps = pulse_eigensystems(ctrl, schedule)
         u = np.eye(d, dtype=complex)
         lam = lam0 = 1j * g.to_matrix()
         residual = 0.0
@@ -415,6 +412,12 @@ class TestScheduleCsv:
     )
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(ValueError):
+            schedule_from_csv(text)
+
+    @pytest.mark.parametrize("text", ["step,t,u_0,u_1,envelope\n", "step,t,u_0,u_1,envelope\n\n  \n"])
+    def test_header_without_rows_raises(self, text):
+        # not a 1-step schedule with 0 controls
+        with pytest.raises(ValueError, match="schedule has no rows"):
             schedule_from_csv(text)
 
 

@@ -13,13 +13,11 @@ from magicarp.shooting import (
     ENVELOPE_FLOOR,
     MODES,
     DegenerateEnvelopeError,
-    GradientProbeError,
     MagicarpConfig,
     ShootingContext,
     adjoint_from_dict,
     adjoint_to_dict,
     batch_objective,
-    gradient,
     initial_coeffs,
     objective,
     optimality_certificate,
@@ -48,6 +46,14 @@ def context(d=2, target="hadamard", mode="energy_optimal", n_steps=32, **kw):
 
 def coeffs_from_matrix(m, d=2):
     return AdjointMatrix.from_matrix(m).coeffs
+
+
+def central_difference(x, ctx, step=1e-6):
+    """The reference gradient of ``objective``: central differences over the
+    2(d^2-1) probes x +- step e_m, from one ``batch_objective`` call."""
+    probes = np.vstack([x + step * np.eye(x.size), x - step * np.eye(x.size)])
+    values = batch_objective(probes, ctx)
+    return (values[: x.size] - values[x.size :]) / (2.0 * step)
 
 
 STOP_REASONS = ("tol", "stall", "max_iters", "line_search")
@@ -163,21 +169,21 @@ class TestObjective:
 
 class TestGradient:
     def test_zero_at_global_minimum(self):
-        g = gradient(np.zeros(3), context(target="identity"))
+        g = central_difference(np.zeros(3), context(target="identity"))
         assert np.allclose(g, 0.0, atol=1e-10)
 
     def test_output_dimension_is_d_squared_minus_one(self):
         for d in (2, 3):
             ctx = context(d=d, target="qft", n_steps=8)
-            g = gradient(np.full(d * d - 1, 0.3), ctx)
+            g = central_difference(np.full(d * d - 1, 0.3), ctx)
             assert g.shape == (d * d - 1,)
-        assert gradient(np.full(3, 0.3), context(n_steps=8)).shape == (3,)
+        assert central_difference(np.full(3, 0.3), context(n_steps=8)).shape == (3,)
 
     def test_matches_forward_differences(self, rng):
         ctx = context(d=2, target="qft", n_steps=16)
         x = rng.standard_normal(3)
         h = 1e-5
-        central = gradient(x, ctx, step=h)
+        central = central_difference(x, ctx, step=h)
         forward = np.array(
             [
                 (objective(x + h * e, ctx) - objective(x, ctx)) / h
@@ -200,32 +206,6 @@ class TestGradient:
         rel = np.linalg.norm(central - five_point) / np.linalg.norm(five_point)
         assert rel <= 10 * h * h
 
-    def test_exactly_2m_objective_evaluations(self, monkeypatch):
-        calls = []
-        real = shooting.batch_objective
-
-        def spy(xs, ctx):
-            calls.append(np.atleast_2d(xs).shape[0])
-            return real(xs, ctx)
-
-        monkeypatch.setattr(shooting, "batch_objective", spy)
-        ctx = context(d=3, target="qft", n_steps=8)
-        gradient(np.full(8, 0.2), ctx)
-        assert calls == [2 * 8]
-
-    def test_non_finite_probe_raises_with_coeffs(self, monkeypatch):
-        ctx = context(d=2, n_steps=8)
-
-        def bad(xs, _ctx):
-            values = np.zeros(np.atleast_2d(xs).shape[0])
-            values[3] = np.inf
-            return values
-
-        monkeypatch.setattr(shooting, "batch_objective", bad)
-        with pytest.raises(GradientProbeError) as err:
-            gradient(np.zeros(3), ctx)
-        assert err.value.coeffs.shape == (3,)
-
 
 class TestReverseGradient:
     @pytest.mark.parametrize("mode", ["energy_optimal", "time_optimal_renormalized"])
@@ -235,7 +215,7 @@ class TestReverseGradient:
         rng = np.random.default_rng(1000 + d)
         for _ in range(3):
             x = rng.standard_normal(d * d - 1)
-            reference = gradient(x, ctx)
+            reference = central_difference(x, ctx)
             rel = np.linalg.norm(reverse_gradient(x, ctx) - reference) / np.linalg.norm(reference)
             assert rel <= 1e-6
 
@@ -507,9 +487,6 @@ class TestOptimize:
         assert "stop_reason" not in report_to_dict(budget)
 
     def test_never_uses_finite_differences(self, monkeypatch):
-        def no_fd(*args, **kwargs):
-            raise AssertionError("optimize called the finite-difference gradient")
-
         rows = []
         real = shooting.batch_objective
 
@@ -517,7 +494,6 @@ class TestOptimize:
             rows.append(np.atleast_2d(xs).shape[0])
             return real(xs, ctx)
 
-        monkeypatch.setattr(shooting, "gradient", no_fd)
         monkeypatch.setattr(shooting, "batch_objective", spy)
         d = 3
         report = optimize(context(d=d, target="qft", n_steps=16, seed=7, max_iters=40))
