@@ -3,9 +3,13 @@
 Each (dim, run_index) cell gets its own seed derived by a fixed 64-bit mix,
 so any single record can be reproduced without replaying the campaign. The
 cells of one dimension run in groups of contiguous run indices, each group's
-restarts in lockstep (``shooting.run_restarts``); since a lockstep restart
-is bitwise its lone run, the record list is identical whatever the grouping
-and whether groups execute serially or in a process pool.
+restarts in lockstep (``shooting.run_restarts``). A group is as wide as an
+even split of the dimension over the workers, but at least MIN_LANE_WIDTH
+(a lockstep row costs less in a wider round) and at most LOCKSTEP_WIDTH, so
+a small campaign may keep fewer processes busy than there are workers.
+Since a lockstep restart is bitwise its lone run, the record list is
+identical whatever the grouping and whether groups execute serially or in a
+process pool.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import LOCKSTEP_WIDTH, MagicarpConfig, ShootingContext, run_restarts
 
 _MASK64 = (1 << 64) - 1
+
+# fewest restarts a campaign group runs in lockstep, where a dimension has that
+# many: the per-row cost of a pass still falls steeply up to about 8 rows
+MIN_LANE_WIDTH = 8
 
 
 def _splitmix64(x: int) -> int:
@@ -123,15 +131,18 @@ def run_campaign(spec: BenchmarkSpec, workers: int = 1) -> list[BenchmarkRecord]
     """Run all (dim, run_index) cells; deterministic output order by cell.
 
     Each dimension's runs are cut into groups of ceil(runs_per_dim / workers)
-    contiguous indices, at most LOCKSTEP_WIDTH, and a group runs in one
-    process. The records do not depend on the grouping or the worker count.
+    contiguous indices, at least MIN_LANE_WIDTH and at most LOCKSTEP_WIDTH,
+    and a group runs in one process; the pool starts no more processes than
+    there are groups. The records do not depend on the grouping or the
+    worker count.
     """
-    width = min(-(-spec.runs_per_dim // max(workers, 1)), LOCKSTEP_WIDTH)
+    width = min(LOCKSTEP_WIDTH, max(MIN_LANE_WIDTH, -(-spec.runs_per_dim // max(workers, 1))))
     groups = [
         (spec, d, range(i, min(i + width, spec.runs_per_dim)))
         for d in spec.dims
         for i in range(0, spec.runs_per_dim, width)
     ]
+    workers = min(workers, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [r for records in pool.map(_run_group, groups, chunksize=1) for r in records]

@@ -322,7 +322,7 @@ def schedule_from_csv(text: str) -> PulseSchedule:
             raise ValueError(f"schedule row {i} has {len(parts)} fields, expected {len(header)}")
         try:
             step = int(parts[0])
-            values = [float(v) for v in parts[2:-1]]
+            values = [float(v) for v in parts[1:]]
         except ValueError:
             raise ValueError(f"schedule row {i} has a non-numeric field") from None
         if step != i:
@@ -330,7 +330,19 @@ def schedule_from_csv(text: str) -> PulseSchedule:
         rows.append(values)
     if not rows:
         raise ValueError("schedule has no rows")
-    return PulseSchedule.from_amplitudes(np.array(rows))
+    table = np.array(rows)  # t, u_0 .. u_{K-1}, envelope
+    schedule = PulseSchedule.from_amplitudes(table[:, 1:-1].copy())
+    # t = step dt and the envelope = ||u||, to 1e-9 relative for files from other
+    # writers; this module's own files round-trip both exactly
+    for name, column, expected in (
+        ("t", table[:, 0], np.arange(schedule.n_steps) * schedule.dt),
+        ("envelope", table[:, -1], schedule.envelope),
+    ):
+        bad = ~(np.abs(column - expected) <= 1e-9 * np.abs(expected))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"schedule row {i} has {name} {float(column[i])!r}, expected {float(expected[i])!r}")
+    return schedule
 
 
 def write_schedule_csv(path, schedule: PulseSchedule) -> None:

@@ -35,11 +35,15 @@ cotangent of U_n, in five products per step. It pulls that cotangent
 through the exact derivative of each step exponential (eigenbasis divided
 differences, as in GRAPE) onto the amplitudes with one real product against
 a pairing table built ahead of the sweep, which in renormalized mode also
-carries the renormalization onto v_n; then through the feedback
-v_n(U_n g U_n^dag) onto U_n, in one block product that also advances the
-cotangent. The envelope's cotangent c0_bar and the cotangent of g are each
-one contraction over all steps after the sweep. Both passes take a batch of
-B points, and each row is bitwise the row of its point computed alone.
+carries the renormalization onto v_n. The table's Q_n^dag Theta_k Q_n
+(Q_n the step eigenbasis) comes from the controls' non-zero pattern: one
+outer product of rows of Q_n per entry where some Theta_k is non-zero, mixed
+by the (K, nnz) matrix of those entries (``_Pairings.eigenbasis``). The
+cotangent then passes through the feedback v_n(U_n g U_n^dag) onto U_n, in
+one block product that also advances the cotangent. The envelope's
+cotangent c0_bar and the cotangent of g are each one contraction over all
+steps after the sweep. Both passes take a batch of B points, and each row
+is bitwise the row of its point computed alone.
 
 ``run_restarts`` is the one restart runner: it runs the BFGS generators
 (``optimizer.bfgs_steps``) of several restarts in lockstep and answers
@@ -165,6 +169,9 @@ class _Pairings:
     to_v: np.ndarray  # (2d^2, K): v_n = G_ri @ to_v
     to_theta: np.ndarray  # (2d^2, 2d^2): Theta_ri = G_ri @ to_theta, energy-optimal mode
     to_coeffs: np.ndarray  # (2d^2, d^2-1): dJ/dc = g_bar_ri @ to_coeffs
+    rows: np.ndarray  # (nnz,) i_p and
+    cols: np.ndarray  # (nnz,) j_p: the entries where some theta_hams_k is non-zero
+    pattern: np.ndarray  # (K, nnz): theta_hams_k[i_p, j_p]
 
     @classmethod
     def create(cls, controls: ControlSet, n_steps: int, basis: GeneratorBasis) -> "_Pairings":
@@ -172,7 +179,24 @@ class _Pairings:
         theta_hams = (-1.0 / n_steps) * controls.hamiltonians
         to_v = _pairing(controls.hamiltonians)
         to_theta = to_v @ theta_hams.view(float).reshape(k, 2 * d * d)
-        return cls(n_steps, basis.generators, theta_hams, to_v, to_theta, _pairing(basis.generators))
+        rows, cols = np.nonzero(np.any(theta_hams != 0, axis=0))
+        return cls(
+            n_steps, basis.generators, theta_hams, to_v, to_theta, _pairing(basis.generators),
+            rows, cols, theta_hams[:, rows, cols],
+        )
+
+    def eigenbasis(self, q: np.ndarray) -> np.ndarray:
+        """(..., K, d, d): Q^dag theta_hams_k Q for a stack (..., d, d) of eigenbases Q.
+
+        With outer_p = conj(Q[i_p, :])^T Q[j_p, :], Q^dag Theta_k Q is
+        sum_p pattern[k, p] outer_p: one broadcast multiply over the nnz
+        non-zero entries (2(d-1) for adjacent-level controls, at most d^2)
+        and one (K, nnz) @ (nnz, d^2) product per matrix of the stack.
+        """
+        k, d, _ = self.theta_hams.shape
+        lead = q.shape[:-2]
+        outer = np.conjugate(q[..., self.rows, :, None]) * q[..., self.cols, None, :]
+        return (self.pattern @ outer.reshape(*lead, len(self.rows), d * d)).reshape(*lead, k, d, d)
 
     @property
     def theta_hams_ri(self) -> np.ndarray:
@@ -376,7 +400,10 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
       with Theta_k = -dt H_k and M_n = (Q^dag U_n)(Y_{n+1} Q). Since
       Q^dag Theta_k Q is Hermitian and phi_n symmetric, that is the float view
       of the pairing A_{n,k} = (Q^dag Theta_k Q) o conj(phi_n) dotted with the
-      float view of M_n: one real product per step;
+      float view of M_n: one real product per step. Every Q^dag Theta_k Q
+      is built ahead of the sweep as sum_p Theta_k[i_p, j_p] conj(Q[i_p, :])^T Q[j_p, :]
+      over the non-zero entries (i_p, j_p) of the Theta_k, one
+      (K, nnz) @ (nnz, d^2) product per step and row (``_Pairings.eigenbasis``);
     * in renormalized mode u_n = c0 v_n / ||v_n|| for n > 0, so
       v_bar_n = (c0/||v_n||)(1 - v^ v^T) u_bar_n, folded into that step's
       pairing ahead of the sweep, and c0 = ||v_0|| gathers
@@ -403,7 +430,7 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
 
     # per-step constants, batched over n ahead of the sequential sweep
     qu = q_dag @ units  # Q_n^dag U_n
-    pair = q_dag[:, :, None] @ pairings.theta_hams @ q[:, :, None]  # Q_n^dag Theta_k Q_n, (N, B, K, d, d)
+    pair = pairings.eigenbasis(q)  # Q_n^dag Theta_k Q_n, (N, B, K, d, d)
     pair *= np.conjugate(exp_divided_differences(tape.theta))[:, :, None]
     pair_ri = pair.view(float).reshape(n_steps, b, k, 2 * d * d)
     if renorm:
@@ -620,7 +647,8 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
             outcomes.append(run.error)
             continue
         result, (_, tape, row) = run.result, run.held
-        schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, row])
+        # a copy: the row is a strided view of the whole group's pulses
+        schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, row].copy())
         infidelity = result.trace[-1]
         outcomes.append(
             OptimizationReport(

@@ -5,6 +5,7 @@ import pytest
 
 from dataclasses import replace
 
+import magicarp.bench as bench
 import magicarp.shooting as shooting
 from magicarp.bench import (
     BenchmarkRecord,
@@ -151,10 +152,59 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_records_equal_lone_runs(self, workers):
-        # lockstep groups of width 3, 2 and 1
+        # one lockstep group of 3 per dimension, serially or on a pool of 2
         spec = BenchmarkSpec(dims=(2, 3), runs_per_dim=3, magicarp=FAST_MAGICARP, base_seed=4)
         expected = [lone_record(spec, d, i) for d in (2, 3) for i in range(3)]
         assert run_campaign(spec, workers=workers) == expected
+
+    @pytest.mark.parametrize("min_width,workers", [(1, 3), (2, 2), (1, 1)])
+    def test_records_do_not_depend_on_the_lane_width(self, monkeypatch, min_width, workers):
+        # lockstep groups of width 1, 2 and 3 under a lower floor
+        spec = BenchmarkSpec(dims=(2, 3), runs_per_dim=3, magicarp=FAST_MAGICARP, base_seed=4)
+        expected = run_campaign(spec)
+        monkeypatch.setattr(bench, "MIN_LANE_WIDTH", min_width)
+        assert run_campaign(spec, workers=workers) == expected
+
+    @pytest.mark.parametrize(
+        "runs,workers,sizes,pool",
+        [
+            (8, 2, [8], 2),
+            (50, 2, [25, 25], 2),
+            (50, 8, [8, 8, 8, 8, 8, 8, 2], 8),
+            (300, 2, [32] * 9 + [12], 2),
+            (3, 3, [3], 2),  # one group per dimension: no third process
+            (3, 1, [3], None),
+        ],
+    )
+    def test_lane_width_rule(self, monkeypatch, runs, workers, sizes, pool):
+        # width = min(LOCKSTEP_WIDTH, max(MIN_LANE_WIDTH, ceil(runs / workers))),
+        # and the pool starts no more processes than there are groups
+        groups, pools = [], []
+
+        def spy(context, seeds):
+            groups.append((context.controls.dim, len(seeds)))
+            return [RuntimeError("spy")] * len(seeds)
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "run_restarts", spy)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        spec = BenchmarkSpec(dims=(2, 3), runs_per_dim=runs, magicarp=FAST_MAGICARP)
+        records = run_campaign(spec, workers=workers)
+        assert [(r.dim, r.run_index) for r in records] == [(d, i) for d in (2, 3) for i in range(runs)]
+        assert groups == [(d, size) for d in (2, 3) for size in sizes]
+        assert pools == ([] if pool is None else [pool])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -340,6 +340,21 @@ class TestCertifyCommand:
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert "error: schedule has no rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("0,abc,1.0,2.0,xyz", "row 0 has a non-numeric field"),
+            ("0,7,0.5,0.5,0.70710678118654757", "row 0 has t 7.0"),
+            ("0,0,0.5,0.5,99", "row 0 has envelope 99.0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_bad_t_or_envelope_exits_2_with_the_reason(self, tmp_path, capsys, command, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,t,u_0,u_1,envelope\n{row}\n", encoding="utf-8")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert f"error: schedule {reason}" in capsys.readouterr().err
+
 
 class TestBlochCommand:
     def test_zero_schedule_stays_north(self, tmp_path):

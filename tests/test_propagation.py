@@ -414,6 +414,39 @@ class TestScheduleCsv:
         with pytest.raises(ValueError):
             schedule_from_csv(text)
 
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("step,t,u_0,u_1,envelope\n0,abc,1.0,2.0,2.23606797749979\n", "non-numeric"),
+            ("step,t,u_0,u_1,envelope\n0,0,1.0,2.0,xyz\n", "non-numeric"),
+            ("step,t,u_0,u_1,envelope\n0,0,0.5,0.5,0.70710678118654757\n1,7,0.5,0.5,0.70710678118654757\n", "row 1 has t 7.0"),
+            ("step,t,u_0,u_1,envelope\n0,0,0.5,0.5,99\n1,0.5,0.5,0.5,0.70710678118654757\n", "row 0 has envelope 99.0"),
+            ("step,t,u_0,u_1,envelope\n0,0,0,0,1e-300\n", "row 0 has envelope"),  # a zero row's envelope is 0
+            ("step,t,u_0,envelope\n0,nan,1,1\n", "row 0 has t nan"),
+            ("step,t,u_0,envelope\n0,0,1,inf\n", "row 0 has envelope inf"),
+        ],
+    )
+    def test_t_and_envelope_columns_are_parsed_and_checked(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            schedule_from_csv(text)
+
+    def test_t_and_envelope_agree_to_1e_9_relative(self):
+        # another writer's rounding passes; a deviation beyond 1e-9 does not
+        ok = "step,t,u_0,u_1,envelope\n0,0,0.5,0.5,0.7071067812\n1,0.50000000001,0.5,0.5,0.707106781\n"
+        assert np.array_equal(schedule_from_csv(ok).amplitudes, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="row 1 has envelope"):
+            schedule_from_csv(ok.replace("0.707106781\n", "0.70710677\n"))
+        with pytest.raises(ValueError, match="row 1 has t"):
+            schedule_from_csv(ok.replace("0.50000000001", "0.5000000006"))
+
+    def test_written_t_and_envelope_round_trip_exactly(self, rng):
+        s = PulseSchedule.from_amplitudes(rng.standard_normal((13, 4)))
+        rows = np.array([ln.split(",") for ln in schedule_to_csv(s).splitlines()[1:]], dtype=float)
+        assert np.array_equal(rows[:, 1], np.arange(13) * s.dt)
+        assert np.array_equal(rows[:, -1], s.envelope)
+        back = schedule_from_csv(schedule_to_csv(s))
+        assert back.amplitudes.flags.owndata and back.amplitudes.flags.c_contiguous
+
     @pytest.mark.parametrize("text", ["step,t,u_0,u_1,envelope\n", "step,t,u_0,u_1,envelope\n\n  \n"])
     def test_header_without_rows_raises(self, text):
         # not a 1-step schedule with 0 controls

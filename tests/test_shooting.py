@@ -29,7 +29,7 @@ from magicarp.shooting import (
     run_restarts,
 )
 
-from conftest import same_bits
+from conftest import KERNEL_SETS, kernel_case, same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -391,6 +391,50 @@ def as_loop_tape(tape):
     return LoopTape(v=v, **batch_major, **step_major)
 
 
+def stack_eigenbasis(q, pairings):
+    """The reference table Q^dag Theta_k Q: two products of (d, d) matrices per
+    step, row and control, as the backward pass formed it before the pattern form."""
+    q_dag = q.conj().swapaxes(-1, -2)
+    return q_dag[..., None, :, :] @ pairings.theta_hams @ q[..., None, :, :]
+
+
+class TestPatternTable:
+    CASES = [("adjacent", d) for d in (2, 3, 5)] + [(kind, d) for kind in KERNEL_SETS for d in (2, 4)]
+
+    @staticmethod
+    def case_context(kind, d, mode):
+        if kind == "adjacent":
+            controls = nearest_neighbor_control_set(d)
+        else:
+            controls, _ = kernel_case(kind, d, np.random.default_rng(d), 1)
+        return ShootingContext(controls=controls, target=target_gate("qft", d), config=MagicarpConfig(mode=mode, n_steps=12))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind,d", CASES)
+    def test_equals_the_stack_and_rows_equal_lone_rows(self, kind, d, mode):
+        ctx = self.case_context(kind, d, mode)
+        points = np.random.default_rng(3 * d).standard_normal((8, d * d - 1))
+        _, tape = shooting._forward(points, ctx)
+        table = ctx.pairings.eigenbasis(tape.q)
+        assert table.shape == (12, 8, ctx.controls.n_controls, d, d)
+        assert np.max(np.abs(table - stack_eigenbasis(tape.q, ctx.pairings))) <= 1e-15
+        for i, x in enumerate(points):
+            _, lone = shooting._forward(x[None], ctx)
+            assert same_bits(lone.q[:, 0], tape.q[:, i])
+            lone_table = ctx.pairings.eigenbasis(lone.q)
+            assert np.max(np.abs(lone_table - stack_eigenbasis(lone.q, ctx.pairings))) <= 1e-15
+            assert same_bits(lone_table[:, 0], table[:, i])
+
+    @pytest.mark.parametrize("kind,d", CASES)
+    def test_pattern_holds_every_non_zero_entry(self, kind, d):
+        pairings = self.case_context(kind, d, "energy_optimal").pairings
+        nnz = {"adjacent": 2 * (d - 1), "zero_pair": 2 * (d - 1), "detuned": 2 * (d - 1) + d, "dense": d * d}[kind]
+        assert pairings.rows.shape == pairings.cols.shape == (nnz,)
+        rebuilt = np.zeros_like(pairings.theta_hams)
+        rebuilt[:, pairings.rows, pairings.cols] = pairings.pattern
+        assert np.array_equal(rebuilt, pairings.theta_hams)  # equal up to the sign of zeros
+
+
 class TestStepLoopOracle:
     # the construction forms H_n in one product of the evolved adjoint, which
     # sums in another order than the loop; the self-iterative feedback
@@ -619,6 +663,15 @@ class TestLockstep:
         # rows gathered out of order give the same rows
         gathered = shooting._Tape.rows([(tape, 3), (lone, 0), (tape, 1)])
         assert np.array_equal(shooting._backward(gathered, ctx), grads[[3, b - 1, 1]])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_pulse_owns_its_data(self, mode):
+        # not a view that pins, and shares memory with, the whole group's pulses
+        ctx = context(d=3, target="qft", mode=mode, n_steps=8, max_iters=20)
+        for report in run_restarts(ctx, range(4)):
+            amplitudes = report.final_schedule.amplitudes
+            assert amplitudes.flags.owndata and amplitudes.flags.c_contiguous
+            assert amplitudes.shape == (8, 4)
 
     def test_failed_restart_is_returned_and_raised(self):
         # a zero-envelope start: the objective is not finite at the initial point
