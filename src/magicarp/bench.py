@@ -54,17 +54,15 @@ class BenchmarkSpec:
     dims: tuple[int, ...] = (2, 3, 4, 5, 6)
     runs_per_dim: int = 300
     target: str = "qft"
-    control_set: str = "nearest_neighbor"
     magicarp: MagicarpConfig = MagicarpConfig()
     base_seed: int = 0
     omega_max: float = 1.0
 
     def __post_init__(self):
         for name, ok, expected in (
-            ("dims", len(self.dims) >= 1 and all(d >= 2 for d in self.dims), "a non-empty list of integers >= 2"),
+            ("dims", len(set(self.dims)) == len(self.dims) >= 1 and min(self.dims) >= 2, "distinct integers >= 2, one or more"),
             ("runs_per_dim", self.runs_per_dim >= 1, "an integer >= 1"),
             ("target", self.target in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
-            ("control_set", self.control_set == "nearest_neighbor", "'nearest_neighbor'"),
             ("base_seed", 0 <= self.base_seed < 2**64, "a 64-bit unsigned integer"),
             ("omega_max", np.isfinite(self.omega_max) and self.omega_max > 0, "a positive finite number"),
         ):

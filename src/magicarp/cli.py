@@ -3,13 +3,15 @@
 Subcommands: optimize | grape | benchmark | certify | bloch. A YAML config
 file is the file of record for an experiment; flags override file values,
 and the MAGICARP_SEED environment variable overrides the config seed
-(a --seed flag beats both). Exit codes: 0 success, 1 runtime failure,
-2 invalid input, 3 certification negative.
+(a --seed flag beats both). The seed is resolved first and the config is
+validated in one pass, the file's seeds and then the override. Exit codes:
+0 success, 1 runtime failure, 2 invalid input, 3 certification negative.
 
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
 defaults and value checks. The CLI checks the YAML type of every value and
-owns the other keys.
+owns the other keys, controls among them: the library takes a control set
+as an object, and the CLI builds the one it names.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ _CLI_KEYS = {
     "custom_target": (None, list | None, None, None),
     "controls": ("nearest_neighbor", str, lambda v: v == "nearest_neighbor", "'nearest_neighbor'"),
     "omega_max": (1.0, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
-    "benchmark.threshold": (1e-7, float, lambda v: v > 0, "a positive number"),
+    "benchmark.threshold": (1e-7, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
 }
 
-# The sections a library dataclass owns. The CLI fills BenchmarkSpec's
-# control_set, magicarp and omega_max from other keys.
+# The sections a library dataclass owns, with the field a seed override sets.
+# The CLI fills BenchmarkSpec's magicarp and omega_max from other keys.
 _SECTIONS = {"magicarp": MagicarpConfig, "grape": GrapeConfig, "benchmark": BenchmarkSpec}
-_FROM_OTHER_KEYS = ("control_set", "magicarp", "omega_max")
+_SEEDS = {"magicarp": "seed", "grape": "seed", "benchmark": "base_seed"}
+_FROM_OTHER_KEYS = ("magicarp", "omega_max")
 
 _YAML_TYPES = {int: "an integer", float: "a number", str: "a string"}
 
@@ -121,8 +124,10 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
-def normalize_config(user: dict | None) -> dict:
-    """Merge a raw config dict over the defaults and validate every field."""
+def normalize_config(user: dict | None, seed: int | None = None) -> dict:
+    """Merge a raw config dict over the defaults and validate every field.
+
+    A ``seed`` overrides all three seeds once the config's own are checked."""
     cfg = {path: default for path, (default, *_) in _CLI_KEYS.items() if "." not in path}
     for section in _SECTIONS:
         cfg[section] = {key: default for key, (default, _) in _fields(section).items()}
@@ -154,12 +159,16 @@ def normalize_config(user: dict | None) -> dict:
         _build(section, cfg)
     if cfg["target"] == "custom" and cfg["custom_target"] is None:
         raise ConfigError("custom_target: required when target is 'custom'")
+    if seed is not None:
+        for section, key in _SEEDS.items():
+            cfg[section][key] = seed
+            _build(section, cfg)
     return cfg
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, seed: int | None = None) -> dict:
     if path is None:
-        return normalize_config({})
+        return normalize_config({}, seed)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -167,7 +176,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
-    return normalize_config(raw)
+    return normalize_config(raw, seed)
 
 
 def config_to_yaml(cfg: dict) -> str:
@@ -213,64 +222,70 @@ def _run(runner, *args):
         raise RuntimeError(exc) from exc
 
 
-def _apply_seed_overrides(cfg: dict, seed_flag: int | None) -> dict:
-    seed = seed_flag
-    if seed is None:
-        env = os.environ.get("MAGICARP_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"MAGICARP_SEED: expected an integer, got {env!r}") from None
-    if seed is not None:
-        cfg["magicarp"]["seed"] = seed
-        cfg["grape"]["seed"] = seed
-        cfg["benchmark"]["base_seed"] = seed
-    return normalize_config(cfg)
+def _seed_override(flag: int | None) -> int | None:
+    """The seed override: the --seed flag, else MAGICARP_SEED, else none."""
+    env = os.environ.get("MAGICARP_SEED")
+    if flag is not None or env is None:
+        return flag
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"MAGICARP_SEED: expected an integer, got {env!r}") from None
 
 
-def _summary_line(report, d: int, omega_max: float) -> str:
-    ratio = report.duration / tau_qsl(d, omega_max)
-    return (
+def _write_run(report, cfg: dict, out_dir: str) -> int:
+    """Write an optimizer run's report.json and schedule.csv and print its
+    summary line; the exit code says whether it converged."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_report_json(os.path.join(out_dir, "report.json"), report)
+    write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
+    ratio = report.duration / tau_qsl(cfg["dim"], cfg["omega_max"])
+    print(
         f"infidelity={FLOAT_FMT % report.infidelity} "
         f"duration={FLOAT_FMT % report.duration} "
         f"duration_qsl={FLOAT_FMT % ratio}"
     )
+    return EXIT_OK if report.converged else EXIT_RUNTIME
 
 
-def cmd_optimize(cfg: dict, out_dir: str) -> int:
+def _load_schedule(path: str, cfg: dict):
+    """A schedule CSV and the control set of the config's dimension, which must drive it."""
+    schedule = read_schedule_csv(path)
+    controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
+    if schedule.n_controls != controls.n_controls:
+        raise ConfigError(
+            f"schedule has {schedule.n_controls} controls but dim={cfg['dim']} "
+            f"implies {controls.n_controls}"
+        )
+    return schedule, controls
+
+
+def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
     config = _build("magicarp", cfg)
     controls, target = _build_problem(cfg)
     context = ShootingContext(controls=controls, target=target, config=config)
     _check_explicit_init("magicarp", initial_coeffs, config, context.n_params)
-    report = _run(optimize, context)
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
-    print(_summary_line(report, cfg["dim"], cfg["omega_max"]))
-    return EXIT_OK if report.converged else EXIT_RUNTIME
+    return _write_run(_run(optimize, context), cfg, args.out)
 
 
-def cmd_grape(cfg: dict, out_dir: str) -> int:
+def cmd_grape(cfg: dict, args: argparse.Namespace) -> int:
     config = _build("grape", cfg)
     controls, target = _build_problem(cfg)
     _check_explicit_init("grape", initial_schedule, config, controls.n_controls)
-    report = _run(grape_optimize, target, controls, config)
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
-    print(_summary_line(report, cfg["dim"], cfg["omega_max"]))
-    return EXIT_OK if report.converged else EXIT_RUNTIME
+    return _write_run(_run(grape_optimize, target, controls, config), cfg, args.out)
 
 
-def cmd_benchmark(cfg: dict, out_dir: str, workers: int) -> int:
+def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> int:
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError("--workers must be >= 1")
     magicarp = _build("magicarp", cfg)
-    spec = _build("benchmark", cfg, control_set=cfg["controls"], magicarp=magicarp, omega_max=cfg["omega_max"])
+    spec = _build("benchmark", cfg, magicarp=magicarp, omega_max=cfg["omega_max"])
     records = _run(run_campaign, spec, workers)
-    os.makedirs(out_dir, exist_ok=True)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    write_summary_json(os.path.join(out_dir, "summary.json"), records, cfg["benchmark"]["threshold"])
-    write_scatter_files(out_dir, records)
+    os.makedirs(args.out, exist_ok=True)
+    write_records_csv(os.path.join(args.out, "records.csv"), records)
+    write_summary_json(os.path.join(args.out, "summary.json"), records, cfg["benchmark"]["threshold"])
+    write_scatter_files(args.out, records)
     for d in spec.dims:
         of_dim = [r for r in records if r.dim == d]
         converged = sum(r.converged for r in of_dim)
@@ -278,38 +293,40 @@ def cmd_benchmark(cfg: dict, out_dir: str, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_certify(schedule_path: str, cfg: dict, out_dir: str) -> int:
-    schedule = read_schedule_csv(schedule_path)
-    controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
-    if schedule.n_controls != controls.n_controls:
-        raise ConfigError(
-            f"schedule has {schedule.n_controls} controls but dim={cfg['dim']} "
-            f"implies {controls.n_controls}"
-        )
+def cmd_certify(cfg: dict, args: argparse.Namespace) -> int:
+    schedule, controls = _load_schedule(args.schedule, cfg)
     cert = optimality_certificate(schedule, controls)
-    os.makedirs(out_dir, exist_ok=True)
-    write_adjoint_json(os.path.join(out_dir, "g_fit.json"), cert.g_fit)
+    os.makedirs(args.out, exist_ok=True)
+    write_adjoint_json(os.path.join(args.out, "g_fit.json"), cert.g_fit)
     coeffs = " ".join(FLOAT_FMT % c for c in cert.g_fit.coeffs)
     print(f"g_fit=[{coeffs}]")
     print(f"residual={FLOAT_FMT % cert.residual} excluded_steps={cert.n_excluded}")
     return EXIT_OK if cert.residual <= CERT_THRESHOLD else EXIT_NOT_OPTIMAL
 
 
-def cmd_bloch(schedule_path: str, cfg: dict, out_dir: str) -> int:
+def cmd_bloch(cfg: dict, args: argparse.Namespace) -> int:
     if cfg["dim"] != 2:
         raise ConfigError(f"bloch: only d=2 is supported, got dim={cfg['dim']}")
-    schedule = read_schedule_csv(schedule_path)
-    controls = nearest_neighbor_control_set(2, cfg["omega_max"])
-    if schedule.n_controls != controls.n_controls:
-        raise ConfigError(f"schedule has {schedule.n_controls} controls, expected 2")
-    result = propagate(controls, schedule)
-    trajectory = bloch_trajectory(result, schedule.dt)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bloch.csv")
+    schedule, controls = _load_schedule(args.schedule, cfg)
+    trajectory = bloch_trajectory(propagate(controls, schedule), schedule.dt)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "bloch.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(bloch_to_csv(trajectory))
     print(f"wrote {path}")
     return EXIT_OK
+
+
+# command -> (function, help, help of its schedule CSV argument if it takes one).
+# A command looks its runner up when it runs, so a rebinding of ``optimize``,
+# ``grape_optimize`` or ``run_campaign`` in this module takes effect.
+_COMMANDS = {
+    "optimize": (cmd_optimize, "run the shooting optimizer", None),
+    "grape": (cmd_grape, "run the GRAPE baseline", None),
+    "benchmark": (cmd_benchmark, "run a random-restart campaign", None),
+    "certify": (cmd_certify, "test a schedule for the constant-adjoint structure", "schedule CSV to certify"),
+    "bloch": (cmd_bloch, "export the Bloch trajectory of a d=2 schedule", "schedule CSV to propagate"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,45 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("--workers", type=int, help="parallel workers (benchmark only)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("optimize", parents=[common], help="run the shooting optimizer")
-    sub.add_parser("grape", parents=[common], help="run the GRAPE baseline")
-    sub.add_parser("benchmark", parents=[common], help="run a random-restart campaign")
-    p_cert = sub.add_parser("certify", parents=[common], help="test a schedule for the constant-adjoint structure")
-    p_cert.add_argument("schedule", help="schedule CSV to certify")
-    p_bloch = sub.add_parser("bloch", parents=[common], help="export the Bloch trajectory of a d=2 schedule")
-    p_bloch.add_argument("schedule", help="schedule CSV to propagate")
+    for name, (_, help_text, schedule_help) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if schedule_help is not None:
+            command.add_argument("schedule", help=schedule_help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_seed_overrides(cfg, args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        if args.command == "optimize":
-            return cmd_optimize(cfg, args.out)
-        if args.command == "grape":
-            return cmd_grape(cfg, args.out)
-        if args.command == "benchmark":
-            workers = (os.cpu_count() or 1) if args.workers is None else args.workers
-            if workers < 1:
-                raise ConfigError("--workers must be >= 1")
-            return cmd_benchmark(cfg, args.out, workers)
-        if args.command == "certify":
-            return cmd_certify(args.schedule, cfg, args.out)
-        if args.command == "bloch":
-            return cmd_bloch(args.schedule, cfg, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        # malformed schedule CSV and similar input problems
+        cfg = load_config(args.config, _seed_override(args.seed))
+        return _COMMANDS[args.command][0](cfg, args)
+    except (ValueError, FileNotFoundError) as exc:
+        # a rejected config or flag, or a missing or malformed schedule CSV
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # noqa: BLE001 - CLI boundary

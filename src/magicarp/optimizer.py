@@ -214,8 +214,8 @@ def minimize_bfgs(
 ) -> MinimizeResult:
     """Minimize ``fun`` from ``x0``; stop at ``fun <= tol``, stall, or budget.
 
-    Drives one ``bfgs_steps`` run. ``grad`` supplies the gradient (analytic
-    or finite-difference, the caller decides). ``batch_fun``, if given,
+    Drives one ``bfgs_steps`` run. ``grad`` supplies the exact gradient of
+    ``fun``; both drivers pass an analytic one. ``batch_fun``, if given,
     evaluates a (B, n) stack of points in one call and answers every value
     request, batching the line-search ladder; otherwise ``fun`` is called on
     each row in turn.

@@ -211,9 +211,6 @@ class TestRunCampaign:
             BenchmarkSpec(dims=(1,), runs_per_dim=1)
         with pytest.raises(ValueError):
             BenchmarkSpec(dims=(2,), runs_per_dim=0)
-        with pytest.raises(ValueError):
-            BenchmarkSpec(dims=(2,), control_set="all_to_all")
-
 
     @pytest.mark.parametrize("omega_max", [0.0, -1.0, math.inf, math.nan])
     def test_spec_rejects_bad_omega_max(self, omega_max):
@@ -231,6 +228,10 @@ class TestRunCampaign:
             BenchmarkSpec(target="bogus")
         with pytest.raises(ValueError, match="^dims"):
             BenchmarkSpec(dims=())
+
+    def test_spec_rejects_repeated_dims(self):
+        with pytest.raises(ValueError, match=r"^dims: expected distinct integers >= 2"):
+            BenchmarkSpec(dims=(2, 2))
 
 
 class TestMinimalDuration:

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,21 +17,25 @@ from magicarp.cli import (
     EXIT_RUNTIME,
     ConfigError,
     config_to_yaml,
+    load_config,
     main,
     normalize_config,
     parse_matrix_literal,
 )
+from magicarp.grape import GrapeConfig, grape_optimize
 from magicarp.propagation import (
     PulseSchedule,
     bloch_from_csv,
     read_schedule_csv,
     write_schedule_csv,
 )
-from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set
+from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import pulses_from_adjoint
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_MAGICARP = {"n_steps": 16, "max_iters": 80, "convergence_tol": 1e-7}
 
@@ -49,7 +55,7 @@ def at(path, value):
     return cfg
 
 
-# Every config key -> two values it rejects: a wrong type (list items included), then a bad value.
+# Every config key -> values it rejects: a wrong type (list items included), then bad values.
 BAD_VALUES = {
     "dim": (True, 1),
     "target": (3, "bogus"),
@@ -73,7 +79,7 @@ BAD_VALUES = {
     "grape.init_sigma": ("x", -1),
     "grape.init_schedule": (5, [[1.0, "a"]]),
     "grape.seed": (1.0, -1),
-    "benchmark.dims": (["a"], []),
+    "benchmark.dims": (["a"], [], [2, 2]),
     "benchmark.runs_per_dim": (True, 0),
     "benchmark.target": (1, "custom"),
     "benchmark.base_seed": ("x", -1),
@@ -94,7 +100,7 @@ BAD_CONFIGS = [(path, at(path, value)) for path, values in BAD_VALUES.items() fo
 ] + [
     (path, at(path, value))
     for path in ("magicarp.init_sigma", "magicarp.convergence_tol", "magicarp.stall_tol")
-    + ("grape.init_sigma", "grape.convergence_tol", "grape.stall_tol")
+    + ("grape.init_sigma", "grape.convergence_tol", "grape.stall_tol", "benchmark.threshold")
     for value in (float("inf"), float("nan"))
 ]
 
@@ -141,6 +147,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "unknown config key" in err and "grad_step" in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("- 1\n- 2\n", "config root: expected a mapping, got list"),
+            ("magicarp: 5\n", "magicarp: expected a mapping, got 5"),
+            ("target: custom\ncustom_target: [[[1, 0], [0, 0]]]\n", "custom_target: expected a square matrix"),
+            ("target: custom\ncustom_target: [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]\n", "target: matrix is not unitary"),
+        ],
+    )
+    def test_bad_config_file_exits_2_with_the_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(str(path))["dim"] >= 2
+
+    def test_readme_defaults_block_is_the_defaults(self):
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"All\s+defaults,\s+in\s+YAML\s+form:\n\n```yaml\n(.*?)```", readme, re.S)
+        assert yaml.safe_load(block) == normalize_config({})
+
     def test_custom_target_requires_matrix(self):
         with pytest.raises(ConfigError, match="custom_target"):
             normalize_config({"target": "custom"})
@@ -173,6 +204,12 @@ class TestOptimizeCommand:
 
     def test_missing_config_exits_2(self):
         assert main(["optimize", "--config", "/nonexistent.yaml"]) == EXIT_INVALID
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"\xff\xfe dim: 2\n")
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
     def test_unparseable_yaml_exits_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -214,6 +251,16 @@ class TestGrapeCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["final_g"] is None
         assert report["infidelity"] <= 1e-7
+
+    def test_explicit_start(self, tmp_path):
+        rows = ((0.5, 0.1), (0.2, 0.9))
+        config = GrapeConfig(n_steps=2, init="explicit", init_schedule=rows)
+        report = grape_optimize(target_gate("hadamard", 2), nearest_neighbor_control_set(2), config)
+        grape = {"n_steps": 2, "init": "explicit", "init_schedule": [list(row) for row in rows]}
+        cfg = write_config(tmp_path, {"target": "hadamard", "grape": grape})
+        assert main(["grape", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["cost_trace"] == list(report.cost_trace)
 
     def test_zero_steps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"grape": {"n_steps": 0}})
@@ -354,6 +401,14 @@ class TestCertifyCommand:
         path.write_text(f"step,t,u_0,u_1,envelope\n{row}\n", encoding="utf-8")
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert f"error: schedule {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_wrong_control_count_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "four.csv"
+        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.full((4, 4), 0.5)))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: schedule has 4 controls")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBlochCommand:

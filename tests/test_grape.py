@@ -283,6 +283,14 @@ class TestGrapeOptimize:
         assert report.converged
         assert report.infidelity == 0.0
 
+    def test_explicit_init_starts_from_the_given_pulse(self):
+        rows = ((0.5, 0.1), (0.2, 0.9))
+        ctrl, target = nearest_neighbor_control_set(2), target_gate("hadamard", 2)
+        cfg = GrapeConfig(n_steps=2, init="explicit", init_schedule=rows)
+        report = grape_optimize(target, ctrl, cfg)
+        assert report.cost_trace[0] == grape_objective(PulseSchedule.from_amplitudes(np.array(rows)), target, ctrl)
+        assert report.converged
+
     def test_explicit_init_shape_checked(self):
         ctrl = nearest_neighbor_control_set(2)
         cfg = GrapeConfig(n_steps=4, init="explicit", init_schedule=((1.0, 0.0),))
