@@ -174,6 +174,8 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, an unreadable file
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     return normalize_config(raw, seed)
@@ -250,7 +252,10 @@ def _write_run(report, cfg: dict, out_dir: str) -> int:
 
 def _load_schedule(path: str, cfg: dict):
     """A schedule CSV and the control set of the config's dimension, which must drive it."""
-    schedule = read_schedule_csv(path)
+    try:
+        schedule = read_schedule_csv(path)
+    except OSError as exc:  # a missing or unreadable file, a directory
+        raise ConfigError(f"schedule file {path} cannot be read: {exc.strerror}") from None
     controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
     if schedule.n_controls != controls.n_controls:
         raise ConfigError(

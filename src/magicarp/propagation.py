@@ -21,10 +21,13 @@ on the same theta gives the exact derivative of each step exponential.
 forward pass, ``propagate`` and ``verify_adjoint_constancy``. When every
 control is tridiagonal it calls ``eigh`` on real symmetric matrices in a
 diagonal phase gauge, about 1.5x cheaper than complex ``eigh`` on a batch
-of 64 steps at d = 5. The shooting
-construction keeps the complex kernel: it exponentiates one step at a time
-for at most 32 restarts, where forming the gauge costs more numpy calls
-than the real ``eigh`` saves.
+of 64 steps at d = 5, and returns the eigenvectors as their real factors
+q = D Q_T: the real Q_T and the gauge's phases. Each step
+D (Q_T e^{i theta} Q_T^T) D^dag is then one real product on the float view
+of the complex e^{i theta} Q_T^T, scaled by the gauge, instead of a complex
+q e^{i theta} q^dag. The shooting construction keeps the complex kernel:
+it exponentiates one step at a time for at most 32 restarts, where forming
+the gauge costs more numpy calls than the real ``eigh`` saves.
 """
 
 from __future__ import annotations
@@ -128,17 +131,12 @@ def step_eigensystems(
     exponential is exactly unitary up to rounding.
     """
     i_theta, q, step = step_out(theta.shape) if out is None else out
+    phases, phases_row, q_e, q_conj, q_dag = step_work(theta.shape) if work is None else work
     _umath_linalg.eigh_lo(theta, out=(i_theta.imag, q))
-    return i_theta.imag, q, _exponentials(i_theta, q, step, step_work(theta.shape) if work is None else work)
-
-
-def _exponentials(i_theta: np.ndarray, q: np.ndarray, step: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(q e^{i theta}) q^dag into ``step``, from the phase buffer i theta."""
-    phases, phases_row, q_e, q_conj, q_dag = work
     np.exp(i_theta, out=phases)
     np.multiply(q, phases_row, out=q_e)
     np.conjugate(q, out=q_conj)
-    return np.matmul(q_e, q_dag, out=step)
+    return i_theta.imag, q, np.matmul(q_e, q_dag, out=step)  # (q e^{i theta}) q^dag
 
 
 def step_out(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,18 +178,26 @@ def exp_divided_differences(theta: np.ndarray) -> np.ndarray:
     return np.multiply(phi, 1j, out=phi)
 
 
-def pulse_eigensystems(controls: ControlSet, schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step kernel over a whole pulse: theta, q and exp(i Theta_n) of every
-    Theta_n = -dt H(u(n dt)), as ``step_eigensystems`` gives them.
+def pulse_eigensystems(
+    controls: ControlSet, schedule: PulseSchedule
+) -> tuple[np.ndarray, np.ndarray | tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The step kernel over a whole pulse: theta, the eigenvectors q and
+    exp(i Theta_n) of every Theta_n = -dt H(u(n dt)).
 
     For a tridiagonal control set (``ControlSet.tridiagonal``) Theta_n is
     never formed. Its superdiagonal t and real diagonal come from the
-    amplitudes, and the diagonal phase gauge D = diag(1, r_0, r_0 r_1, ...),
-    r_j = conj(t_j)/|t_j| (1 where t_j = 0), turns it into the real symmetric
-    T_n = D^dag Theta_n D, with off-diagonal |t_j|. One real ``eigh`` of the
-    (N, d, d) stack gives theta and Q_T, and q = D Q_T. Other sets take the
-    complex kernel, ``step_eigensystems``, on the formed Theta_n. Non-finite
-    amplitudes raise ``np.linalg.LinAlgError``, as a failed ``eigh`` does.
+    amplitudes, and the diagonal phase gauge D = diag(g), g = (1, r_0,
+    r_0 r_1, ...), r_j = conj(t_j)/|t_j| (1 where t_j = 0), turns it into
+    the real symmetric T_n = D^dag Theta_n D, with off-diagonal |t_j|. One
+    real ``eigh`` of the (N, d, d) stack gives theta and Q_T, and q = D Q_T
+    comes back as its real factors, the pair (Q_T, gauge): the (N, d, d)
+    eigenvectors and the (N, d, d) phases g_a conj(g_b), with which
+    D A D^dag = gauge o A (column 0 is g, since g_0 = 1). The step
+    D (Q_T e^{i theta} Q_T^T) D^dag is one real product of Q_T with the
+    float view of the complex e^{i theta} Q_T^T, times the gauge. Other sets
+    take the complex kernel, ``step_eigensystems``, on the formed Theta_n,
+    and q is its complex (N, d, d) stack. Non-finite amplitudes raise
+    ``np.linalg.LinAlgError``, as a failed ``eigh`` does.
     """
     if schedule.n_controls != controls.n_controls:
         raise ValueError(f"schedule has {schedule.n_controls} controls, control set has {controls.n_controls}")
@@ -205,16 +211,18 @@ def pulse_eigensystems(controls: ControlSet, schedule: PulseSchedule) -> tuple[n
     np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
     off = amplitudes @ controls.superdiagonal
     magnitude = np.abs(off, out=gauged[:, d :: d + 1])  # the subdiagonal, which eigh reads
-    gauge = np.ones((n, d, 1), dtype=complex)
-    i_theta, q, steps = step_out((n, d, d))
+    g = np.ones((n, d), dtype=complex)
+    i_theta = np.zeros((n, d), dtype=complex)
     q_real = np.empty((n, d, d))
     with eigh_guard():
-        np.divide(off.conj(), magnitude, out=gauge[:, 1:, 0], where=magnitude != 0)
-        np.multiply.accumulate(gauge[:, 1:], axis=1, out=gauge[:, 1:])
+        np.divide(off.conj(), magnitude, out=g[:, 1:], where=magnitude != 0)
+        np.multiply.accumulate(g[:, 1:], axis=1, out=g[:, 1:])
         _umath_linalg.eigh_lo(gauged.reshape(n, d, d), out=(i_theta.imag, q_real))
-        np.multiply(gauge, q_real, out=q)
-        _exponentials(i_theta, q, steps, step_work((n, d, d)))
-    return i_theta.imag, q, steps
+        e_qt = np.multiply(np.exp(i_theta)[:, :, None], q_real.swapaxes(-1, -2), out=np.empty((n, d, d), dtype=complex))
+        steps = np.matmul(q_real, e_qt.view(float)).view(complex)  # Q_T e^{i theta} Q_T^T
+        gauge = np.multiply(g[:, :, None], g.conj()[:, None, :])  # g_a conj(g_b)
+        steps *= gauge
+    return i_theta.imag, (q_real, gauge), steps
 
 
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:

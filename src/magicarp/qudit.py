@@ -164,7 +164,8 @@ class ControlSet:
     ``tridiagonal`` records once whether every control is zero off the
     tridiagonal band (true of adjacent-level sets); the step kernel of whole
     pulses then builds each step generator from ``superdiagonal`` and
-    ``diagonal`` alone.
+    ``diagonal`` alone, and GRAPE's gradient contracts only the entries
+    ``nonzero`` of its derivative matrices.
     """
 
     dim: int
@@ -173,6 +174,7 @@ class ControlSet:
     tridiagonal: bool = field(init=False, repr=False, compare=False)
     superdiagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d-1): H_k[j, j+1]
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d): H_k[j, j], real
+    nonzero: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # where some H_k != 0
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonians, dtype=complex)
@@ -190,6 +192,7 @@ class ControlSet:
         object.__setattr__(self, "tridiagonal", not np.any(h[:, off_band]))
         object.__setattr__(self, "superdiagonal", np.ascontiguousarray(np.diagonal(h, 1, 1, 2)))
         object.__setattr__(self, "diagonal", np.ascontiguousarray(np.diagonal(h, 0, 1, 2).real))
+        object.__setattr__(self, "nonzero", np.nonzero(np.any(h != 0, axis=0)))
 
     @property
     def n_controls(self) -> int:

@@ -179,7 +179,7 @@ class _Pairings:
         theta_hams = (-1.0 / n_steps) * controls.hamiltonians
         to_v = _pairing(controls.hamiltonians)
         to_theta = to_v @ theta_hams.view(float).reshape(k, 2 * d * d)
-        rows, cols = np.nonzero(np.any(theta_hams != 0, axis=0))
+        rows, cols = controls.nonzero
         return cls(
             n_steps, basis.generators, theta_hams, to_v, to_theta, _pairing(basis.generators),
             rows, cols, theta_hams[:, rows, cols],

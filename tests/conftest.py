@@ -33,11 +33,13 @@ KERNEL_SETS = ("zero_pair", "detuned", "dense")
 
 
 def kernel_case(name: str, d: int, rng: np.random.Generator, n_steps: int) -> tuple[ControlSet, np.ndarray]:
-    """A control set and (n_steps, K) amplitudes: adjacent-level controls whose
-    last pair is driven with amplitudes exactly 0 (a zero superdiagonal entry),
-    adjacent-level controls plus a real diagonal (detuning) control, both
-    tridiagonal, or three dense random controls."""
+    """A control set and (n_steps, K) amplitudes: adjacent-level controls
+    ("adjacent"), the same whose last pair is driven with amplitudes exactly 0
+    (a zero superdiagonal entry), adjacent-level controls plus a real diagonal
+    (detuning) control, all tridiagonal, or three dense random controls."""
     adjacent = nearest_neighbor_control_set(d)
+    if name == "adjacent":
+        return adjacent, 3.0 * rng.standard_normal((n_steps, adjacent.n_controls))
     if name == "zero_pair":
         amplitudes = 3.0 * rng.standard_normal((n_steps, adjacent.n_controls))
         amplitudes[:, -2:] = 0.0

@@ -216,6 +216,28 @@ class TestOptimizeCommand:
         path.write_text("magicarp: [unclosed", encoding="utf-8")
         assert main(["optimize", "--config", str(path)]) == EXIT_INVALID
 
+    def test_config_directory_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["optimize", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: config file {tmp_path} cannot be read: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode bits")
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "locked.yaml"
+        path.write_text("dim: 2\n", encoding="utf-8")
+        path.chmod(0)
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: config file {path} cannot be read: ")
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        # only input errors exit 2: an --out that is a file fails on the output side
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        config = tmp_path / "grape.yaml"
+        config.write_text("dim: 2\ngrape: {n_steps: 2, max_iters: 5}\n", encoding="utf-8")
+        assert main(["grape", "--config", str(config), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
     @pytest.mark.parametrize(
         "command,runner", [("optimize", "optimize"), ("grape", "grape_optimize"), ("benchmark", "run_campaign")]
     )
@@ -379,6 +401,20 @@ class TestCertifyCommand:
 
     def test_missing_schedule_exits_2(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.csv")]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_schedule_directory_exits_2_naming_it(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: schedule file {tmp_path} cannot be read: ")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode bits")
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_unreadable_schedule_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "locked.csv"
+        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.ones((4, 2))))
+        path.chmod(0)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: schedule file {path} cannot be read: ")
 
     @pytest.mark.parametrize("command", ["certify", "bloch"])
     def test_header_only_schedule_exits_2_with_the_reason(self, tmp_path, capsys, command):

@@ -16,6 +16,7 @@ from magicarp.propagation import (
     control_generator,
     eigh_guard,
     exp_divided_differences,
+    pulse_eigensystems,
     step_eigensystems,
 )
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
@@ -187,16 +188,33 @@ def central_difference_gradient(schedule, target, controls, weight, h=1e-5):
 class TestGaugeKernel:
     """Tridiagonal control sets take the real-gauge kernel; the complex kernel is the oracle."""
 
-    @pytest.mark.parametrize("name", KERNEL_SETS)
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("name", ("adjacent",) + KERNEL_SETS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("weight", [0.0, 0.4])
     def test_gradient_equals_the_complex_kernel_loop_to_1e_13(self, rng, name, d, weight):
+        # at d = 2 the dense set is tridiagonal too, and takes the gauge
         target = random_unitary(rng, d)
         for n in (1, 9, 64):
             controls, amplitudes = kernel_case(name, d, rng, n)
             s = PulseSchedule.from_amplitudes(amplitudes)
             loop = loop_grape_gradient(s, target, controls, weight)
             gap = np.max(np.abs(grape_gradient(s, target, controls, weight) - loop))
+            assert gap <= 1e-13 * max(1.0, np.max(np.abs(loop)))
+
+    @pytest.mark.parametrize("name", ["adjacent", "zero_pair", "detuned"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_zero_pulse_gradient_equals_the_complex_kernel_loop_to_1e_13(self, rng, name, d):
+        # where GrapeConfig(init="zeros") starts: every Theta_n = 0, so all
+        # eigenvalues coincide and the gauge D is all ones
+        controls, _ = kernel_case(name, d, rng, 1)
+        s = zero_schedule(16, controls.n_controls)
+        theta, (_, gauge), _ = pulse_eigensystems(controls, s)
+        assert np.all(theta == 0) and np.all(gauge == 1)
+        target = random_unitary(rng, d)
+        for weight in (0.0, 0.4):
+            loop = loop_grape_gradient(s, target, controls, weight)
+            gap = np.max(np.abs(grape_gradient(s, target, controls, weight) - loop))
+            assert np.max(np.abs(loop)) > 0.0
             assert gap <= 1e-13 * max(1.0, np.max(np.abs(loop)))
 
     @pytest.mark.parametrize("name", KERNEL_SETS)

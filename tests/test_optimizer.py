@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicarp.optimizer import MAX_BACKTRACKS, bfgs_inverse_update, bfgs_steps, minimize_bfgs
+from magicarp.optimizer import MAX_BACKTRACKS, UPDATE_BLOCK, bfgs_inverse_update, bfgs_steps, minimize_bfgs
+
+from conftest import same_bits
 
 
 def quadratic(center):
@@ -255,6 +257,11 @@ def product_form_update(h_inv, s, y):
     return v @ h_inv @ v.T + rho * np.outer(s, s)
 
 
+def update_work(n):
+    """The two scratch blocks a BFGS run keeps: min(n, UPDATE_BLOCK) rows of n."""
+    return np.empty((min(n, UPDATE_BLOCK), n)), np.empty((min(n, UPDATE_BLOCK), n))
+
+
 class TestInverseUpdate:
     @pytest.mark.parametrize("n", [3, 15, 512])
     def test_equals_product_form_and_stays_symmetric(self, rng, n):
@@ -266,7 +273,7 @@ class TestInverseUpdate:
             if s @ y <= 0:
                 y = -y
             h_new = h_inv.copy()
-            bfgs_inverse_update(h_new, s, y, (np.empty((n, n)), np.empty((n, n))))
+            bfgs_inverse_update(h_new, s, y, update_work(n))
             ref = product_form_update(h_inv, s, y)
             assert np.linalg.norm(h_new - ref) <= 1e-13 * np.linalg.norm(ref)
             assert np.array_equal(h_new, h_new.T)
@@ -275,7 +282,7 @@ class TestInverseUpdate:
         # numpy reports its buffers to tracemalloc: the update's peak stays
         # below one (n, n) float array
         n = 512
-        h_inv, work = np.eye(n), (np.empty((n, n)), np.empty((n, n)))
+        h_inv, work = np.eye(n), update_work(n)
         s, y = rng.standard_normal(n), rng.standard_normal(n)
         if s @ y <= 0:
             y = -y
@@ -286,4 +293,25 @@ class TestInverseUpdate:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+        # nor a temporary of a block's size: the blocks are formed in the scratch
+        assert peak < UPDATE_BLOCK * n * 8
         assert not np.array_equal(h_inv, np.eye(n))
+
+    @pytest.mark.parametrize("n", [3, 15, 63, 64, 65, 512, 600])
+    def test_blocks_equal_whole_outer_products_bitwise(self, rng, n):
+        # below, at and across the block edges: each entry of H gains the sum
+        # s_i w_j + w_i s_j of the unblocked update, bit for bit
+        a = rng.standard_normal((n, n))
+        h_inv = a @ a.T / n + np.eye(n)
+        h_inv = 0.5 * (h_inv + h_inv.T)
+        s, y = rng.standard_normal(n), rng.standard_normal(n)
+        if s @ y <= 0:
+            y = -y
+        rho = 1.0 / float(s @ y)
+        hy = h_inv @ y
+        w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
+        w -= rho * hy
+        ref = h_inv + (np.outer(s, w) + np.outer(w, s))
+        bfgs_inverse_update(h_inv, s, y, update_work(n))
+        assert same_bits(h_inv, ref)
+        assert np.array_equal(h_inv, h_inv.T)
