@@ -21,9 +21,12 @@ them: its basis changes are real products on the float views of complex
 stacks, only the entries where some control is non-zero are read, and one
 (N, nnz) @ (nnz, K) product contracts them. Other sets take batched complex
 d x d products and one flat (N, d^2) @ (d^2, K) product.
-``grape_optimize`` holds the pass of the point it evaluated last, so the
+``grape_optimize`` hands the BFGS runner (``optimizer.run_lockstep``) a
+per-point forward pass that also values the point, and a gradient that
+reads a held pass; it passes no ladder, so the line search asks for one
+rung at a time. The runner holds the pass of the point valued last, so the
 gradient at an accepted point and the final report build no second pass.
-Its report counts the passes built, the gradients contracted and the
+The report counts the passes built, the gradients contracted and the
 curvature updates BFGS took (in memory only).
 """
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import OptimizationReport, minimize_bfgs
+from .optimizer import OptimizationReport, run_lockstep
 from .propagation import (
     PulseSchedule,
     accumulate,
@@ -185,19 +188,6 @@ def _gauged_contraction(
     return x_ba @ controls.hamiltonians[:, rows, cols].T
 
 
-def _hold_last(fn):
-    """``fn(x)`` that keeps its last result, keyed by the bytes of x."""
-    key, value = None, None
-
-    def held(x: np.ndarray):
-        nonlocal key, value
-        if key != x.tobytes():
-            key, value = x.tobytes(), fn(x)
-        return value
-
-    return held
-
-
 def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:
     if config.init == "explicit":
         rows = config.init_schedule
@@ -219,55 +209,41 @@ def grape_optimize(
     target = assert_unitary(target)
     if target.shape[0] != controls.dim:
         raise ValueError("target dimension does not match control set")
-    n, k = config.n_steps, controls.n_controls
+    n, k, weight = config.n_steps, controls.n_controls, config.penalty_weight
 
-    def as_schedule(x: np.ndarray) -> PulseSchedule:
-        return PulseSchedule.from_amplitudes(x.reshape(n, k))
+    def forward(points: list[np.ndarray]) -> tuple[list[float], list[tuple[PulseSchedule, tuple]]]:
+        """The objective at each point, and the tape of their passes: (schedule, pass) per point."""
+        tape = []
+        for x in points:
+            schedule = PulseSchedule.from_amplitudes(x.reshape(n, k))
+            tape.append((schedule, _forward_pass(controls, schedule)))
+        return [grape_objective(s, target, controls, weight, forward=passed) for s, passed in tape], tape
 
-    counts = {"forward_points": 0, "backward_passes": 0}
-
-    # the line search evaluates fun at the point it accepts, then asks for
-    # the gradient there: both read one held forward pass, as does the report
-    @_hold_last
-    def held_pass(x: np.ndarray) -> tuple[PulseSchedule, tuple]:
-        counts["forward_points"] += 1
-        schedule = as_schedule(x)
-        return schedule, _forward_pass(controls, schedule)
-
-    def fun(x: np.ndarray) -> float:
-        schedule, passed = held_pass(x)
-        return grape_objective(schedule, target, controls, config.penalty_weight, forward=passed)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        counts["backward_passes"] += 1
-        schedule, passed = held_pass(x)
-        return grape_gradient(schedule, target, controls, config.penalty_weight, forward=passed).ravel()
+    def backward(held: list[tuple[list, int]]) -> list[np.ndarray]:
+        grads = []
+        for tape, row in held:
+            schedule, passed = tape[row]
+            grads.append(grape_gradient(schedule, target, controls, weight, forward=passed).ravel())
+        return grads
 
     x0 = initial_schedule(config, k).amplitudes.ravel()
     t0 = time.perf_counter()
-    result = minimize_bfgs(
-        fun,
-        grad,
-        x0,
-        tol=config.convergence_tol,
-        max_iters=config.max_iters,
-        stall_tol=config.stall_tol,
-    )
+    # no ladder: every request is a single point, and the runner holds its pass
+    run = run_lockstep(
+        [x0], forward, backward, tol=config.convergence_tol, max_iters=config.max_iters, stall_tol=config.stall_tol
+    )[0]
     wall = time.perf_counter() - t0
-    schedule, (_, _, products) = held_pass(result.x)
+    if isinstance(run, Exception):
+        raise run
+    _, tape, row = run.held
+    schedule, (_, _, products) = tape[row]
     infidelity = normalized_infidelity(target, products[-1])
-    return OptimizationReport(
+    return run.report(
         final_g=None,
         final_schedule=schedule,
         infidelity=infidelity,
         duration=schedule.duration(controls.omega_max),
-        cost_trace=result.trace,
-        iterations=result.iterations,
         converged=infidelity <= config.convergence_tol,
         seed=config.seed,
         wall_time=wall,
-        stop_reason=result.stop_reason,
-        forward_points=counts["forward_points"],
-        backward_passes=counts["backward_passes"],
-        curvature_updates=result.curvature_updates,
     )

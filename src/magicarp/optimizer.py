@@ -14,17 +14,23 @@ over once, instead of also writing and reading two 2 MB outer products.
 
 The loop is the generator ``bfgs_steps``: it yields evaluation requests
 and returns the result, and its arithmetic does not depend on who answers.
-``minimize_bfgs`` drives one run with plain callables; the shooting
-module's lockstep runner drives many runs and answers their requests in
-batches, and each run still follows the iterates it would follow alone.
+It has one driver, ``run_lockstep``, which runs several generators in
+lockstep from three callables: a forward pass over a list of points, a
+backward pass over rows of earlier forward passes, and optionally a ladder
+that values a stack of points. It holds each run's last single-point pass,
+so the gradient at an accepted rung and the final report build no second
+pass, counts the points and gradients each run costs, and keeps a
+numerical failure to the run that raised it. Shooting supplies batched
+passes and a ladder (``shooting.run_restarts``), GRAPE per-point passes
+and no ladder (``grape.grape_optimize``).
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
 trace, and stop reason are reproducible bitwise. The line search is one
 ladder loop over blocks of Armijo rungs, each block asked for only if every
-rung before it failed the test. With batched evaluation the blocks double:
-rung 0 (the full step) alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15
-and 16-29 (``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a
-rejection costs a few rows, not 28. Without it (GRAPE) every block is one
+rung before it failed the test. With a ladder the blocks double: rung 0
+(the full step) alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and
+16-29 (``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a
+rejection costs a few rows, not 28. Without one (GRAPE) every block is one
 rung, which is a sequential backtracking loop. Either way the ladder picks
 the largest step that passes the Armijo test, so both accept the same step.
 """
@@ -32,7 +38,7 @@ the largest step that passes the Armijo test, so both accept the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -211,30 +217,151 @@ def bfgs_steps(
     )
 
 
-def minimize_bfgs(
-    fun: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+class LockstepRun:
+    """One BFGS run of ``run_lockstep``.
+
+    It keeps its generator and pending ``request``; the ``point`` of a
+    single-point request and that point's bytes, ``point_key`` (both None
+    for a wide ladder); its last single-point pass ``held`` (value, tape and
+    row) and the bytes ``key`` of that pass's point; its counts; and how it
+    ended, ``result`` or the ``error`` it raised.
+    """
+
+    def __init__(self, steps: Generator):
+        self.steps = steps
+        self.key = self.held = self.result = self.error = None
+        self.forward_points = 0  # points whose forward pass was built, ladder rows included
+        self.backward_passes = 0
+        self.reply(None)
+
+    def reply(self, value) -> None:
+        """Answer the pending request; a finished run asks for its report pulse."""
+        try:
+            self.request = self.steps.send(value)
+        except StopIteration as done:
+            self.result = done.value
+            self.request = ("pulse", self.result.x)
+        except (ValueError, RuntimeError) as exc:
+            self.fail(exc)
+            return
+        kind, x = self.request
+        self.point = x if kind != "values" else x[0] if len(x) == 1 else None
+        self.point_key = None if self.point is None else self.point.tobytes()
+
+    def fail(self, exc: Exception) -> None:
+        self.error, self.request, self.point, self.held = exc, None, None, None
+
+    def report(self, **problem) -> OptimizationReport:
+        """The run's report, given the fields that depend on the problem
+        (final_g, final_schedule, infidelity, duration, converged, seed, wall_time)."""
+        result = self.result
+        return OptimizationReport(
+            **problem,
+            cost_trace=result.trace,
+            iterations=result.iterations,
+            stop_reason=result.stop_reason,
+            forward_points=self.forward_points,
+            backward_passes=self.backward_passes,
+            curvature_updates=result.curvature_updates,
+        )
+
+
+def _serve(runs: list[LockstepRun], evaluate, deliver) -> None:
+    """``deliver(run, out)`` for each run and its share of ``evaluate(runs)``.
+
+    If the batch raises a numerical or runtime error, each run is evaluated
+    alone, so that only a run that fails on its own gets the error.
+    """
+    if not runs:
+        return
+    try:
+        outs = evaluate(runs)
+    except (ValueError, RuntimeError) as exc:
+        if len(runs) == 1:
+            runs[0].fail(exc)
+            return
+        for run in runs:
+            _serve([run], evaluate, deliver)
+        return
+    for run, out in zip(runs, outs):
+        deliver(run, out)
+
+
+def run_lockstep(
+    x0s: Sequence[np.ndarray],
+    forward: Callable[[list[np.ndarray]], tuple[Sequence[float], object]],
+    backward: Callable[[list[tuple[object, int]]], Sequence[np.ndarray]],
+    ladder: Callable[[np.ndarray], np.ndarray] | None = None,
     *,
     tol: float,
     max_iters: int,
     stall_tol: float = 1e-12,
-    batch_fun: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> MinimizeResult:
-    """Minimize ``fun`` from ``x0``; stop at ``fun <= tol``, stall, or budget.
+) -> list[LockstepRun | Exception]:
+    """Independent ``bfgs_steps`` runs from the given points, in lockstep.
 
-    Drives one ``bfgs_steps`` run. ``grad`` supplies the exact gradient of
-    ``fun``; both drivers pass an analytic one. ``batch_fun``, if given,
-    evaluates a (B, n) stack of points in one call and answers every value
-    request, batching the line-search ladder; otherwise ``fun`` is called on
-    each row in turn.
+    ``forward(points)`` takes a list of points and gives their objective
+    values (+inf where undefined) and a tape, whose row i is point i's pass;
+    ``backward([(tape, row), ...])`` gives the gradient at each of those
+    passes' points; ``ladder(points)``, if given, values a (B, n) stack and
+    selects the ``LADDER_EDGES`` blocks, otherwise every block is one rung.
+    Each round answers the runs' requests in three phases: (A) one forward
+    pass over every single-point request (the initial value, rungs 0 and 1,
+    a gradient point whose pass is not held, the final point), whose passes
+    the runs hold, after which the value requests are answered; (B) one
+    ``ladder`` call over every wider ladder; (C) one backward pass over
+    every gradient whose forward pass is held. So the gradient at an
+    accepted single rung costs only its backward pass. Where the callables
+    compute each row as they would alone, every run follows the iterates of
+    its lone run.
+
+    Returns one finished run per point, in order, holding the pass of its
+    final point, or the ``ValueError`` or ``RuntimeError`` that ended that
+    run; other errors propagate.
     """
-    steps = bfgs_steps(x0, tol=tol, max_iters=max_iters, stall_tol=stall_tol, batched=batch_fun is not None)
-    values = batch_fun if batch_fun is not None else lambda xs: [fun(x) for x in xs]
-    reply = None
-    while True:
-        try:
-            kind, x = steps.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = values(x) if kind == "values" else grad(x)
+    runs = [
+        LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, stall_tol=stall_tol, batched=ladder is not None))
+        for x0 in x0s
+    ]
+
+    def hold_passes(group):
+        values, tape = forward([run.point for run in group])
+        return [(value, tape, row) for row, value in enumerate(values)]
+
+    def hold(run, held):
+        run.key, run.held = run.point_key, held
+        run.forward_points += 1
+
+    def ladders(group):
+        values = ladder(np.concatenate([run.request[1] for run in group]))
+        return np.split(values, np.cumsum([len(run.request[1]) for run in group])[:-1])
+
+    def gradients(group):
+        return backward([run.held[1:] for run in group])
+
+    def answer_ladder(run, values):
+        run.forward_points += len(values)
+        run.reply(values)
+
+    def answer_gradient(run, grad):
+        run.backward_passes += 1
+        run.reply(grad)
+
+    while live := [run for run in runs if run.request is not None]:
+        # (A) single-point forward passes; then answer the value requests
+        _serve([run for run in live if run.point is not None and run.point_key != run.key], hold_passes, hold)
+        for run in live:
+            if run.point is not None and run.point_key == run.key:
+                kind = run.request[0]
+                if kind == "pulse":
+                    run.request = None
+                elif kind == "values":
+                    run.reply([run.held[0]])
+        # (B) wider ladders
+        _serve([run for run in live if run.request and run.point is None], ladders, answer_ladder)
+        # (C) gradients at held points
+        _serve(
+            [run for run in live if run.request and run.request[0] == "grad" and run.point_key == run.key],
+            gradients,
+            answer_gradient,
+        )
+    return [run.error if run.error is not None else run for run in runs]

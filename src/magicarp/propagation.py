@@ -62,8 +62,10 @@ class PulseSchedule:
             raise ValueError(
                 f"amplitudes shape {amps.shape} != ({self.n_steps}, {self.n_controls})"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
+        # one sum of squares catches NaN and inf, and amplitudes so large that
+        # the envelope (a row's norm) or the energy overflows
+        if not np.isfinite(np.vdot(amps, amps)):
+            raise ValueError("amplitudes must be finite, with a finite sum of squares")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

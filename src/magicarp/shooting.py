@@ -45,14 +45,16 @@ cotangent c0_bar and the cotangent of g are each one contraction over all
 steps after the sweep. Both passes take a batch of B points, and each row
 is bitwise the row of its point computed alone.
 
-``run_restarts`` is the one restart runner: it runs the BFGS generators
-(``optimizer.bfgs_steps``) of several restarts in lockstep and answers
-their requests with one batched forward pass, ladder and backward pass per
-round. A restart keeps its last single-point forward pass, so the gradient
-at an accepted rung 0 or 1 costs only the backward pass and a typical
-iteration costs one forward and one backward pass. ``optimize`` is the
-runner with one seed, ``restarted_optimize`` the runner over its seeds, and
-campaign groups (``bench.py``) call it directly.
+``run_restarts`` runs several restarts in lockstep. It supplies the BFGS
+runner (``optimizer.run_lockstep``) with its batched passes: ``_forward``
+for single-point requests, ``_backward`` over the gathered rows of their
+tapes and ``batch_objective`` for wider ladders. The runner answers every
+restart's requests with one forward pass, ladder and backward pass per
+round. A restart's gradient at an accepted rung 0 or 1 costs only the
+backward pass, so a typical iteration costs one forward and one backward
+pass.
+``optimize`` is the runner with one seed, ``restarted_optimize`` the runner
+over its seeds, and campaign groups (``bench.py``) call it directly.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimizer import MinimizeResult, OptimizationReport, bfgs_steps
+from .optimizer import OptimizationReport, run_lockstep
 from .propagation import (
     PropagationResult,
     PulseSchedule,
@@ -382,8 +384,9 @@ def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
     return float(value)
 
 
-def _forward(points: np.ndarray, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
-    """Objective values (+inf for a degenerate envelope) and the tape of a (B, d^2-1) stack."""
+def _forward(points, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
+    """Objective values (+inf for a degenerate envelope) and the tape of B points,
+    a (B, d^2-1) stack or a list of B coefficient vectors."""
     u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode, True)
     return _infidelities(u_final, valid, context), tape
 
@@ -503,168 +506,51 @@ def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
     return config.init_sigma * rng.standard_normal(n_params)
 
 
-class _Restart:
-    """One BFGS run of the lockstep runner: its generator, its pending request
-    and its last single-point forward pass (value, tape and row, keyed by the
-    point's bytes)."""
-
-    def __init__(self, context: ShootingContext, seed: int):
-        cfg = replace(context.config, seed=int(seed))
-        self.seed = cfg.seed
-        self.steps = bfgs_steps(
-            initial_coeffs(cfg, context.n_params),
-            tol=cfg.convergence_tol,
-            max_iters=cfg.max_iters,
-            stall_tol=cfg.stall_tol,
-            batched=True,
-        )
-        self.request: tuple[str, np.ndarray] | None = None
-        self.key: bytes | None = None
-        self.held: tuple[float, _Tape, int] | None = None
-        self.result: MinimizeResult | None = None
-        self.error: Exception | None = None
-        self.forward_points = 0
-        self.backward_passes = 0
-        self.reply(None)
-
-    @property
-    def point(self) -> np.ndarray | None:
-        """The point of a single-point request (None for a wide ladder or no request)."""
-        if self.request is None:
-            return None
-        kind, x = self.request
-        return x if kind != "values" else x[0] if len(x) == 1 else None
-
-    def holds(self, x: np.ndarray) -> bool:
-        return self.key == x.tobytes()
-
-    def hold(self, x: np.ndarray, value: float, tape: _Tape, row: int) -> None:
-        self.key, self.held = x.tobytes(), (value, tape, row)
-        self.forward_points += 1
-
-    def reply(self, value) -> None:
-        """Answer the pending request; a finished run asks for its report pulse."""
-        try:
-            self.request = self.steps.send(value)
-        except StopIteration as done:
-            self.result = done.value
-            self.request = ("pulse", self.result.x)
-        except (ValueError, RuntimeError) as exc:
-            self.fail(exc)
-
-    def fail(self, exc: Exception) -> None:
-        self.error, self.request, self.held = exc, None, None
-
-
-def _serve(runs: list[_Restart], evaluate, deliver) -> None:
-    """``deliver(run, out)`` for each run and its share of ``evaluate(runs)``.
-
-    If the batch raises a numerical or runtime error, each run is evaluated
-    alone, so that only a run that fails on its own gets the error.
-    """
-    if not runs:
-        return
-    try:
-        outs = evaluate(runs)
-    except (ValueError, RuntimeError) as exc:
-        if len(runs) == 1:
-            runs[0].fail(exc)
-            return
-        for run in runs:
-            _serve([run], evaluate, deliver)
-        return
-    for run, out in zip(runs, outs):
-        deliver(run, out)
-
-
 def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[OptimizationReport | Exception]:
     """Independent BFGS restarts from the given seeds, run in lockstep.
 
-    Each round batches the restarts' expensive evaluations in three phases:
-    (A) one tape-keeping forward pass over every single-point request (the
-    initial value, rungs 0 and 1, and any gradient point whose pass is not
-    held), after which the value requests are answered; (B) one
-    ``batch_objective`` call over every wider ladder; (C) one backward pass
-    over every gradient whose forward pass is held. Since each row of these
+    ``optimizer.run_lockstep`` drives them, with ``_forward`` for the
+    single-point passes, ``_backward`` over the gathered rows of their tapes
+    and ``batch_objective`` for the wider ladders. Since each row of these
     batches is bitwise the same as the row computed alone, every restart
-    follows the iterates of its lone run, and the gradient at an accepted
-    single rung costs only its backward pass.
+    follows the iterates of its lone run.
 
     Returns one report per seed, in order, or the ``ValueError`` or
     ``RuntimeError`` that ended that restart; other errors propagate. Every
     report's ``wall_time`` is that of the whole group.
     """
     cfg = context.config
+    seeds = [int(seed) for seed in seeds]
     t0 = time.perf_counter()
-    runs = [_Restart(context, seed) for seed in seeds]
-
-    def hold_passes(group):
-        values, tape = _forward(np.stack([run.point for run in group]), context)
-        return [(value, tape, row) for row, value in enumerate(values)]
-
-    def ladders(group):
-        values = batch_objective(np.concatenate([run.request[1] for run in group]), context)
-        return np.split(values, np.cumsum([len(run.request[1]) for run in group])[:-1])
-
-    def backward(group):
-        return _backward(_Tape.rows([run.held[1:] for run in group]), context)
-
-    def answer_ladder(run, values):
-        run.forward_points += len(values)
-        run.reply(values)
-
-    def answer_gradient(run, grad):
-        run.backward_passes += 1
-        run.reply(grad)
-
-    while live := [run for run in runs if run.request is not None]:
-        # (A) single-point forward passes; then answer the value requests
-        _serve(
-            [run for run in live if run.point is not None and not run.holds(run.point)],
-            hold_passes,
-            lambda run, held: run.hold(run.point, *held),
-        )
-        for run in live:
-            if run.point is not None and run.holds(run.point):
-                kind = run.request[0]
-                if kind == "pulse":
-                    run.request = None
-                elif kind == "values":
-                    run.reply(np.array([run.held[0]]))
-        # (B) wider ladders
-        _serve([run for run in live if run.request and run.point is None], ladders, answer_ladder)
-        # (C) gradients at held points
-        _serve(
-            [run for run in live if run.request and run.request[0] == "grad" and run.holds(run.point)],
-            backward,
-            answer_gradient,
-        )
+    runs = run_lockstep(
+        [initial_coeffs(replace(cfg, seed=seed), context.n_params) for seed in seeds],
+        lambda points: _forward(points, context),
+        lambda held: _backward(_Tape.rows(held), context),
+        lambda points: batch_objective(points, context),
+        tol=cfg.convergence_tol,
+        max_iters=cfg.max_iters,
+        stall_tol=cfg.stall_tol,
+    )
     wall = time.perf_counter() - t0
 
     outcomes = []
-    for run in runs:
-        if run.error is not None:
-            outcomes.append(run.error)
+    for seed, run in zip(seeds, runs):
+        if isinstance(run, Exception):
+            outcomes.append(run)
             continue
-        result, (_, tape, row) = run.result, run.held
+        _, tape, row = run.held
         # a copy: the row is a strided view of the whole group's pulses
         schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, row].copy())
-        infidelity = result.trace[-1]
+        infidelity = run.result.trace[-1]
         outcomes.append(
-            OptimizationReport(
-                final_g=AdjointMatrix(context.controls.dim, result.x),
+            run.report(
+                final_g=AdjointMatrix(context.controls.dim, run.result.x),
                 final_schedule=schedule,
                 infidelity=infidelity,
                 duration=schedule.duration(context.controls.omega_max),
-                cost_trace=result.trace,
-                iterations=result.iterations,
                 converged=infidelity <= cfg.convergence_tol,
-                seed=run.seed,
+                seed=seed,
                 wall_time=wall,
-                stop_reason=result.stop_reason,
-                forward_points=run.forward_points,
-                backward_passes=run.backward_passes,
-                curvature_updates=result.curvature_updates,
             )
         )
     return outcomes

@@ -439,6 +439,17 @@ class TestCertifyCommand:
         assert f"error: schedule {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["certify", "bloch"])
+    def test_overflowing_schedule_exits_2(self, tmp_path, capsys, command):
+        # finite amplitudes whose envelope overflows, with an envelope column
+        # that passes its check against inf
+        path = tmp_path / "huge.csv"
+        row = "1e300,1e300,1.4142135623730951e300"
+        path.write_text(f"step,t,u_0,u_1,envelope\n0,0,{row}\n1,0.5,{row}\n", encoding="utf-8")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: amplitudes must be finite, with a finite sum of squares")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "bloch"])
     def test_wrong_control_count_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "four.csv"
         write_schedule_csv(path, PulseSchedule.from_amplitudes(np.full((4, 4), 0.5)))

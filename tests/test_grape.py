@@ -3,6 +3,7 @@ import pytest
 
 from magicarp import grape, optimizer
 from magicarp.bench import tau_qsl
+from magicarp.cli import EXIT_RUNTIME, main
 from magicarp.grape import (
     GrapeConfig,
     energy_integral,
@@ -375,7 +376,7 @@ class TestHeldPass:
         monkeypatch.setattr(optimizer, "bfgs_inverse_update", lambda *args: updates.append(real_update(*args)))
         report = grape_optimize(target, ctrl, cfg)
         assert report.stop_reason == stop
-        # the gradients and the report read the pass of the point fun evaluated last
+        # the gradients and the report read the pass of the point valued last
         assert len(gradients) == report.iterations + 1
         assert len(passes) == self.new_points(points)
         # the report counts the same work
@@ -384,14 +385,16 @@ class TestHeldPass:
 
     def test_line_search_stop_rebuilds_the_report_pass(self, monkeypatch):
         # one rung per line search: a rejected rung 0 ends the run after the
-        # last accepted point, so the report builds that point's pass again
+        # last accepted point, so the report builds that point's pass again,
+        # through the same forward pass that values every point
         passes = self.count(monkeypatch, "pulse_eigensystems")
         points = self.count(monkeypatch, "grape_objective")
         monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 1)
         cfg = GrapeConfig(n_steps=16, max_iters=500, seed=0)
         report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
         assert report.stop_reason == "line_search"
-        assert len(passes) == self.new_points(points) + 1
+        assert len(passes) == self.new_points(points)
+        assert points[-1].amplitudes.tobytes() == report.final_schedule.amplitudes.tobytes()
         assert report.forward_points == len(passes)
         final = grape_objective(report.final_schedule, target_gate("qft", 3), nearest_neighbor_control_set(3))
         assert report.infidelity == final == report.cost_trace[-1]
@@ -402,8 +405,28 @@ class TestHeldPass:
         target, ctrl = target_gate("qft", d), nearest_neighbor_control_set(d)
         cfg = GrapeConfig(n_steps=16, max_iters=150, penalty_weight=weight, seed=d)
         held = grape_optimize(target, ctrl, cfg)
-        monkeypatch.setattr(grape, "_hold_last", lambda fn: fn)
+        real_reply = optimizer.LockstepRun.reply
+
+        def forget_then_reply(run, value):
+            # the runner never holds a pass from one request to the next: each
+            # value, gradient and the report build their own
+            run.key = run.held = None
+            real_reply(run, value)
+
+        monkeypatch.setattr(optimizer.LockstepRun, "reply", forget_then_reply)
         fresh = grape_optimize(target, ctrl, cfg)
+        assert fresh.forward_points > held.forward_points
         assert np.array_equal(held.cost_trace, fresh.cost_trace)
         assert np.array_equal(held.final_schedule.amplitudes, fresh.final_schedule.amplitudes)
         assert (held.infidelity, held.stop_reason) == (fresh.infidelity, fresh.stop_reason)
+
+    def test_failing_pass_raises_its_error(self, monkeypatch, tmp_path, capsys):
+        # the runner keeps a numerical failure to its run; grape_optimize raises it
+        def singular(controls, schedule):
+            raise np.linalg.LinAlgError("synthetic eigh failure")
+
+        monkeypatch.setattr(grape, "_forward_pass", singular)
+        with pytest.raises(np.linalg.LinAlgError, match="synthetic eigh failure"):
+            grape_optimize(target_gate("qft", 2), nearest_neighbor_control_set(2), GrapeConfig(n_steps=4))
+        assert main(["grape", "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: synthetic eigh failure")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicarp.optimizer import MAX_BACKTRACKS, UPDATE_BLOCK, bfgs_inverse_update, bfgs_steps, minimize_bfgs
+from magicarp.optimizer import MAX_BACKTRACKS, UPDATE_BLOCK, bfgs_inverse_update, bfgs_steps, run_lockstep
 
 from conftest import same_bits
 
@@ -31,10 +31,33 @@ def rosenbrock_grad(x):
     )
 
 
-class TestMinimizeBfgs:
+def lone_run(fun, grad, x0, *, ladder=False, log=None, **options):
+    """One ``run_lockstep`` run on the per-point callables ``fun`` and ``grad``
+    (with a ladder that calls ``fun`` on each row if ``ladder``); its result.
+    ``log`` gets ("forward", points) and ("ladder", rows) for each call."""
+    log = [] if log is None else log
+
+    def forward(points):
+        log.append(("forward", len(points)))
+        return [fun(x) for x in points], points
+
+    def backward(held):
+        return [grad(tape[row]) for tape, row in held]
+
+    def batch(xs):
+        log.append(("ladder", len(xs)))
+        return np.array([fun(x) for x in xs])
+
+    outcome = run_lockstep([x0], forward, backward, batch if ladder else None, **options)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.result
+
+
+class TestRunLockstep:
     def test_quadratic_converges(self):
         fun, grad = quadratic(np.array([1.0, -2.0, 3.0]))
-        res = minimize_bfgs(fun, grad, np.zeros(3), tol=1e-12, max_iters=100)
+        res = lone_run(fun, grad, np.zeros(3), tol=1e-12, max_iters=100)
         assert res.stop_reason == "tol"
         assert res.fun <= 1e-12
         assert np.allclose(res.x, [1.0, -2.0, 3.0], atol=1e-6)
@@ -42,22 +65,18 @@ class TestMinimizeBfgs:
         assert res.curvature_updates == res.iterations >= 1
 
     def test_rosenbrock_converges(self):
-        res = minimize_bfgs(
-            rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), tol=1e-14, max_iters=300
-        )
+        res = lone_run(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), tol=1e-14, max_iters=300)
         assert res.fun <= 1e-12
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
     def test_trace_non_increasing(self):
-        res = minimize_bfgs(
-            rosenbrock, rosenbrock_grad, np.array([2.0, -1.0]), tol=1e-14, max_iters=200
-        )
+        res = lone_run(rosenbrock, rosenbrock_grad, np.array([2.0, -1.0]), tol=1e-14, max_iters=200)
         diffs = np.diff(res.trace)
         assert np.all(diffs <= 0)
 
     def test_max_iters_stop(self):
         fun, grad = quadratic(np.array([10.0]))
-        res = minimize_bfgs(fun, grad, np.zeros(1), tol=0.0, max_iters=1)
+        res = lone_run(fun, grad, np.zeros(1), tol=0.0, max_iters=1)
         assert res.stop_reason == "max_iters"
         assert res.iterations == 1
 
@@ -69,16 +88,14 @@ class TestMinimizeBfgs:
         def grad(x):
             return 2.0 * x
 
-        res = minimize_bfgs(fun, grad, np.ones(2), tol=0.0, max_iters=10_000)
+        res = lone_run(fun, grad, np.ones(2), tol=0.0, max_iters=10_000)
         assert res.stop_reason in ("stall", "line_search")
         assert res.fun == pytest.approx(1.0, abs=1e-10)
 
     def test_initial_point_must_be_finite(self):
-        def fun(x):
-            return np.inf
-
-        with pytest.raises(ValueError):
-            minimize_bfgs(fun, lambda x: x, np.zeros(2), tol=1e-8, max_iters=10)
+        (outcome,) = run_lockstep([np.zeros(2)], lambda xs: ([np.inf] * len(xs), None), None, tol=1e-8, max_iters=10)
+        assert isinstance(outcome, ValueError)
+        assert "not finite at the initial point" in str(outcome)
 
     def test_probe_failure_aborts_probe_not_run(self):
         # objective undefined (+inf) on a half-space: line search backs off
@@ -92,18 +109,14 @@ class TestMinimizeBfgs:
         def grad(x):
             return 2.0 * (x - center)
 
-        res = minimize_bfgs(fun, grad, np.array([-3.0, -3.0]), tol=1e-12, max_iters=100)
+        res = lone_run(fun, grad, np.array([-3.0, -3.0]), tol=1e-12, max_iters=100)
         assert res.fun <= 1e-12
 
-    def test_batch_fun_matches_sequential(self):
+    def test_ladder_matches_sequential(self):
         fun, grad = quadratic(np.array([2.0, -1.0, 0.5, 4.0]))
-
-        def batch(xs):
-            return np.array([fun(row) for row in xs])
-
         x0 = np.array([5.0, 5.0, 5.0, 5.0])
-        seq = minimize_bfgs(fun, grad, x0, tol=1e-13, max_iters=100)
-        bat = minimize_bfgs(fun, grad, x0, tol=1e-13, max_iters=100, batch_fun=batch)
+        seq = lone_run(fun, grad, x0, tol=1e-13, max_iters=100)
+        bat = lone_run(fun, grad, x0, tol=1e-13, max_iters=100, ladder=True)
         assert seq.trace == bat.trace
         assert np.array_equal(seq.x, bat.x)
 
@@ -114,15 +127,11 @@ class TestMinimizeBfgs:
         def fun(x):
             return 0.5 * float(np.sum((x - center) ** 2))
 
-        sizes = []
-
-        def batch(xs):
-            sizes.append(xs.shape[0])
-            return np.array([fun(row) for row in xs])
-
-        res = minimize_bfgs(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch)
+        log = []
+        res = lone_run(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, ladder=True, log=log)
         assert res.fun == 0.0
-        assert sizes == [1, 1]  # the initial value, then rung 0
+        # the initial value, then rung 0; the gradient and the report reuse its pass
+        assert log == [("forward", 1), ("forward", 1)]
 
     def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
         # rung 1 is tested alone; only when it fails too come rungs 2-3, then 4-7, 8-15, 16-29
@@ -132,78 +141,97 @@ class TestMinimizeBfgs:
         def fun(x):
             return float(np.sum((x - center) ** 2))
 
-        for scale, expected in ((2.0, [1, 1, 1]), (8.0, [1, 1, 1, 2])):
+        single = ("forward", 1)
+        for scale, expected in ((2.0, [single] * 3), (8.0, [single] * 3 + [("ladder", 2), single])):
             # a gradient `scale` times too long: the unit step overshoots, and the
-            # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x)
-            sizes = []
-
-            def batch(xs):
-                sizes.append(xs.shape[0])
-                return np.array([fun(row) for row in xs])
-
-            res = minimize_bfgs(
-                fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, batch_fun=batch
-            )
+            # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x,
+            # whose gradient needs a pass of its own)
+            log = []
+            res = lone_run(fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, ladder=True, log=log)
             assert res.fun == 0.0
-            assert sizes == expected
+            assert log == expected
 
     def test_lazy_ladder_reaches_the_last_block(self):
         # f(x) = -x + x^2 / delta from x = 0 along p = 1: the Armijo test passes
         # only for steps below about delta, so the first accepted rung is 16,
         # in the last block of rungs 16-29
         delta = 1.5 * 2.0**-16
-        sizes = []
+        log = []
 
         def fun(x):
             return float(-x[0] + x[0] ** 2 / delta)
 
-        def batch(xs):
-            sizes.append(xs.shape[0])
-            return np.array([fun(row) for row in xs])
-
-        res = minimize_bfgs(
-            fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, batch_fun=batch
+        res = lone_run(
+            fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, ladder=True, log=log
         )
         assert res.x[0] == 2.0**-16
-        assert sizes == [1, 1, 1, 2, 4, 8, 14]  # the initial value, then the ladder
+        # the initial value, then the ladder, then the pass of the accepted point for its gradient
+        single = ("forward", 1)
+        assert log == [single] * 3 + [("ladder", b) for b in (2, 4, 8, 14)] + [single]
 
     def test_sequential_ladder_calls_fun_once_per_rung(self):
-        # the last-block case above without batch_fun: one call per row, in order
+        # the last-block case above without a ladder: one single-point pass per row, in order
         delta = 1.5 * 2.0**-16
-        calls = []
+        calls, log = [], []
 
         def fun(x):
             calls.append(float(x[0]))
             return float(-x[0] + x[0] ** 2 / delta)
 
-        res = minimize_bfgs(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1)
+        res = lone_run(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, log=log)
         assert res.x[0] == 2.0**-16
         assert calls == [0.0] + [2.0**-j for j in range(17)]
+        assert log == [("forward", 1)] * len(calls)
 
     def test_lazy_ladder_asks_for_every_block_when_all_rungs_fail(self):
         # a gradient of the wrong sign: every rung climbs, and the run stops
-        sizes = []
-
         def fun(x):
             return float(np.sum(x**2))
 
-        def batch(xs):
-            sizes.append(xs.shape[0])
-            return np.array([fun(row) for row in xs])
-
-        res = minimize_bfgs(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, batch_fun=batch)
+        log = []
+        res = lone_run(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, ladder=True, log=log)
         assert (res.stop_reason, res.iterations) == ("line_search", 0)
-        assert sizes == [1, 1, 1, 2, 4, 8, 14]  # the initial value, then the ladder
+        # the initial value, then the ladder, then the final point's pass again for the report
+        single = ("forward", 1)
+        assert log == [single] * 3 + [("ladder", b) for b in (2, 4, 8, 14)] + [single]
 
     def test_deterministic(self):
         runs = [
-            minimize_bfgs(
-                rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), tol=1e-14, max_iters=150
-            )
-            for _ in range(2)
+            lone_run(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), tol=1e-14, max_iters=150) for _ in range(2)
         ]
         assert runs[0].trace == runs[1].trace
         assert np.array_equal(runs[0].x, runs[1].x)
+
+    @pytest.mark.parametrize("ladder", [False, True])
+    def test_failing_run_fails_alone(self, ladder):
+        # a pass over a point with x_0 > 0.2 and x_1 > 2 raises: run 1 reaches one
+        # at its first rung 0, in a batch with run 0, which goes on as if alone
+        fun, grad = quadratic(np.array([1.0, 1.0]))
+
+        def forward(points):
+            if any(x[0] > 0.2 and x[1] > 2.0 for x in points):
+                raise ValueError("poisoned point")
+            return [fun(x) for x in points], points
+
+        def backward(held):
+            return [grad(tape[row]) for tape, row in held]
+
+        batch = (lambda xs: forward(list(xs))[0]) if ladder else None
+        x0s = [np.array([-3.0, 0.0]), np.array([0.0, 3.0])]
+        options = dict(tol=1e-14, max_iters=50)
+        outcomes = run_lockstep(x0s, forward, backward, batch, **options)
+        assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "poisoned point"
+        (alone,) = run_lockstep(x0s[:1], forward, backward, batch, **options)
+        assert outcomes[0].result.trace == alone.result.trace
+        assert same_bits(outcomes[0].result.x, alone.result.x)
+        assert (outcomes[0].forward_points, outcomes[0].backward_passes) == (alone.forward_points, alone.backward_passes)
+
+    def test_programming_error_propagates(self):
+        def forward(points):
+            raise TypeError("a bug, not a numerical failure")
+
+        with pytest.raises(TypeError, match="a bug"):
+            run_lockstep([np.zeros(2), np.ones(2)], forward, None, tol=1e-8, max_iters=10)
 
 
 def drive_at_fixed_point(x0, f0, g0, batched):

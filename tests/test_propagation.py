@@ -44,11 +44,18 @@ class TestPulseSchedule:
         with pytest.raises(ValueError):
             PulseSchedule(n_steps=4, n_controls=1, dt=0.3, amplitudes=np.ones((4, 1)))
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -2e154])
+    def test_rejects_non_finite_or_overflowing(self, value):
+        # beyond about 1.34e154 the square overflows, and with it the envelope
         amps = np.ones((4, 2))
-        amps[1, 0] = np.inf
-        with pytest.raises(ValueError):
+        amps[1, 0] = value
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
             PulseSchedule.from_amplitudes(amps)
+
+    def test_accepts_amplitudes_whose_sum_of_squares_is_finite(self):
+        # 2 * 9e153^2 = 1.62e308, below the largest float
+        schedule = PulseSchedule.from_amplitudes(np.array([[9e153, 0.0], [0.0, -9e153]]))
+        assert np.all(np.isfinite(schedule.envelope)) and np.isfinite(schedule.duration(1.0))
 
 
 def step_exponential(controls, amplitudes, dt):
