@@ -29,14 +29,12 @@ from .qudit import (
     nearest_neighbor_control_set,
     target_gate,
     tau_qsl,
-    trace_inner,
 )
 from .shooting import (
     CertificateResult,
     DegenerateEnvelopeError,
     MagicarpConfig,
     ShootingContext,
-    objective,
     optimality_certificate,
     optimize,
     pulses_from_adjoint,
@@ -69,7 +67,6 @@ __all__ = [
     "minimal_duration",
     "nearest_neighbor_control_set",
     "normalized_infidelity",
-    "objective",
     "optimality_certificate",
     "optimize",
     "propagate",
@@ -80,7 +77,6 @@ __all__ = [
     "run_campaign",
     "target_gate",
     "tau_qsl",
-    "trace_inner",
     "verify_adjoint_constancy",
     "write_schedule_csv",
 ]

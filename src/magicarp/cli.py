@@ -10,8 +10,8 @@ validated in one pass, the file's seeds and then the override. Exit codes:
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
 defaults and value checks. The CLI checks the YAML type of every value and
-owns the other keys, controls among them: the library takes a control set
-as an object, and the CLI builds the one it names.
+owns the other keys. Every command drives the adjacent-level controls of the
+config's dimension (``nearest_neighbor_control_set``).
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ _CLI_KEYS = {
     "dim": (2, int, lambda v: v >= 2, "an integer >= 2"),
     "target": ("identity", str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
     "custom_target": (None, list | None, None, None),
-    "controls": ("nearest_neighbor", str, lambda v: v == "nearest_neighbor", "'nearest_neighbor'"),
     "omega_max": (1.0, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
     "benchmark.threshold": (1e-7, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
 }
@@ -179,10 +178,6 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     return normalize_config(raw, seed)
-
-
-def config_to_yaml(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=False)
 
 
 def parse_matrix_literal(rows: list) -> np.ndarray:

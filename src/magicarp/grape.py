@@ -55,7 +55,7 @@ class GrapeConfig:
     convergence_tol: float = 1e-7
     penalty_weight: float = 0.0
     stall_tol: float = 1e-12
-    init: str = "random_normal"  # "zeros" | "random_normal" | "explicit"
+    init: str = "random_normal"  # "random_normal" | "explicit"
     init_sigma: float = 1.0
     init_schedule: tuple[tuple[float, ...], ...] | None = None
     seed: int = 0
@@ -67,7 +67,7 @@ class GrapeConfig:
             ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
             ("penalty_weight", np.isfinite(self.penalty_weight) and self.penalty_weight >= 0, "a finite number >= 0"),
             ("stall_tol", 0 < self.stall_tol < np.inf, "a positive finite number"),
-            ("init", self.init in ("zeros", "random_normal", "explicit"), "zeros|random_normal|explicit"),
+            ("init", self.init in ("random_normal", "explicit"), "random_normal|explicit"),
             ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
             ("init_schedule", self.init != "explicit" or self.init_schedule is not None, "rows for explicit init"),
             ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
@@ -194,8 +194,6 @@ def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:
         if len(rows) != config.n_steps or any(len(row) != n_controls for row in rows):
             raise ValueError(f"init_schedule: expected {config.n_steps} rows of {n_controls} amplitudes")
         return PulseSchedule.from_amplitudes(np.asarray(rows, dtype=float))
-    if config.init == "zeros":
-        return PulseSchedule.from_amplitudes(np.zeros((config.n_steps, n_controls)))
     rng = np.random.default_rng(config.seed)
     return PulseSchedule.from_amplitudes(
         config.init_sigma * rng.standard_normal((config.n_steps, n_controls))

@@ -33,6 +33,9 @@ rung before it failed the test. With a ladder the blocks double: rung 0
 rejection costs a few rows, not 28. Without one (GRAPE) every block is one
 rung, which is a sequential backtracking loop. Either way the ladder picks
 the largest step that passes the Armijo test, so both accept the same step.
+A rung whose x + alpha p rounds to x is never asked for: its value is f,
+and every smaller step leaves x unchanged too, so a ladder that reaches one
+with no rung accepted ends the run on ``resolution``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class MinimizeResult:
     fun: float
     trace: list[float]
     iterations: int
-    stop_reason: str  # "tol" | "stall" | "max_iters" | "line_search"
+    stop_reason: str  # "tol" | "stall" | "max_iters" | "line_search" | "resolution"
     curvature_updates: int  # iterations whose s.y passed the curvature floor
 
 
@@ -144,7 +147,9 @@ def bfgs_steps(
     depend only on the replies. The line search asks for its rungs block by
     block, stopping at the first block with an accepted rung: with
     ``batched`` the blocks are ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3,
-    4-7, 8-15, 16-29), otherwise one rung each.
+    4-7, 8-15, 16-29), otherwise one rung each. A block is cut before its
+    first row equal to x, and reaching that row with no rung accepted ends
+    the run on ``resolution``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -180,13 +185,16 @@ def bfgs_steps(
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
         accepted = None
         for lo, hi in zip(edges[:-1], edges[1:]):
-            rungs = alphas[lo:hi]
-            values = yield ("values", x[None, :] + rungs[:, None] * p[None, :])
-            accepted = _first_armijo(rungs, np.asarray(values, dtype=float), f, gp)
-            if accepted is not None:
+            rows = x[None, :] + alphas[lo:hi, None] * p[None, :]
+            # rounding is monotone, so the rows that move x come first and the rest equal x
+            moving = int(np.any(rows != x, axis=1).sum())
+            if moving:
+                values = yield ("values", rows[:moving])
+                accepted = _first_armijo(alphas[lo:hi], np.asarray(values, dtype=float), f, gp)
+            if accepted is not None or moving < len(rows):
                 break
         if accepted is None:
-            stop = "line_search"
+            stop = "line_search" if moving == len(rows) else "resolution"
             break
         alpha, f_new = accepted
 

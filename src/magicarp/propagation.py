@@ -72,6 +72,8 @@ class PulseSchedule:
     def from_amplitudes(cls, amplitudes: np.ndarray) -> "PulseSchedule":
         amplitudes = np.atleast_2d(np.asarray(amplitudes, dtype=float))
         n, k = amplitudes.shape
+        if n < 1:
+            raise ValueError(f"amplitudes: expected at least one step (row), got shape {amplitudes.shape}")
         return cls(n_steps=n, n_controls=k, dt=1.0 / n, amplitudes=amplitudes)
 
     @property
@@ -371,16 +373,3 @@ def bloch_to_csv(trajectory: np.ndarray) -> str:
     for row in trajectory:
         buf.write(",".join(FLOAT_FMT % v for v in row) + "\n")
     return buf.getvalue()
-
-
-def bloch_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "t,x,y,z":
-        raise ValueError("bad Bloch trajectory header")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"Bloch row {i} has {len(parts)} fields, expected 4")
-        rows.append([float(v) for v in parts])
-    return np.array(rows)

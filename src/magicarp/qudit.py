@@ -45,15 +45,6 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return u
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr(A^dag B). Symmetric when both arguments are Hermitian."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a.conj() * b).real)
-
-
 def generalized_pauli_pair(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pauli X/Y embedded on adjacent levels (k, k+1) of a d-level system.
 
@@ -116,11 +107,6 @@ class GeneratorBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
-    def decompose(self, m: np.ndarray) -> np.ndarray:
-        """Coordinates of a traceless Hermitian matrix: c_i = Tr(G_i M)/2."""
-        m = np.asarray(m, dtype=complex)
-        return 0.5 * np.einsum("gij,ji->g", self.generators, m).real
-
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
@@ -145,13 +131,6 @@ class AdjointMatrix:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("adjoint coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "AdjointMatrix":
-        m = hermitize(m)
-        d = m.shape[0]
-        m = m - np.trace(m) / d * np.eye(d)
-        return cls(dim=d, coeffs=GeneratorBasis.create(d).decompose(m))
 
     def to_matrix(self) -> np.ndarray:
         return GeneratorBasis.create(self.dim).reconstruct(self.coeffs)

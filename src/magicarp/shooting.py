@@ -343,6 +343,8 @@ def pulses_from_adjoint(
     """Construct the pulse induced by g and propagate it."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps: expected an integer >= 1, got {n_steps!r}")
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
     pairings = _Pairings.create(controls, n_steps, GeneratorBasis.create(controls.dim))
@@ -371,17 +373,6 @@ def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.nda
     """
     u_final, valid, _ = _construct_batch(coeff_batch, context.pairings, context.config.mode)
     return _infidelities(u_final, valid, context)
-
-
-def objective(g_coeffs: np.ndarray, context: ShootingContext) -> float:
-    """Normalized infidelity of the pulse induced by the given coefficients."""
-    g_coeffs = np.asarray(g_coeffs, dtype=float)
-    value = batch_objective(g_coeffs[None, :], context)[0]
-    if not np.isfinite(value):
-        raise DegenerateEnvelopeError(
-            "structural prediction vanished; objective undefined at this point"
-        )
-    return float(value)
 
 
 def _forward(points, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
@@ -487,7 +478,7 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
 
 
 def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarray:
-    """Exact gradient of ``objective``: one forward and one backward pass."""
+    """Exact gradient of ``batch_objective`` at one point: one forward and one backward pass."""
     values, tape = _forward(np.asarray(g_coeffs, dtype=float)[None, :], context)
     if not np.isfinite(values[0]):
         raise DegenerateEnvelopeError(
@@ -626,12 +617,6 @@ def optimality_certificate(schedule: PulseSchedule, controls: ControlSet) -> Cer
 
 def adjoint_to_dict(g: AdjointMatrix) -> dict:
     return {"dim": g.dim, "basis": "gell-mann", "coeffs": [float(c) for c in g.coeffs]}
-
-
-def adjoint_from_dict(data: dict) -> AdjointMatrix:
-    if data.get("basis") != "gell-mann":
-        raise ValueError(f"unsupported adjoint basis {data.get('basis')!r}")
-    return AdjointMatrix(int(data["dim"]), np.asarray(data["coeffs"], dtype=float))
 
 
 def report_to_dict(report: OptimizationReport) -> dict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magicarp.qudit import ControlSet, nearest_neighbor_control_set
+from magicarp.qudit import ControlSet, gellmann_basis, nearest_neighbor_control_set
 
 # numpy >= 1.25 keeps it in numpy.exceptions, numpy 1.24 at the top level
 COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
@@ -20,6 +20,11 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def gellmann_coeffs(m: np.ndarray) -> np.ndarray:
+    """Coordinates c_i = Tr(G_i M) / 2 of a traceless Hermitian M in the Gell-Mann basis."""
+    return 0.5 * np.einsum("gij,ji->g", gellmann_basis(len(m)), m).real
 
 
 def random_traceless_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import magicarp
 import magicarp.cli as cli
 from magicarp.cli import (
     EXIT_INVALID,
@@ -16,21 +19,17 @@ from magicarp.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
-    config_to_yaml,
     load_config,
     main,
     normalize_config,
     parse_matrix_literal,
 )
 from magicarp.grape import GrapeConfig, grape_optimize
-from magicarp.propagation import (
-    PulseSchedule,
-    bloch_from_csv,
-    read_schedule_csv,
-    write_schedule_csv,
-)
+from magicarp.propagation import PulseSchedule, read_schedule_csv, write_schedule_csv
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import pulses_from_adjoint
+
+from conftest import gellmann_coeffs
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,6 +45,31 @@ def write_config(tmp_path, cfg, name="config.yaml"):
     return str(path)
 
 
+def read_bloch_csv(path):
+    """The (t, x, y, z) rows of a bloch.csv, below its header."""
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+# root reads a file whatever its mode bits, so there only an ``open`` that
+# refuses the path makes it unreadable
+LOCKS = ["open"] if os.geteuid() == 0 else ["chmod", "open"]
+
+
+def lock(path, how, monkeypatch):
+    """Make the file at ``path`` unreadable: by its mode bits, or by an ``open`` that refuses it."""
+    if how == "chmod":
+        path.chmod(0)
+        return
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+
+
 def at(path, value):
     """A config that sets one dotted path."""
     *sections, key = path.split(".")
@@ -59,7 +83,6 @@ def at(path, value):
 BAD_VALUES = {
     "dim": (True, 1),
     "target": (3, "bogus"),
-    "controls": (1, "all_to_all"),
     "omega_max": ("fast", 0),
     "magicarp.mode": (1, "bolza"),
     "magicarp.n_steps": (True, 0),
@@ -75,7 +98,7 @@ BAD_VALUES = {
     "grape.convergence_tol": ("x", -1e-7),
     "grape.penalty_weight": ("x", -0.5),
     "grape.stall_tol": ("x", 0),
-    "grape.init": (1, "fourier"),
+    "grape.init": (1, "fourier", "zeros"),
     "grape.init_sigma": ("x", -1),
     "grape.init_schedule": (5, [[1.0, "a"]]),
     "grape.seed": (1.0, -1),
@@ -113,7 +136,7 @@ class TestConfig:
 
     def test_round_trip_is_identity(self):
         cfg = normalize_config({"dim": 3, "magicarp": {"seed": 7}})
-        again = normalize_config(yaml.safe_load(config_to_yaml(cfg)))
+        again = normalize_config(yaml.safe_load(yaml.safe_dump(cfg, sort_keys=False)))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
@@ -140,6 +163,12 @@ class TestConfig:
         assert rc == EXIT_INVALID
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_controls_is_an_unknown_key(self, tmp_path, capsys):
+        # every command drives the adjacent-level controls; the key that named them is gone
+        config = write_config(tmp_path, {"controls": "nearest_neighbor"})
+        assert main(["optimize", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: unknown config key 'controls'")
 
     def test_grad_step_is_an_unknown_key(self, tmp_path, capsys):
         config = write_config(tmp_path, at("magicarp.grad_step", 1e-6))
@@ -171,6 +200,11 @@ class TestConfig:
         readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"All\s+defaults,\s+in\s+YAML\s+form:\n\n```yaml\n(.*?)```", readme, re.S)
         assert yaml.safe_load(block) == normalize_config({})
+
+    def test_readme_library_section_has_one_line_per_export(self):
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        (section,) = re.findall(r"^## Library\n(.*?)^## ", readme, re.S | re.M)
+        assert sorted(re.findall(r"^\* `(\w+)`: ", section, re.M)) == sorted(magicarp.__all__)
 
     def test_custom_target_requires_matrix(self):
         with pytest.raises(ConfigError, match="custom_target"):
@@ -221,11 +255,11 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err.startswith(f"error: config file {tmp_path} cannot be read: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode bits")
-    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("how", LOCKS)
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, how):
         path = tmp_path / "locked.yaml"
         path.write_text("dim: 2\n", encoding="utf-8")
-        path.chmod(0)
+        lock(path, how, monkeypatch)
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: config file {path} cannot be read: ")
 
@@ -377,7 +411,7 @@ class TestBenchmarkCommand:
 class TestCertifyCommand:
     def test_structured_schedule_certifies(self, tmp_path, capsys):
         ctrl = nearest_neighbor_control_set(2)
-        g = AdjointMatrix.from_matrix(1.1 * SX + 0.4 * SY)
+        g = AdjointMatrix(2, gellmann_coeffs(1.1 * SX + 0.4 * SY))
         schedule, _ = pulses_from_adjoint(g, ctrl, 32, "time_optimal_renormalized")
         path = tmp_path / "schedule.csv"
         write_schedule_csv(path, schedule)
@@ -407,12 +441,12 @@ class TestCertifyCommand:
         assert main([command, str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: schedule file {tmp_path} cannot be read: ")
 
-    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode bits")
+    @pytest.mark.parametrize("how", LOCKS)
     @pytest.mark.parametrize("command", ["certify", "bloch"])
-    def test_unreadable_schedule_exits_2_naming_it(self, tmp_path, capsys, command):
+    def test_unreadable_schedule_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, command, how):
         path = tmp_path / "locked.csv"
         write_schedule_csv(path, PulseSchedule.from_amplitudes(np.ones((4, 2))))
-        path.chmod(0)
+        lock(path, how, monkeypatch)
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: schedule file {path} cannot be read: ")
 
@@ -464,7 +498,7 @@ class TestBlochCommand:
         write_schedule_csv(path, PulseSchedule.from_amplitudes(np.zeros((8, 2))))
         out = tmp_path / "out"
         assert main(["bloch", str(path), "--out", str(out)]) == EXIT_OK
-        traj = bloch_from_csv((out / "bloch.csv").read_text())
+        traj = read_bloch_csv(out / "bloch.csv")
         assert np.allclose(traj[:, 1:], np.tile([0, 0, 1.0], (9, 1)), atol=1e-14)
 
     def test_unit_norm_rows(self, tmp_path):
@@ -473,7 +507,7 @@ class TestBlochCommand:
         write_schedule_csv(path, PulseSchedule.from_amplitudes(rng.standard_normal((12, 2))))
         out = tmp_path / "out"
         assert main(["bloch", str(path), "--out", str(out)]) == EXIT_OK
-        traj = bloch_from_csv((out / "bloch.csv").read_text())
+        traj = read_bloch_csv(out / "bloch.csv")
         assert np.max(np.abs(np.sum(traj[:, 1:] ** 2, axis=1) - 1)) <= 1e-10
 
     def test_non_qubit_dim_exits_2(self, tmp_path):

@@ -3,7 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicarp.optimizer import MAX_BACKTRACKS, UPDATE_BLOCK, bfgs_inverse_update, bfgs_steps, run_lockstep
+from magicarp import optimizer
+from magicarp.grape import GrapeConfig, grape_optimize
+from magicarp.optimizer import UPDATE_BLOCK, bfgs_inverse_update, bfgs_steps, run_lockstep
+from magicarp.qudit import nearest_neighbor_control_set, target_gate
+from magicarp.shooting import MagicarpConfig, ShootingContext, run_restarts
 
 from conftest import same_bits
 
@@ -260,22 +264,79 @@ class TestLadderBelowResolution:
     G0 = np.array([1e-20, 2e-20])
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_armijo_product_rounds_away_so_rung_zero_passes_until_stall(self, batched):
-        # f + c alpha g.p rounds to f = 1, so the row equal to x passes at rung 0;
-        # s = y = 0 takes no curvature update, and the flat trace stalls
+    def test_armijo_product_rounds_away_yet_no_rung_is_asked_for(self, batched):
+        # f + c alpha g.p rounds to f = 1, so a row equal to x would pass at
+        # rung 0 with f unchanged, iteration after iteration; no such row is asked for
         res, log = drive_at_fixed_point(self.X0, 1.0, self.G0, batched)
-        point, grad = ("point", self.X0.tobytes()), ("grad", self.X0.tobytes())
-        assert log == [point, grad] + [point, grad] * 25
-        assert (res.stop_reason, res.iterations, res.curvature_updates) == ("stall", 25, 0)
-        assert res.trace == [1.0] * 26 and res.x.tobytes() == self.X0.tobytes()
+        assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
+        assert (res.stop_reason, res.iterations, res.curvature_updates) == ("resolution", 0, 0)
+        assert res.trace == [1.0] and res.x.tobytes() == self.X0.tobytes()
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_armijo_product_kept_so_every_rung_fails(self, batched):
-        # at f = 0 the bound c alpha g.p < 0 survives, and no row equal to x passes
+    def test_armijo_product_kept_yet_no_rung_is_asked_for(self, batched):
+        # at f = 0 the bound c alpha g.p < 0 survives, and every row equal to x
+        # would fail; none is asked for
         res, log = drive_at_fixed_point(self.X0, 0.0, self.G0, batched)
-        point, grad = ("point", self.X0.tobytes()), ("grad", self.X0.tobytes())
-        assert log == [point, grad] + [point] * MAX_BACKTRACKS
-        assert (res.stop_reason, res.iterations, res.trace) == ("line_search", 0, [0.0])
+        assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
+        assert (res.stop_reason, res.iterations, res.trace) == ("resolution", 0, [0.0])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_rows_that_move_x_are_asked_for_as_before(self, batched):
+        # x = 1 along p = -2^-40 with f and g constant: rung j gives
+        # 1 - 2^-(40+j), which moves x while it is at least the spacing 2^-53
+        # below 1, that is for j <= 13 (j = 14 is a tie that rounds to 1). Every
+        # rung fails the Armijo test, so the ladder asks for rungs 0-13, in its
+        # blocks cut before rung 14, with the same rows as before, then stops
+        x0, g0 = np.array([1.0]), np.array([2.0**-40])
+        res, log = drive_at_fixed_point(x0, 0.0, g0, batched)
+        rows = x0[None, :] + (2.0 ** -np.arange(14))[:, None] * -g0[None, :]
+        assert log == [("point", x0.tobytes()), ("grad", x0.tobytes())] + [("point", row.tobytes()) for row in rows]
+        assert (res.stop_reason, res.iterations) == ("resolution", 0)
+
+
+def spy_on_ladder_rows(monkeypatch):
+    """Wrap every ``bfgs_steps`` that ``run_lockstep`` starts. The returned list
+    gets, for each row of a value request after the initial one, whether it
+    differs from the run's x, the point of its last gradient request."""
+    differs = []
+    real = optimizer.bfgs_steps
+
+    def spy(x0, **options):
+        steps, reply, x = real(x0, **options), None, None
+        while True:
+            try:
+                kind, point = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            if kind == "grad":
+                x = point.copy()
+            elif x is not None:
+                differs.extend(bool(np.any(row != x)) for row in point)
+            reply = yield kind, point
+
+    monkeypatch.setattr(optimizer, "bfgs_steps", spy)
+    return differs
+
+
+class TestEveryRowMovesX:
+    def test_grape_plateau_runs(self, monkeypatch):
+        # QFT(3) on 2 steps: seeds 0 and 3 end on a plateau, 1 and 2 converge
+        differs = spy_on_ladder_rows(monkeypatch)
+        target, ctrl = target_gate("qft", 3), nearest_neighbor_control_set(3)
+        stops = [grape_optimize(target, ctrl, GrapeConfig(n_steps=2, max_iters=300, seed=s)).stop_reason for s in range(4)]
+        assert stops == ["resolution", "tol", "tol", "resolution"]
+        assert len(differs) > 100 and all(differs)
+
+    def test_shooting_restarts(self, monkeypatch):
+        differs = spy_on_ladder_rows(monkeypatch)
+        ctx = ShootingContext(
+            controls=nearest_neighbor_control_set(3),
+            target=target_gate("qft", 3),
+            config=MagicarpConfig(n_steps=3, max_iters=80),
+        )
+        reports = run_restarts(ctx, range(16))
+        assert "resolution" in {r.stop_reason for r in reports}
+        assert len(differs) > 100 and all(differs)
 
 
 def product_form_update(h_inv, s, y):

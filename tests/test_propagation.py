@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from magicarp.propagation import (
     PulseSchedule,
     accumulate,
-    bloch_from_csv,
     bloch_to_csv,
     bloch_trajectory,
     control_generator,
@@ -51,6 +52,11 @@ class TestPulseSchedule:
         amps[1, 0] = value
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             PulseSchedule.from_amplitudes(amps)
+
+    def test_rejects_zero_steps(self):
+        # checked before dt = 1/N is formed, which would divide by zero
+        with pytest.raises(ValueError, match=r"amplitudes: expected at least one step \(row\), got shape \(0, 2\)"):
+            PulseSchedule.from_amplitudes(np.zeros((0, 2)))
 
     def test_accepts_amplitudes_whose_sum_of_squares_is_finite(self):
         # 2 * 9e153^2 = 1.62e308, below the largest float
@@ -490,7 +496,9 @@ class TestBloch:
         ctrl = nearest_neighbor_control_set(2)
         res = propagate(ctrl, PulseSchedule.from_amplitudes(rng.standard_normal((5, 2))))
         traj = bloch_trajectory(res, 1 / 5)
-        assert np.array_equal(bloch_from_csv(bloch_to_csv(traj)), traj)
+        text = bloch_to_csv(traj)
+        assert text.startswith("t,x,y,z\n")
+        assert np.array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1), traj)
 
     def test_rejects_higher_dims(self):
         ctrl = nearest_neighbor_control_set(3)

@@ -1,3 +1,4 @@
+import json
 from collections import namedtuple
 from dataclasses import replace
 from functools import lru_cache
@@ -15,11 +16,9 @@ from magicarp.shooting import (
     DegenerateEnvelopeError,
     MagicarpConfig,
     ShootingContext,
-    adjoint_from_dict,
     adjoint_to_dict,
     batch_objective,
     initial_coeffs,
-    objective,
     optimality_certificate,
     optimize,
     pulses_from_adjoint,
@@ -29,7 +28,7 @@ from magicarp.shooting import (
     run_restarts,
 )
 
-from conftest import KERNEL_SETS, kernel_case, same_bits
+from conftest import KERNEL_SETS, gellmann_coeffs, kernel_case, same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,26 +43,22 @@ def context(d=2, target="hadamard", mode="energy_optimal", n_steps=32, **kw):
     )
 
 
-def coeffs_from_matrix(m, d=2):
-    return AdjointMatrix.from_matrix(m).coeffs
-
-
 def central_difference(x, ctx, step=1e-6):
-    """The reference gradient of ``objective``: central differences over the
+    """The reference gradient of ``batch_objective``: central differences over the
     2(d^2-1) probes x +- step e_m, from one ``batch_objective`` call."""
     probes = np.vstack([x + step * np.eye(x.size), x - step * np.eye(x.size)])
     values = batch_objective(probes, ctx)
     return (values[: x.size] - values[x.size :]) / (2.0 * step)
 
 
-STOP_REASONS = ("tol", "stall", "max_iters", "line_search")
+STOP_REASONS = ("tol", "stall", "max_iters", "line_search", "resolution")
 
 
 def first_seed_by_stop(ctx, seeds):
     """{stop reason: the first of the seeds whose run ends on it}.
 
-    At a plateau rounding decides between ``stall`` and ``line_search``, so
-    tests search a fixed seed range for a run ending on each reason rather
+    At a plateau rounding decides between ``stall``, ``line_search`` and
+    ``resolution``, so tests search a fixed seed range for a run ending on each reason rather
     than pin one seed per reason.
     """
     found = {}
@@ -89,7 +84,7 @@ class TestPulsesFromAdjoint:
     def test_initial_amplitudes_from_trace_pairing(self):
         # g = sigma_x picks out u_x(0) = 1, u_y(0) = 0
         ctrl = nearest_neighbor_control_set(2)
-        g = AdjointMatrix.from_matrix(SX)
+        g = AdjointMatrix(2, gellmann_coeffs(SX))
         schedule, _ = pulses_from_adjoint(g, ctrl, 8, "energy_optimal")
         assert schedule.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert schedule.amplitudes[0, 1] == pytest.approx(0.0, abs=1e-14)
@@ -97,14 +92,14 @@ class TestPulsesFromAdjoint:
     def test_uncontrolled_adjoint_gives_zero_pulse(self):
         # g along sigma_z is trace-orthogonal to both controls and stays so
         ctrl = nearest_neighbor_control_set(2)
-        g = AdjointMatrix.from_matrix(1.7 * SZ)
+        g = AdjointMatrix(2, gellmann_coeffs(1.7 * SZ))
         schedule, res = pulses_from_adjoint(g, ctrl, 64, "energy_optimal")
         assert np.max(np.abs(schedule.amplitudes)) <= 1e-14
         assert np.allclose(res.final, np.eye(2), atol=1e-13)
 
     def test_renormalized_mode_rejects_degenerate_envelope(self):
         ctrl = nearest_neighbor_control_set(2)
-        g = AdjointMatrix.from_matrix(1.7 * SZ)
+        g = AdjointMatrix(2, gellmann_coeffs(1.7 * SZ))
         with pytest.raises(DegenerateEnvelopeError):
             pulses_from_adjoint(g, ctrl, 16, "time_optimal_renormalized")
 
@@ -140,31 +135,35 @@ class TestPulsesFromAdjoint:
         with pytest.raises(ValueError):
             pulses_from_adjoint(AdjointMatrix(2, np.zeros(3)), ctrl, 8)
 
+    def test_zero_steps_rejected(self):
+        # checked before the step generators, which carry -1 / n_steps, are formed
+        with pytest.raises(ValueError, match="n_steps: expected an integer >= 1, got 0"):
+            pulses_from_adjoint(AdjointMatrix(2, np.zeros(3)), nearest_neighbor_control_set(2), 0)
+
 
 class TestObjective:
     def test_identity_target_zero_adjoint(self):
-        assert objective(np.zeros(3), context(target="identity")) == 0.0
+        assert batch_objective(np.zeros((1, 3)), context(target="identity"))[0] == 0.0
 
     def test_hadamard_zero_adjoint(self):
         # U stays identity and the Hadamard is traceless: 1 - |Tr H|^2/4 = 1
-        assert objective(np.zeros(3), context(target="hadamard")) == pytest.approx(1.0, abs=1e-15)
+        assert batch_objective(np.zeros((1, 3)), context(target="hadamard"))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_deterministic(self, rng):
         ctx = context(d=3, target="qft")
-        x = rng.standard_normal(8)
-        assert objective(x, ctx) == objective(x, ctx)
+        x = rng.standard_normal((1, 8))
+        assert batch_objective(x, ctx)[0] == batch_objective(x, ctx)[0]
 
     def test_batch_matches_scalar(self, rng):
         ctx = context(d=2, target="qft", mode="time_optimal_renormalized")
         xs = rng.standard_normal((5, 3))
         batch = batch_objective(xs, ctx)
         for i in range(5):
-            assert batch[i] == objective(xs[i], ctx)
+            assert batch[i] == batch_objective(xs[i][None], ctx)[0]
 
-    def test_degenerate_envelope_raises(self):
+    def test_degenerate_envelope_is_inf(self):
         ctx = context(mode="time_optimal_renormalized")
-        with pytest.raises(DegenerateEnvelopeError):
-            objective(coeffs_from_matrix(SZ), ctx)
+        assert batch_objective(gellmann_coeffs(SZ)[None], ctx)[0] == np.inf
 
 
 class TestGradient:
@@ -184,12 +183,7 @@ class TestGradient:
         x = rng.standard_normal(3)
         h = 1e-5
         central = central_difference(x, ctx, step=h)
-        forward = np.array(
-            [
-                (objective(x + h * e, ctx) - objective(x, ctx)) / h
-                for e in np.eye(3)
-            ]
-        )
+        forward = (batch_objective(x + h * np.eye(3), ctx) - batch_objective(x[None], ctx)[0]) / h
         assert np.linalg.norm(central - forward) <= 10 * h * max(np.linalg.norm(central), 1.0)
 
     @pytest.mark.parametrize("d,h", [(2, 1e-2), (2, 1e-3), (3, 1e-2), (3, 1e-3)])
@@ -224,7 +218,7 @@ class TestReverseGradient:
 
     def test_degenerate_envelope_raises(self):
         with pytest.raises(DegenerateEnvelopeError):
-            reverse_gradient(coeffs_from_matrix(SZ), context(mode="time_optimal_renormalized"))
+            reverse_gradient(gellmann_coeffs(SZ), context(mode="time_optimal_renormalized"))
 
 
 # -- reference loops: the pulse construction with its step kernel on
@@ -606,7 +600,7 @@ class TestOptimize:
 
 
 class TestLockstep:
-    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..31 end on all four stop reasons
+    # QFT(3) (mode, n_steps, max_iters) whose seeds 0..31 end on all five stop reasons
     MIXED = [("energy_optimal", 3, 80), ("time_optimal_renormalized", 2, 100)]
 
     @staticmethod
@@ -675,7 +669,7 @@ class TestLockstep:
 
     def test_failed_restart_is_returned_and_raised(self):
         # a zero-envelope start: the objective is not finite at the initial point
-        ctx = context(mode="time_optimal_renormalized", init="explicit", init_coeffs=tuple(coeffs_from_matrix(SZ)))
+        ctx = context(mode="time_optimal_renormalized", init="explicit", init_coeffs=tuple(gellmann_coeffs(SZ)))
         outcomes = run_restarts(ctx, [0, 1])
         assert all(isinstance(o, ValueError) for o in outcomes)
         with pytest.raises(ValueError, match="not finite at the initial point"):
@@ -696,7 +690,7 @@ class TestCertificate:
         # adjoint inside the control span keeps the renormalization factors
         # at one, so the fit must be essentially exact and proportional to g
         ctrl = nearest_neighbor_control_set(2)
-        g = AdjointMatrix.from_matrix(1.3 * SX - 0.6 * SY)
+        g = AdjointMatrix(2, gellmann_coeffs(1.3 * SX - 0.6 * SY))
         schedule, _ = pulses_from_adjoint(g, ctrl, 64, "time_optimal_renormalized")
         cert = optimality_certificate(schedule, ctrl)
         assert cert.residual <= 1e-6
@@ -737,13 +731,9 @@ class TestCertificate:
 class TestSerialization:
     def test_adjoint_json_round_trip(self, rng):
         g = AdjointMatrix(3, rng.standard_normal(8))
-        back = adjoint_from_dict(adjoint_to_dict(g))
-        assert back.dim == 3
-        assert np.array_equal(back.coeffs, g.coeffs)
-
-    def test_adjoint_rejects_unknown_basis(self):
-        with pytest.raises(ValueError):
-            adjoint_from_dict({"dim": 2, "basis": "pauli", "coeffs": [1, 2, 3]})
+        data = json.loads(json.dumps(adjoint_to_dict(g)))
+        assert (data["dim"], data["basis"]) == (3, "gell-mann")
+        assert np.array_equal(data["coeffs"], g.coeffs)
 
     def test_report_dict_shape(self):
         report = optimize(context(target="identity", n_steps=8, seed=3, max_iters=30))
