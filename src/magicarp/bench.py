@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -142,6 +141,8 @@ def run_campaign(spec: BenchmarkSpec, workers: int = 1) -> list[BenchmarkRecord]
     ]
     workers = min(workers, len(groups))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that serial runs never load multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [r for records in pool.map(_run_group, groups, chunksize=1) for r in records]
     return [r for group in groups for r in _run_group(group)]

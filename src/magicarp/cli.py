@@ -16,7 +16,7 @@ config's dimension (``nearest_neighbor_control_set``).
 
 from __future__ import annotations
 
-import argparse
+import collections.abc
 import dataclasses
 import os
 import sys
@@ -24,7 +24,6 @@ import types
 import typing
 
 import numpy as np
-import yaml
 
 from .bench import (
     BenchmarkSpec,
@@ -52,6 +51,11 @@ from .shooting import (
     write_adjoint_json,
     write_report_json,
 )
+
+# yaml and argparse are imported where they are first used (load_config,
+# build_parser), so that importing this module costs no more than the library
+if typing.TYPE_CHECKING:
+    import argparse
 
 CERT_THRESHOLD = 1e-4
 
@@ -158,6 +162,8 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
         _build(section, cfg)
     if cfg["target"] == "custom" and cfg["custom_target"] is None:
         raise ConfigError("custom_target: required when target is 'custom'")
+    if cfg["target"] != "custom" and cfg["custom_target"] is not None:
+        raise ConfigError(f"custom_target: given, but target is {cfg['target']!r}, not 'custom'")
     if seed is not None:
         for section, key in _SEEDS.items():
             cfg[section][key] = seed
@@ -165,12 +171,36 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
     return cfg
 
 
+def _unique_key_loader(path: str):
+    """A safe YAML loader that rejects a key repeated in one mapping, which
+    ``yaml.SafeLoader`` would resolve silently to its last value."""
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            first = {}
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":  # a << merge, whose keys an explicit key may override
+                    continue
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if not isinstance(key, collections.abc.Hashable):  # SafeLoader rejects it itself
+                    continue
+                if key in first:
+                    raise ConfigError(f"config file {path}: key {key!r} repeated on line {line}, first on line {first[key]}")
+                first[key] = line
+            return super().construct_mapping(node, deep)
+
+    return UniqueKeyLoader
+
+
 def load_config(path: str | None, seed: int | None = None) -> dict:
     if path is None:
         return normalize_config({}, seed)
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, _unique_key_loader(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, an unreadable file
@@ -330,6 +360,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="magicarp", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestRunCampaign:
                 return map(fn, items)
 
         monkeypatch.setattr(bench, "run_restarts", spy)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = BenchmarkSpec(dims=(2, 3), runs_per_dim=runs, magicarp=FAST_MAGICARP)
         records = run_campaign(spec, workers=workers)
         assert [(r.dim, r.run_index) for r in records] == [(d, i) for d in (2, 3) for i in range(runs)]

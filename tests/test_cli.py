@@ -183,6 +183,11 @@ class TestConfig:
             ("magicarp: 5\n", "magicarp: expected a mapping, got 5"),
             ("target: custom\ncustom_target: [[[1, 0], [0, 0]]]\n", "custom_target: expected a square matrix"),
             ("target: custom\ncustom_target: [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]\n", "target: matrix is not unitary"),
+            # a matrix the run would ignore
+            (
+                "target: qft\ncustom_target: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n",
+                "custom_target: given, but target is 'qft', not 'custom'",
+            ),
         ],
     )
     def test_bad_config_file_exits_2_with_the_message(self, tmp_path, capsys, text, message):
@@ -191,6 +196,29 @@ class TestConfig:
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text,key,line,first",
+        [
+            ("magicarp:\n  n_steps: 8\ndim: 2\nmagicarp:\n  n_steps: 128\n", "magicarp", 4, 1),
+            ("magicarp:\n  n_steps: 8\n  max_iters: 3\n  n_steps: 128\n", "n_steps", 4, 2),
+        ],
+        ids=["top-level", "in-a-section"],
+    )
+    def test_repeated_key_exits_2_naming_it_and_its_line(self, tmp_path, capsys, text, key, line, first):
+        # plain YAML keeps the last value, so the first n_steps: 8 would run as 128
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        message = f"config file {path}: key {key!r} repeated on line {line}, first on line {first}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_merge_key_override_is_not_a_repeat(self, tmp_path):
+        path = tmp_path / "merged.yaml"
+        path.write_text("magicarp: &run\n  n_steps: 8\n  seed: 1\ngrape:\n  <<: *run\n  seed: 2\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg["grape"]["n_steps"], cfg["grape"]["seed"]) == (8, 2)
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
@@ -394,11 +422,12 @@ class TestBenchmarkCommand:
         )
 
     def test_deterministic_across_workers(self, tmp_path):
+        # 16 runs are two lockstep groups, so --workers 2 runs them in a pool
         cfg = write_config(
             tmp_path,
             {
                 "magicarp": FAST_MAGICARP,
-                "benchmark": {"dims": [2], "runs_per_dim": 4, "base_seed": 8},
+                "benchmark": {"dims": [2], "runs_per_dim": 16, "base_seed": 8},
             },
         )
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -553,3 +582,40 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("infidelity=")
+
+    def test_fresh_import_loads_yaml_argparse_and_the_pool_on_first_use(self, tmp_path):
+        # in a fresh interpreter, as a test in this process may have loaded them already;
+        # 16 runs of one dimension make two lockstep groups, so --workers 2 starts a pool
+        config = write_config(
+            tmp_path,
+            {"magicarp": {"n_steps": 8, "max_iters": 20}, "benchmark": {"dims": [2], "runs_per_dim": 16}},
+        )
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import magicarp, magicarp.bench, magicarp.cli\n"
+            "lazy = ['yaml', 'argparse', 'multiprocessing', 'concurrent.futures.process']\n"
+            "loaded = [[m for m in lazy if m in sys.modules]]\n"
+            "for workers in ('1', '2'):\n"
+            "    argv = ['benchmark', '--config', sys.argv[1], '--out', sys.argv[2] + workers, '--workers', workers]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert magicarp.cli.main(argv) == 0\n"
+            "    loaded.append([m for m in lazy if m in sys.modules])\n"
+            "print(json.dumps(loaded))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config, str(tmp_path / "w")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # after the imports, after a serial campaign read from a file, after a pooled one
+        assert json.loads(proc.stdout) == [
+            [],
+            ["yaml", "argparse"],
+            ["yaml", "argparse", "multiprocessing", "concurrent.futures.process"],
+        ]
+        for name in ("records.csv", "summary.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
