@@ -56,6 +56,7 @@ class BenchmarkSpec:
     magicarp: MagicarpConfig = MagicarpConfig()
     base_seed: int = 0
     omega_max: float = 1.0
+    threshold: float = 1e-7  # the infidelity a run must reach to count for minimal_duration_qsl
 
     def __post_init__(self):
         for name, ok, expected in (
@@ -64,14 +65,15 @@ class BenchmarkSpec:
             ("target", self.target in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
             ("base_seed", 0 <= self.base_seed < 2**64, "a 64-bit unsigned integer"),
             ("omega_max", np.isfinite(self.omega_max) and self.omega_max > 0, "a positive finite number"),
+            ("threshold", 0 < self.threshold < np.inf, "a positive finite number"),
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
-        if self.magicarp.init == "explicit":
-            n = len(self.magicarp.init_coeffs)
-            for d in self.dims:
-                if n != d * d - 1:
-                    raise ValueError(f"magicarp.init_coeffs: expected {d * d - 1} coefficients for d = {d}, got {n}")
+        for d in self.dims:
+            try:
+                self.magicarp.check_start((d * d - 1,))
+            except ValueError as exc:
+                raise ValueError(f"magicarp.{exc} for d = {d}") from None
 
 
 @dataclass(frozen=True)

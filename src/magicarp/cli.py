@@ -10,8 +10,8 @@ validated in one pass, the file's seeds and then the override. Exit codes:
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
 defaults and value checks. The CLI checks the YAML type of every value and
-owns the other keys. Every command drives the adjacent-level controls of the
-config's dimension (``nearest_neighbor_control_set``).
+owns the top-level keys. Every command drives the adjacent-level controls of
+the config's dimension (``nearest_neighbor_control_set``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bench import (
     write_scatter_files,
     write_summary_json,
 )
-from .grape import GrapeConfig, grape_optimize, initial_schedule
+from .grape import GrapeConfig, grape_optimize
 from .propagation import (
     FLOAT_FMT,
     bloch_to_csv,
@@ -45,7 +45,6 @@ from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import (
     MagicarpConfig,
     ShootingContext,
-    initial_coeffs,
     optimality_certificate,
     optimize,
     write_adjoint_json,
@@ -69,13 +68,12 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
 
 
-# The keys no library dataclass owns: path -> (default, type, check, what the check expects).
+# The keys no library dataclass owns: key -> (default, type, check, what the check expects).
 _CLI_KEYS = {
     "dim": (2, int, lambda v: v >= 2, "an integer >= 2"),
     "target": ("identity", str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
     "custom_target": (None, list | None, None, None),
     "omega_max": (1.0, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
-    "benchmark.threshold": (1e-7, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
 }
 
 # The sections a library dataclass owns, with the field a seed override sets.
@@ -111,12 +109,16 @@ def _typed(path: str, value, hint):
     return value
 
 
-def _build(section: str, cfg: dict, **others):
-    """The dataclass of a config section; building it runs the section's value checks.
+def _build(section: str, cfg: dict, start: tuple[int, ...] | None = None, **others):
+    """The dataclass of a config section; building it runs the section's value checks,
+    and with ``start``, the shape of a run's initial point, checks the explicit start.
     A message about a field filled from ``others`` names its own config path."""
     values = {key: _frozen(cfg[section][key]) for key in _fields(section)}
     try:
-        return _SECTIONS[section](**values, **others)
+        config = _SECTIONS[section](**values, **others)
+        if start is not None:
+            config.check_start(start)
+        return config
     except ValueError as exc:
         field = str(exc).split(":")[0].split(".")[0]
         raise ConfigError(str(exc) if field in others else f"{section}.{exc}") from None
@@ -131,10 +133,9 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
     """Merge a raw config dict over the defaults and validate every field.
 
     A ``seed`` overrides all three seeds once the config's own are checked."""
-    cfg = {path: default for path, (default, *_) in _CLI_KEYS.items() if "." not in path}
+    cfg = {key: default for key, (default, *_) in _CLI_KEYS.items()}
     for section in _SECTIONS:
         cfg[section] = {key: default for key, (default, _) in _fields(section).items()}
-    cfg["benchmark"]["threshold"] = _CLI_KEYS["benchmark.threshold"][0]
     user = user or {}
     if not isinstance(user, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(user).__name__}")
@@ -150,12 +151,10 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
                 cfg[key][sub] = subval
         else:
             cfg[key] = value
-    for path, (_, hint, check, expected) in _CLI_KEYS.items():
-        *section, key = path.split(".")
-        node = cfg[section[0]] if section else cfg
-        node[key] = _typed(path, node[key], hint)
-        if check is not None and not check(node[key]):
-            raise ConfigError(f"{path}: expected {expected}, got {node[key]!r}")
+    for key, (_, hint, check, expected) in _CLI_KEYS.items():
+        cfg[key] = _typed(key, cfg[key], hint)
+        if check is not None and not check(cfg[key]):
+            raise ConfigError(f"{key}: expected {expected}, got {cfg[key]!r}")
     for section in _SECTIONS:
         for key, (_, hint) in _fields(section).items():
             cfg[section][key] = _typed(f"{section}.{key}", cfg[section][key], hint)
@@ -232,15 +231,6 @@ def _build_problem(cfg: dict):
     return controls, target
 
 
-def _check_explicit_init(section: str, initial, config, size: int) -> None:
-    """Reject an explicit initial point of the wrong shape as input, before the run."""
-    if config.init == "explicit":
-        try:
-            initial(config, size)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{exc}") from None
-
-
 def _run(runner, *args):
     """Call a library runner: a ValueError it raises is a runtime failure, not invalid input."""
     try:
@@ -291,17 +281,15 @@ def _load_schedule(path: str, cfg: dict):
 
 
 def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
-    config = _build("magicarp", cfg)
     controls, target = _build_problem(cfg)
+    config = _build("magicarp", cfg, start=(controls.dim**2 - 1,))
     context = ShootingContext(controls=controls, target=target, config=config)
-    _check_explicit_init("magicarp", initial_coeffs, config, context.n_params)
     return _write_run(_run(optimize, context), cfg, args.out)
 
 
 def cmd_grape(cfg: dict, args: argparse.Namespace) -> int:
-    config = _build("grape", cfg)
     controls, target = _build_problem(cfg)
-    _check_explicit_init("grape", initial_schedule, config, controls.n_controls)
+    config = _build("grape", cfg, start=(cfg["grape"]["n_steps"], controls.n_controls))
     return _write_run(_run(grape_optimize, target, controls, config), cfg, args.out)
 
 
@@ -314,7 +302,7 @@ def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> int:
     records = _run(run_campaign, spec, workers)
     os.makedirs(args.out, exist_ok=True)
     write_records_csv(os.path.join(args.out, "records.csv"), records)
-    write_summary_json(os.path.join(args.out, "summary.json"), records, cfg["benchmark"]["threshold"])
+    write_summary_json(os.path.join(args.out, "summary.json"), records, spec.threshold)
     write_scatter_files(args.out, records)
     for d in spec.dims:
         of_dim = [r for r in records if r.dim == d]
@@ -367,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="YAML config file")
     common.add_argument("--seed", type=int, help="override all config seeds")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--workers", type=int, help="parallel workers (benchmark only)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, schedule_help) in _COMMANDS.items():
         command = sub.add_parser(name, parents=[common], help=help_text)
         if schedule_help is not None:
             command.add_argument("schedule", help=schedule_help)
+    sub.choices["benchmark"].add_argument("--workers", type=int, help="worker processes (default: the CPU count)")
     return parser
 
 

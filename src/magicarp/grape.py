@@ -22,12 +22,12 @@ stacks, only the entries where some control is non-zero are read, and one
 (N, nnz) @ (nnz, K) product contracts them. Other sets take batched complex
 d x d products and one flat (N, d^2) @ (d^2, K) product.
 ``grape_optimize`` hands the BFGS runner (``optimizer.run_lockstep``) a
-per-point forward pass that also values the point, and a gradient that
-reads a held pass; it passes no ladder, so the line search asks for one
-rung at a time. The runner holds the pass of the point valued last, so the
-gradient at an accepted point and the final report build no second pass.
-The report counts the passes built, the gradients contracted and the
-curvature updates BFGS took (in memory only).
+per-point forward pass that also values the point, a gradient that reads a
+held pass, and a ladder that values its rows through the same forward pass.
+The runner holds the pass of each single point it values, so the gradient
+at a point accepted alone and the final report build no second pass. The
+report counts the passes built, the gradients contracted and the curvature
+updates BFGS took (in memory only).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import OptimizationReport, run_lockstep
+from .optimizer import OptimizationReport, RunConfig, run_lockstep
 from .propagation import (
     PulseSchedule,
     accumulate,
@@ -49,31 +49,18 @@ from .qudit import ControlSet, assert_unitary, tau_qsl
 
 
 @dataclass(frozen=True)
-class GrapeConfig:
+class GrapeConfig(RunConfig):
+    """``RunConfig`` with the penalty weight and a start of n_steps rows of amplitudes."""
+
+    START = "init_schedule"
     n_steps: int = 64
     max_iters: int = 2000
-    convergence_tol: float = 1e-7
     penalty_weight: float = 0.0
-    stall_tol: float = 1e-12
-    init: str = "random_normal"  # "random_normal" | "explicit"
-    init_sigma: float = 1.0
     init_schedule: tuple[tuple[float, ...], ...] | None = None
-    seed: int = 0
 
-    def __post_init__(self):
-        for name, ok, expected in (
-            ("n_steps", self.n_steps >= 1, "an integer >= 1"),
-            ("max_iters", self.max_iters >= 1, "an integer >= 1"),
-            ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
-            ("penalty_weight", np.isfinite(self.penalty_weight) and self.penalty_weight >= 0, "a finite number >= 0"),
-            ("stall_tol", 0 < self.stall_tol < np.inf, "a positive finite number"),
-            ("init", self.init in ("random_normal", "explicit"), "random_normal|explicit"),
-            ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
-            ("init_schedule", self.init != "explicit" or self.init_schedule is not None, "rows for explicit init"),
-            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
-        ):
-            if not ok:
-                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+    def _checks(self) -> tuple:
+        weight = self.penalty_weight
+        return (("penalty_weight", np.isfinite(weight) and weight >= 0, "a finite number >= 0"),)
 
 
 def energy_integral(schedule: PulseSchedule) -> float:
@@ -189,15 +176,7 @@ def _gauged_contraction(
 
 
 def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:
-    if config.init == "explicit":
-        rows = config.init_schedule
-        if len(rows) != config.n_steps or any(len(row) != n_controls for row in rows):
-            raise ValueError(f"init_schedule: expected {config.n_steps} rows of {n_controls} amplitudes")
-        return PulseSchedule.from_amplitudes(np.asarray(rows, dtype=float))
-    rng = np.random.default_rng(config.seed)
-    return PulseSchedule.from_amplitudes(
-        config.init_sigma * rng.standard_normal((config.n_steps, n_controls))
-    )
+    return PulseSchedule.from_amplitudes(config.start((config.n_steps, n_controls)))
 
 
 def grape_optimize(
@@ -224,12 +203,13 @@ def grape_optimize(
             grads.append(grape_gradient(schedule, target, controls, weight, forward=passed).ravel())
         return grads
 
+    def ladder(points: np.ndarray) -> np.ndarray:
+        """The objective at each row, one pass at a time: no pass outlives its row."""
+        return np.array([forward([x])[0][0] for x in points])
+
     x0 = initial_schedule(config, k).amplitudes.ravel()
     t0 = time.perf_counter()
-    # no ladder: every request is a single point, and the runner holds its pass
-    run = run_lockstep(
-        [x0], forward, backward, tol=config.convergence_tol, max_iters=config.max_iters, stall_tol=config.stall_tol
-    )[0]
+    run = run_lockstep([x0], forward, backward, ladder, tol=config.convergence_tol, max_iters=config.max_iters)[0]
     wall = time.perf_counter() - t0
     if isinstance(run, Exception):
         raise run

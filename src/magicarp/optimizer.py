@@ -16,23 +16,22 @@ The loop is the generator ``bfgs_steps``: it yields evaluation requests
 and returns the result, and its arithmetic does not depend on who answers.
 It has one driver, ``run_lockstep``, which runs several generators in
 lockstep from three callables: a forward pass over a list of points, a
-backward pass over rows of earlier forward passes, and optionally a ladder
-that values a stack of points. It holds each run's last single-point pass,
-so the gradient at an accepted rung and the final report build no second
-pass, counts the points and gradients each run costs, and keeps a
-numerical failure to the run that raised it. Shooting supplies batched
-passes and a ladder (``shooting.run_restarts``), GRAPE per-point passes
-and no ladder (``grape.grape_optimize``).
+backward pass over rows of earlier forward passes, and a ladder that values
+a stack of points. It holds each run's last single-point pass, so the
+gradient at an accepted rung and the final report build no second pass,
+counts the points and gradients each run costs, and keeps a numerical
+failure to the run that raised it. Shooting supplies batched passes
+(``shooting.run_restarts``), GRAPE per-point passes
+(``grape.grape_optimize``).
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
 trace, and stop reason are reproducible bitwise. The line search is one
 ladder loop over blocks of Armijo rungs, each block asked for only if every
-rung before it failed the test. With a ladder the blocks double: rung 0
-(the full step) alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and
-16-29 (``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a
-rejection costs a few rows, not 28. Without one (GRAPE) every block is one
-rung, which is a sequential backtracking loop. Either way the ladder picks
-the largest step that passes the Armijo test, so both accept the same step.
+rung before it failed the test. The blocks double: rung 0 (the full step)
+alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and 16-29
+(``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a rejection
+costs a few rows, not 28. The ladder picks the largest step that passes the
+Armijo test, the step a sequential backtracking loop would accept.
 A rung whose x + alpha p rounds to x is never asked for: its value is f,
 and every smaller step leaves x unchanged too, so a ladder that reaches one
 with no rung accepted ends the run on ``resolution``.
@@ -40,8 +39,8 @@ with no rung accepted ends the run on ``resolution``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from dataclasses import InitVar, dataclass
+from typing import Callable, ClassVar, Generator, Sequence
 
 import numpy as np
 
@@ -51,10 +50,72 @@ from .qudit import AdjointMatrix
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 30
-LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # batched ladder blocks: rungs [0], [1], [2, 3], ... [16, 29]
+LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # ladder blocks: rungs [0], [1], [2, 3], ... [16, 29]
 STALL_WINDOW = 25
+STALL_TOL = 1e-12  # a run stalls when STALL_WINDOW iterations gain less than this share of f
 CURVATURE_FLOOR = 1e-12
 UPDATE_BLOCK = 64  # rows of H per block of the inverse-Hessian update
+
+
+def _finite_array(values) -> bool:
+    """Whether ``values`` is a non-empty array of finite numbers (ragged rows are not an array)."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except ValueError:
+        return False
+    return values.size > 0 and bool(np.all(np.isfinite(values)))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run settings both optimizers share, their checks, and the start rule: a
+    run starts from the field a subclass names in ``START`` if it is given, else
+    from ``init_sigma`` times standard normal draws seeded by ``seed``."""
+
+    START: ClassVar[str]  # the name of the subclass's explicit-start field
+    n_steps: int
+    max_iters: int
+    convergence_tol: float = 1e-7
+    init_sigma: float = 1.0
+    seed: int = 0
+    # the start switch of earlier releases, "random_normal" or "explicit", accepted if it
+    # agrees with the START field; unsubscripted, as 3.10's get_type_hints rejects InitVar[...]
+    init: InitVar = None
+
+    def _checks(self) -> tuple:
+        """The subclass's own (field, ok, expected) checks, made first."""
+        return ()
+
+    def __post_init__(self, init: str | None) -> None:
+        start = getattr(self, self.START)
+        for name, ok, expected in (
+            *self._checks(),
+            ("n_steps", self.n_steps >= 1, "an integer >= 1"),
+            ("max_iters", self.max_iters >= 1, "an integer >= 1"),
+            ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
+            ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
+            (self.START, start is None or _finite_array(start), "a non-empty array of finite numbers"),
+            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+        rule = "random_normal" if start is None else "explicit"
+        if init not in (None, rule):
+            raise ValueError(f"init: expected {rule}, which {self.START} implies, got {init!r}")
+
+    def check_start(self, shape: tuple[int, ...]) -> None:
+        """Raise a ValueError naming the explicit start if it is given and its shape is not ``shape``."""
+        given = getattr(self, self.START)
+        if given is not None and np.shape(given) != shape:
+            raise ValueError(f"{self.START}: expected shape {shape}, got shape {np.shape(given)}")
+
+    def start(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A run's initial point of ``shape``: the explicit start if it is given,
+        else ``init_sigma`` times standard normal draws from ``default_rng(seed)``."""
+        self.check_start(shape)
+        if getattr(self, self.START) is None:
+            return self.init_sigma * np.random.default_rng(self.seed).standard_normal(shape)
+        return np.asarray(getattr(self, self.START), dtype=float)
 
 
 @dataclass
@@ -135,8 +196,6 @@ def bfgs_steps(
     *,
     tol: float,
     max_iters: int,
-    stall_tol: float = 1e-12,
-    batched: bool = False,
 ) -> Generator[tuple[str, np.ndarray], object, MinimizeResult]:
     """The BFGS loop as a generator: it yields evaluation requests and returns the result.
 
@@ -145,15 +204,13 @@ def bfgs_steps(
     answered with the gradient. The initial value is a one-row ``values``
     request. The arithmetic is the same whoever answers, so a run's iterates
     depend only on the replies. The line search asks for its rungs block by
-    block, stopping at the first block with an accepted rung: with
-    ``batched`` the blocks are ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3,
-    4-7, 8-15, 16-29), otherwise one rung each. A block is cut before its
-    first row equal to x, and reaching that row with no rung accepted ends
-    the run on ``resolution``.
+    block, stopping at the first block with an accepted rung: the blocks are
+    ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3, 4-7, 8-15, 16-29). A block
+    is cut before its first row equal to x, and reaching that row with no
+    rung accepted ends the run on ``resolution``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    edges = LADDER_EDGES if batched else range(MAX_BACKTRACKS + 1)
     f = float((yield ("values", x[None, :]))[0])
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
@@ -184,7 +241,7 @@ def bfgs_steps(
         alpha0 = min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
         accepted = None
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        for lo, hi in zip(LADDER_EDGES[:-1], LADDER_EDGES[1:]):
             rows = x[None, :] + alphas[lo:hi, None] * p[None, :]
             # rounding is monotone, so the rows that move x come first and the rest equal x
             moving = int(np.any(rows != x, axis=1).sum())
@@ -214,7 +271,7 @@ def bfgs_steps(
 
         if len(trace) > STALL_WINDOW:
             f_then = trace[-STALL_WINDOW - 1]
-            if (f_then - f) < stall_tol * max(abs(f_then), 1e-300):
+            if (f_then - f) < STALL_TOL * max(abs(f_then), 1e-300):
                 stop = "stall"
                 break
 
@@ -299,19 +356,18 @@ def run_lockstep(
     x0s: Sequence[np.ndarray],
     forward: Callable[[list[np.ndarray]], tuple[Sequence[float], object]],
     backward: Callable[[list[tuple[object, int]]], Sequence[np.ndarray]],
-    ladder: Callable[[np.ndarray], np.ndarray] | None = None,
+    ladder: Callable[[np.ndarray], np.ndarray],
     *,
     tol: float,
     max_iters: int,
-    stall_tol: float = 1e-12,
 ) -> list[LockstepRun | Exception]:
     """Independent ``bfgs_steps`` runs from the given points, in lockstep.
 
     ``forward(points)`` takes a list of points and gives their objective
     values (+inf where undefined) and a tape, whose row i is point i's pass;
     ``backward([(tape, row), ...])`` gives the gradient at each of those
-    passes' points; ``ladder(points)``, if given, values a (B, n) stack and
-    selects the ``LADDER_EDGES`` blocks, otherwise every block is one rung.
+    passes' points; ``ladder(points)`` values a (B, n) stack, the rows of the
+    wider ``LADDER_EDGES`` blocks.
     Each round answers the runs' requests in three phases: (A) one forward
     pass over every single-point request (the initial value, rungs 0 and 1,
     a gradient point whose pass is not held, the final point), whose passes
@@ -326,10 +382,7 @@ def run_lockstep(
     final point, or the ``ValueError`` or ``RuntimeError`` that ended that
     run; other errors propagate.
     """
-    runs = [
-        LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, stall_tol=stall_tol, batched=ladder is not None))
-        for x0 in x0s
-    ]
+    runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters)) for x0 in x0s]
 
     def hold_passes(group):
         values, tape = forward([run.point for run in group])

@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimizer import OptimizationReport, run_lockstep
+from .optimizer import OptimizationReport, RunConfig, run_lockstep
 from .propagation import (
     PropagationResult,
     PulseSchedule,
@@ -90,36 +90,17 @@ class DegenerateEnvelopeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MagicarpConfig:
-    mode: str = "energy_optimal"
+class MagicarpConfig(RunConfig):
+    """``RunConfig`` with the pulse mode and a start of the d^2-1 coefficients of g."""
+
+    START = "init_coeffs"
     n_steps: int = 128
     max_iters: int = 500
-    convergence_tol: float = 1e-7
-    stall_tol: float = 1e-12
-    init: str = "random_normal"  # "random_normal" | "explicit"
-    init_sigma: float = 1.0
+    mode: str = "energy_optimal"
     init_coeffs: tuple[float, ...] | None = None
-    seed: int = 0
 
-    def __post_init__(self):
-        for name, ok, expected in (
-            ("mode", self.mode in MODES, "|".join(MODES)),
-            ("n_steps", self.n_steps >= 1, "an integer >= 1"),
-            ("max_iters", self.max_iters >= 1, "an integer >= 1"),
-            ("convergence_tol", 0 < self.convergence_tol < np.inf, "a positive finite number"),
-            ("stall_tol", 0 < self.stall_tol < np.inf, "a positive finite number"),
-            ("init", self.init in ("random_normal", "explicit"), "random_normal|explicit"),
-            ("init_sigma", 0 < self.init_sigma < np.inf, "a positive finite number"),
-            (
-                "init_coeffs",
-                self.init != "explicit" or self.init_coeffs is not None and len(self.init_coeffs) > 0,
-                "coefficients for explicit init",
-            ),
-            ("init_coeffs", self.init_coeffs is None or bool(np.all(np.isfinite(self.init_coeffs))), "finite coefficients"),
-            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
-        ):
-            if not ok:
-                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+    def _checks(self) -> tuple:
+        return (("mode", self.mode in MODES, "|".join(MODES)),)
 
 
 @dataclass(frozen=True)
@@ -488,13 +469,7 @@ def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarr
 
 
 def initial_coeffs(config: MagicarpConfig, n_params: int) -> np.ndarray:
-    if config.init == "explicit":
-        coeffs = np.asarray(config.init_coeffs, dtype=float)
-        if coeffs.shape != (n_params,):
-            raise ValueError(f"init_coeffs: expected {n_params} coefficients, got shape {coeffs.shape}")
-        return coeffs
-    rng = np.random.default_rng(config.seed)
-    return config.init_sigma * rng.standard_normal(n_params)
+    return config.start((n_params,))
 
 
 def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[OptimizationReport | Exception]:
@@ -520,7 +495,6 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
         lambda points: batch_objective(points, context),
         tol=cfg.convergence_tol,
         max_iters=cfg.max_iters,
-        stall_tol=cfg.stall_tol,
     )
     wall = time.perf_counter() - t0
 

@@ -218,10 +218,15 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="^omega_max"):
             BenchmarkSpec(dims=(2,), omega_max=omega_max)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1e-7, math.inf, math.nan])
+    def test_spec_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="^threshold: expected a positive finite number"):
+            BenchmarkSpec(dims=(2,), threshold=threshold)
+
     def test_spec_checks_explicit_coeffs_against_every_dim(self):
-        explicit = MagicarpConfig(init="explicit", init_coeffs=(0.1, 0.2, 0.3))
+        explicit = MagicarpConfig(init_coeffs=(0.1, 0.2, 0.3))
         assert BenchmarkSpec(dims=(2,), magicarp=explicit).magicarp is explicit
-        with pytest.raises(ValueError, match=r"^magicarp\.init_coeffs: expected 8 coefficients for d = 3, got 3"):
+        with pytest.raises(ValueError, match=r"^magicarp\.init_coeffs: expected shape \(8,\), got shape \(3,\) for d = 3"):
             BenchmarkSpec(dims=(2, 3), magicarp=explicit)
 
     def test_spec_rejects_unknown_target_and_empty_dims(self):

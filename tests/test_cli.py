@@ -24,10 +24,10 @@ from magicarp.cli import (
     normalize_config,
     parse_matrix_literal,
 )
-from magicarp.grape import GrapeConfig, grape_optimize
+from magicarp.grape import GrapeConfig, grape_objective, grape_optimize
 from magicarp.propagation import PulseSchedule, read_schedule_csv, write_schedule_csv
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
-from magicarp.shooting import pulses_from_adjoint
+from magicarp.shooting import MagicarpConfig, ShootingContext, batch_objective, pulses_from_adjoint
 
 from conftest import gellmann_coeffs
 
@@ -88,8 +88,6 @@ BAD_VALUES = {
     "magicarp.n_steps": (True, 0),
     "magicarp.max_iters": (1.5, 0),
     "magicarp.convergence_tol": ("tight", 0),
-    "magicarp.stall_tol": (False, -1.0),
-    "magicarp.init": (1, "fourier"),
     "magicarp.init_sigma": ("wide", 0),
     "magicarp.init_coeffs": ("x", ["a"]),
     "magicarp.seed": ("x", 2**64),
@@ -97,8 +95,6 @@ BAD_VALUES = {
     "grape.max_iters": (None, 0),
     "grape.convergence_tol": ("x", -1e-7),
     "grape.penalty_weight": ("x", -0.5),
-    "grape.stall_tol": ("x", 0),
-    "grape.init": (1, "fourier", "zeros"),
     "grape.init_sigma": ("x", -1),
     "grape.init_schedule": (5, [[1.0, "a"]]),
     "grape.seed": (1.0, -1),
@@ -106,26 +102,33 @@ BAD_VALUES = {
     "benchmark.runs_per_dim": (True, 0),
     "benchmark.target": (1, "custom"),
     "benchmark.base_seed": ("x", -1),
-    "benchmark.threshold": ("x", 0),
+    "benchmark.threshold": ("x", 0),  # the type in the CLI, the value in BenchmarkSpec
 }
 
 BAD_CONFIGS = [(path, at(path, value)) for path, values in BAD_VALUES.items() for value in values] + [
     ("omega_max", {"omega_max": float("inf")}),
     ("custom_target", {"custom_target": "x"}),
     ("custom_target", {"target": "custom", "custom_target": [[1, 2]]}),
-    ("magicarp.init_coeffs", at("magicarp.init", "explicit")),
-    ("magicarp.init_coeffs", {"dim": 2, "magicarp": {"init": "explicit", "init_coeffs": [0.1, 0.2]}}),
-    ("grape.init_schedule", at("grape.init", "explicit")),
-    ("grape.init_schedule", {"grape": {"n_steps": 2, "init": "explicit", "init_schedule": [[0.1, 0.2], [0.3]]}}),
+    # an explicit start of the wrong shape, or empty
+    ("magicarp.init_coeffs", {"dim": 2, "magicarp": {"init_coeffs": [0.1, 0.2]}}),
+    ("magicarp.init_coeffs", at("magicarp.init_coeffs", [])),
+    ("grape.init_schedule", {"grape": {"n_steps": 2, "init_schedule": [[0.1, 0.2], [0.3]]}}),
+    ("grape.init_schedule", {"grape": {"n_steps": 3, "init_schedule": [[0.1, 0.2], [0.3, 0.4]]}}),
 ] + [  # non-finite numbers are bad input too, not a runtime failure
-    ("magicarp.init_coeffs", {"magicarp": {"init": "explicit", "init_coeffs": [float("nan"), 0.0, 0.0]}}),
-    ("magicarp.init_coeffs", {"magicarp": {"init": "explicit", "init_coeffs": [0.0, float("-inf"), 0.0]}}),
+    ("magicarp.init_coeffs", at("magicarp.init_coeffs", [float("nan"), 0.0, 0.0])),
+    ("magicarp.init_coeffs", at("magicarp.init_coeffs", [0.0, float("-inf"), 0.0])),
+    ("grape.init_schedule", {"grape": {"n_steps": 1, "init_schedule": [[float("inf"), 0.0]]}}),
 ] + [
     (path, at(path, value))
-    for path in ("magicarp.init_sigma", "magicarp.convergence_tol", "magicarp.stall_tol")
-    + ("grape.init_sigma", "grape.convergence_tol", "grape.stall_tol", "benchmark.threshold")
+    for path in ("magicarp.init_sigma", "magicarp.convergence_tol")
+    + ("grape.init_sigma", "grape.convergence_tol", "benchmark.threshold")
     for value in (float("inf"), float("nan"))
 ]
+
+
+def workers_flag(command):
+    """``--workers 1`` for the one command that takes it."""
+    return ["--workers", "1"] if command == "benchmark" else []
 
 
 class TestConfig:
@@ -159,7 +162,7 @@ class TestConfig:
     def test_bad_type_or_value_exits_2_naming_path(self, tmp_path, capsys, path, cfg):
         command = {"grape": "grape", "benchmark": "benchmark"}.get(path.split(".")[0], "optimize")
         config = write_config(tmp_path, cfg)
-        rc = main([command, "--config", config, "--out", str(tmp_path / "out"), "--workers", "1"])
+        rc = main([command, "--config", config, "--out", str(tmp_path / "out"), *workers_flag(command)])
         assert rc == EXIT_INVALID
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -169,6 +172,17 @@ class TestConfig:
         config = write_config(tmp_path, {"controls": "nearest_neighbor"})
         assert main(["optimize", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: unknown config key 'controls'")
+
+    @pytest.mark.parametrize("path", ["magicarp.init", "grape.init", "magicarp.stall_tol", "grape.stall_tol"])
+    def test_removed_run_keys_are_unknown(self, tmp_path, capsys, path):
+        # an explicit start is used exactly when one is given, and the stall
+        # tolerance is a constant of the optimizer
+        section, key = path.split(".")
+        command = {"magicarp": "optimize", "grape": "grape"}[section]
+        config = write_config(tmp_path, at(path, "random_normal" if key == "init" else 1e-12))
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: unknown config key {section}.{key!r}")
+        assert not (tmp_path / "out").exists()
 
     def test_grad_step_is_an_unknown_key(self, tmp_path, capsys):
         config = write_config(tmp_path, at("magicarp.grad_step", 1e-6))
@@ -308,9 +322,32 @@ class TestOptimizeCommand:
             raise np.linalg.LinAlgError("synthetic singular matrix")
 
         monkeypatch.setattr(cli, runner, singular)
-        rc = main([command, "--out", str(tmp_path), "--workers", "1"])
+        rc = main([command, "--out", str(tmp_path), *workers_flag(command)])
         assert rc == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("runtime error: synthetic singular matrix")
+
+    def test_init_coeffs_alone_start_the_run(self, tmp_path):
+        # no switch: the given coefficients are the start, whatever the seed
+        coeffs = [0.1, -0.2, 0.05]
+        cfg = write_config(tmp_path, {"target": "hadamard", "magicarp": {"n_steps": 8, "max_iters": 5, "init_coeffs": coeffs}})
+        for seed in ("1", "2"):
+            assert main(["optimize", "--config", cfg, "--seed", seed, "--out", str(tmp_path / seed)]) in (EXIT_OK, EXIT_RUNTIME)
+        report = json.loads((tmp_path / "1" / "report.json").read_text())
+        context = ShootingContext(
+            controls=nearest_neighbor_control_set(2),
+            target=target_gate("hadamard", 2),
+            config=MagicarpConfig(n_steps=8),
+        )
+        assert report["cost_trace"][0] == batch_objective(np.array([coeffs]), context)[0]
+        assert (tmp_path / "1" / "schedule.csv").read_bytes() == (tmp_path / "2" / "schedule.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["optimize", "grape", "certify", "bloch"])
+    def test_workers_is_a_benchmark_flag(self, tmp_path, capsys, command):
+        schedule = [str(tmp_path / "s.csv")] if command in ("certify", "bloch") else []
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *schedule, "--out", str(tmp_path / "out"), "--workers", "5"])
+        assert exit_.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --workers 5" in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(
@@ -337,13 +374,15 @@ class TestGrapeCommand:
         assert report["infidelity"] <= 1e-7
 
     def test_explicit_start(self, tmp_path):
+        # init_schedule alone starts the run from that pulse
         rows = ((0.5, 0.1), (0.2, 0.9))
-        config = GrapeConfig(n_steps=2, init="explicit", init_schedule=rows)
-        report = grape_optimize(target_gate("hadamard", 2), nearest_neighbor_control_set(2), config)
-        grape = {"n_steps": 2, "init": "explicit", "init_schedule": [list(row) for row in rows]}
+        target, controls = target_gate("hadamard", 2), nearest_neighbor_control_set(2)
+        report = grape_optimize(target, controls, GrapeConfig(n_steps=2, init_schedule=rows))
+        grape = {"n_steps": 2, "init_schedule": [list(row) for row in rows]}
         cfg = write_config(tmp_path, {"target": "hadamard", "grape": grape})
         assert main(["grape", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
         written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["cost_trace"][0] == grape_objective(PulseSchedule.from_amplitudes(np.array(rows)), target, controls)
         assert written["cost_trace"] == list(report.cost_trace)
 
     def test_zero_steps_exits_2(self, tmp_path):
@@ -384,11 +423,11 @@ class TestBenchmarkCommand:
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(cli, "run_campaign", no_cells)
-        cfg = {"magicarp": {"init": "explicit", "init_coeffs": [0.1, 0.2, 0.3]}, "benchmark": {"dims": [2, 3]}}
+        cfg = {"magicarp": {"init_coeffs": [0.1, 0.2, 0.3]}, "benchmark": {"dims": [2, 3]}}
         out = tmp_path / "bench"
         rc = main(["benchmark", "--config", write_config(tmp_path, cfg), "--out", str(out), "--workers", "1"])
         assert rc == EXIT_INVALID
-        assert "error: magicarp.init_coeffs: expected 8 coefficients for d = 3, got 3" in capsys.readouterr().err
+        assert "error: magicarp.init_coeffs: expected shape (8,), got shape (3,) for d = 3" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -24,7 +24,7 @@ from magicarp.propagation import (
 )
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
 
-from conftest import KERNEL_SETS, kernel_case, random_unitary
+from conftest import KERNEL_SETS, kernel_case, random_unitary, same_bits
 
 
 def zero_schedule(n, k):
@@ -300,15 +300,15 @@ class TestGrapeOptimize:
     def test_explicit_init_starts_from_the_given_pulse(self):
         rows = ((0.5, 0.1), (0.2, 0.9))
         ctrl, target = nearest_neighbor_control_set(2), target_gate("hadamard", 2)
-        cfg = GrapeConfig(n_steps=2, init="explicit", init_schedule=rows)
+        cfg = GrapeConfig(n_steps=2, init_schedule=rows)
         report = grape_optimize(target, ctrl, cfg)
         assert report.cost_trace[0] == grape_objective(PulseSchedule.from_amplitudes(np.array(rows)), target, ctrl)
         assert report.converged
 
     def test_explicit_init_shape_checked(self):
         ctrl = nearest_neighbor_control_set(2)
-        cfg = GrapeConfig(n_steps=4, init="explicit", init_schedule=((1.0, 0.0),))
-        with pytest.raises(ValueError):
+        cfg = GrapeConfig(n_steps=4, init_schedule=((1.0, 0.0),))
+        with pytest.raises(ValueError, match=re.escape("init_schedule: expected shape (4, 2), got shape (1, 2)")):
             grape_optimize(np.eye(2, dtype=complex), ctrl, cfg)
 
     def test_config_validation(self):
@@ -316,19 +316,26 @@ class TestGrapeOptimize:
             GrapeConfig(n_steps=0)
         with pytest.raises(ValueError):
             GrapeConfig(penalty_weight=-1.0)
-        for init in ("fourier", "zeros"):
-            with pytest.raises(ValueError, match=re.escape(f"init: expected random_normal|explicit, got '{init}'")):
+        # the start switch is not a field: whether init_schedule is given
+        # decides the start, and a switch still given must agree
+        for init in ("fourier", "zeros", "explicit"):
+            with pytest.raises(ValueError, match=re.escape(f"init: expected random_normal, which init_schedule implies, got '{init}'")):
                 GrapeConfig(init=init)
+        with pytest.raises(ValueError, match="^init: expected explicit"):
+            GrapeConfig(n_steps=1, init="random_normal", init_schedule=((0.5, 0.5),))
+        assert GrapeConfig(n_steps=1, init="explicit", init_schedule=((0.5, 0.5),)) == GrapeConfig(
+            n_steps=1, init_schedule=((0.5, 0.5),)
+        )
 
     @pytest.mark.parametrize(
         "field,value",
-        [("max_iters", 0), ("convergence_tol", 0.0), ("stall_tol", -1e-12), ("init_sigma", 0.0), ("seed", 2**64)],
+        [("max_iters", 0), ("convergence_tol", 0.0), ("init_sigma", 0.0), ("init_schedule", ((1.0,), ())), ("seed", 2**64)],
     )
     def test_message_starts_with_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: "):
             GrapeConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["convergence_tol", "stall_tol", "init_sigma"])
+    @pytest.mark.parametrize("field", ["convergence_tol", "init_sigma"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: expected a positive finite number"):
@@ -365,7 +372,8 @@ class TestHeldPass:
         monkeypatch.setattr(optimizer, "bfgs_inverse_update", lambda *args: updates.append(real_update(*args)))
         report = grape_optimize(target, ctrl, cfg)
         assert report.stop_reason == stop
-        # the gradients and the report read the pass of the point valued last
+        # the gradients and the report read the pass of a point valued alone;
+        # a point accepted from a wider ladder gets a pass of its own
         assert len(gradients) == report.iterations + 1
         assert len(passes) == len(points)
         # the report counts the same work
@@ -408,6 +416,20 @@ class TestHeldPass:
         assert np.array_equal(held.cost_trace, fresh.cost_trace)
         assert np.array_equal(held.final_schedule.amplitudes, fresh.final_schedule.amplitudes)
         assert (held.infidelity, held.stop_reason) == (fresh.infidelity, fresh.stop_reason)
+
+    @pytest.mark.parametrize("d,n_steps,weight,seed", [(3, 16, 0.05, 0), (3, 16, 0.05, 3), (3, 2, 0.0, 0), (5, 16, 0.0, 1)])
+    def test_doubling_ladder_equals_one_rung_at_a_time(self, monkeypatch, d, n_steps, weight, seed):
+        # the ladder's blocks of 2, 4, 8 and 14 rungs accept the rung a
+        # sequential search accepts, with the value of that rung's own pass
+        target, ctrl = target_gate("qft", d), nearest_neighbor_control_set(d)
+        cfg = GrapeConfig(n_steps=n_steps, max_iters=300, penalty_weight=weight, seed=seed)
+        ladder = grape_optimize(target, ctrl, cfg)
+        monkeypatch.setattr(optimizer, "LADDER_EDGES", tuple(range(optimizer.MAX_BACKTRACKS + 1)))
+        sequential = grape_optimize(target, ctrl, cfg)
+        assert np.array_equal(ladder.cost_trace, sequential.cost_trace)
+        assert same_bits(ladder.final_schedule.amplitudes, sequential.final_schedule.amplitudes)
+        assert (ladder.infidelity, ladder.stop_reason) == (sequential.infidelity, sequential.stop_reason)
+        assert ladder.forward_points > sequential.forward_points  # some wider block was asked for
 
     def test_failing_pass_raises_its_error(self, monkeypatch, tmp_path, capsys):
         # the runner keeps a numerical failure to its run; grape_optimize raises it

@@ -35,10 +35,10 @@ def rosenbrock_grad(x):
     )
 
 
-def lone_run(fun, grad, x0, *, ladder=False, log=None, **options):
-    """One ``run_lockstep`` run on the per-point callables ``fun`` and ``grad``
-    (with a ladder that calls ``fun`` on each row if ``ladder``); its result.
-    ``log`` gets ("forward", points) and ("ladder", rows) for each call."""
+def lone_run(fun, grad, x0, *, log=None, **options):
+    """One ``run_lockstep`` run on the per-point callables ``fun`` and ``grad``,
+    with a ladder that calls ``fun`` on each row; its result. ``log`` gets
+    ("forward", points) and ("ladder", rows) for each call."""
     log = [] if log is None else log
 
     def forward(points):
@@ -52,7 +52,7 @@ def lone_run(fun, grad, x0, *, ladder=False, log=None, **options):
         log.append(("ladder", len(xs)))
         return np.array([fun(x) for x in xs])
 
-    outcome = run_lockstep([x0], forward, backward, batch if ladder else None, **options)[0]
+    outcome = run_lockstep([x0], forward, backward, batch, **options)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.result
@@ -97,7 +97,7 @@ class TestRunLockstep:
         assert res.fun == pytest.approx(1.0, abs=1e-10)
 
     def test_initial_point_must_be_finite(self):
-        (outcome,) = run_lockstep([np.zeros(2)], lambda xs: ([np.inf] * len(xs), None), None, tol=1e-8, max_iters=10)
+        (outcome,) = run_lockstep([np.zeros(2)], lambda xs: ([np.inf] * len(xs), None), None, None, tol=1e-8, max_iters=10)
         assert isinstance(outcome, ValueError)
         assert "not finite at the initial point" in str(outcome)
 
@@ -116,13 +116,32 @@ class TestRunLockstep:
         res = lone_run(fun, grad, np.array([-3.0, -3.0]), tol=1e-12, max_iters=100)
         assert res.fun <= 1e-12
 
-    def test_ladder_matches_sequential(self):
+    def test_ladder_matches_sequential(self, monkeypatch):
+        # blocks of one rung each are a sequential backtracking loop
         fun, grad = quadratic(np.array([2.0, -1.0, 0.5, 4.0]))
         x0 = np.array([5.0, 5.0, 5.0, 5.0])
+        bat = lone_run(fun, grad, x0, tol=1e-13, max_iters=100)
+        monkeypatch.setattr(optimizer, "LADDER_EDGES", tuple(range(optimizer.MAX_BACKTRACKS + 1)))
         seq = lone_run(fun, grad, x0, tol=1e-13, max_iters=100)
-        bat = lone_run(fun, grad, x0, tol=1e-13, max_iters=100, ladder=True)
         assert seq.trace == bat.trace
         assert np.array_equal(seq.x, bat.x)
+
+    @pytest.mark.parametrize("first", [0, 1, 2, 3, 5, 9, 16, 29])
+    def test_ladder_accepts_the_first_passing_rung_as_a_sequential_search(self, first):
+        # f(x) = -x + x^2 / delta from x = 0 along p = 1, with delta = 1.5 2^-first:
+        # the Armijo test passes for steps up to about delta, so a backtracking
+        # loop that tries rung 0, 1, 2, ... in turn stops at rung ``first``, in
+        # whichever block the ladder holds it
+        delta = 1.5 * 2.0**-first
+
+        def fun(x):
+            return float(-x[0] + x[0] ** 2 / delta)
+
+        sequential = next(j for j in range(30) if fun([2.0**-j]) <= fun([0.0]) - optimizer.ARMIJO_C * 2.0**-j)
+        assert sequential == first
+        res = lone_run(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1)
+        assert res.x[0] == 2.0**-first
+        assert res.trace == [0.0, fun([2.0**-first])]
 
     def test_lazy_ladder_evaluates_rung_zero_alone(self):
         # a unit step from |g| <= 1 lands on the minimum, so rung 0 is accepted
@@ -132,7 +151,7 @@ class TestRunLockstep:
             return 0.5 * float(np.sum((x - center) ** 2))
 
         log = []
-        res = lone_run(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, ladder=True, log=log)
+        res = lone_run(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, log=log)
         assert res.fun == 0.0
         # the initial value, then rung 0; the gradient and the report reuse its pass
         assert log == [("forward", 1), ("forward", 1)]
@@ -151,7 +170,7 @@ class TestRunLockstep:
             # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x,
             # whose gradient needs a pass of its own)
             log = []
-            res = lone_run(fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, ladder=True, log=log)
+            res = lone_run(fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, log=log)
             assert res.fun == 0.0
             assert log == expected
 
@@ -166,26 +185,12 @@ class TestRunLockstep:
             return float(-x[0] + x[0] ** 2 / delta)
 
         res = lone_run(
-            fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, ladder=True, log=log
+            fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, log=log
         )
         assert res.x[0] == 2.0**-16
         # the initial value, then the ladder, then the pass of the accepted point for its gradient
         single = ("forward", 1)
         assert log == [single] * 3 + [("ladder", b) for b in (2, 4, 8, 14)] + [single]
-
-    def test_sequential_ladder_calls_fun_once_per_rung(self):
-        # the last-block case above without a ladder: one single-point pass per row, in order
-        delta = 1.5 * 2.0**-16
-        calls, log = [], []
-
-        def fun(x):
-            calls.append(float(x[0]))
-            return float(-x[0] + x[0] ** 2 / delta)
-
-        res = lone_run(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, log=log)
-        assert res.x[0] == 2.0**-16
-        assert calls == [0.0] + [2.0**-j for j in range(17)]
-        assert log == [("forward", 1)] * len(calls)
 
     def test_lazy_ladder_asks_for_every_block_when_all_rungs_fail(self):
         # a gradient of the wrong sign: every rung climbs, and the run stops
@@ -193,7 +198,7 @@ class TestRunLockstep:
             return float(np.sum(x**2))
 
         log = []
-        res = lone_run(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, ladder=True, log=log)
+        res = lone_run(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, log=log)
         assert (res.stop_reason, res.iterations) == ("line_search", 0)
         # the initial value, then the ladder, then the final point's pass again for the report
         single = ("forward", 1)
@@ -206,8 +211,7 @@ class TestRunLockstep:
         assert runs[0].trace == runs[1].trace
         assert np.array_equal(runs[0].x, runs[1].x)
 
-    @pytest.mark.parametrize("ladder", [False, True])
-    def test_failing_run_fails_alone(self, ladder):
+    def test_failing_run_fails_alone(self):
         # a pass over a point with x_0 > 0.2 and x_1 > 2 raises: run 1 reaches one
         # at its first rung 0, in a batch with run 0, which goes on as if alone
         fun, grad = quadratic(np.array([1.0, 1.0]))
@@ -220,7 +224,9 @@ class TestRunLockstep:
         def backward(held):
             return [grad(tape[row]) for tape, row in held]
 
-        batch = (lambda xs: forward(list(xs))[0]) if ladder else None
+        def batch(xs):
+            return forward(list(xs))[0]
+
         x0s = [np.array([-3.0, 0.0]), np.array([0.0, 3.0])]
         options = dict(tol=1e-14, max_iters=50)
         outcomes = run_lockstep(x0s, forward, backward, batch, **options)
@@ -235,14 +241,14 @@ class TestRunLockstep:
             raise TypeError("a bug, not a numerical failure")
 
         with pytest.raises(TypeError, match="a bug"):
-            run_lockstep([np.zeros(2), np.ones(2)], forward, None, tol=1e-8, max_iters=10)
+            run_lockstep([np.zeros(2), np.ones(2)], forward, None, None, tol=1e-8, max_iters=10)
 
 
-def drive_at_fixed_point(x0, f0, g0, batched):
+def drive_at_fixed_point(x0, f0, g0):
     """Run ``bfgs_steps`` with a constant objective f0 and gradient g0, whatever
     the point; log every evaluated row as ("point", bytes) and every gradient
     request as ("grad", bytes), whatever kind of request carried them."""
-    steps = bfgs_steps(x0, tol=-1.0, max_iters=100, batched=batched)
+    steps = bfgs_steps(x0, tol=-1.0, max_iters=100)
     log, reply = [], None
     while True:
         try:
@@ -263,32 +269,29 @@ class TestLadderBelowResolution:
     X0 = np.array([1.0, -2.0])
     G0 = np.array([1e-20, 2e-20])
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_armijo_product_rounds_away_yet_no_rung_is_asked_for(self, batched):
+    def test_armijo_product_rounds_away_yet_no_rung_is_asked_for(self):
         # f + c alpha g.p rounds to f = 1, so a row equal to x would pass at
         # rung 0 with f unchanged, iteration after iteration; no such row is asked for
-        res, log = drive_at_fixed_point(self.X0, 1.0, self.G0, batched)
+        res, log = drive_at_fixed_point(self.X0, 1.0, self.G0)
         assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
         assert (res.stop_reason, res.iterations, res.curvature_updates) == ("resolution", 0, 0)
         assert res.trace == [1.0] and res.x.tobytes() == self.X0.tobytes()
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_armijo_product_kept_yet_no_rung_is_asked_for(self, batched):
+    def test_armijo_product_kept_yet_no_rung_is_asked_for(self):
         # at f = 0 the bound c alpha g.p < 0 survives, and every row equal to x
         # would fail; none is asked for
-        res, log = drive_at_fixed_point(self.X0, 0.0, self.G0, batched)
+        res, log = drive_at_fixed_point(self.X0, 0.0, self.G0)
         assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
         assert (res.stop_reason, res.iterations, res.trace) == ("resolution", 0, [0.0])
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_rows_that_move_x_are_asked_for_as_before(self, batched):
+    def test_rows_that_move_x_are_asked_for_as_before(self):
         # x = 1 along p = -2^-40 with f and g constant: rung j gives
         # 1 - 2^-(40+j), which moves x while it is at least the spacing 2^-53
         # below 1, that is for j <= 13 (j = 14 is a tie that rounds to 1). Every
         # rung fails the Armijo test, so the ladder asks for rungs 0-13, in its
         # blocks cut before rung 14, with the same rows as before, then stops
         x0, g0 = np.array([1.0]), np.array([2.0**-40])
-        res, log = drive_at_fixed_point(x0, 0.0, g0, batched)
+        res, log = drive_at_fixed_point(x0, 0.0, g0)
         rows = x0[None, :] + (2.0 ** -np.arange(14))[:, None] * -g0[None, :]
         assert log == [("point", x0.tobytes()), ("grad", x0.tobytes())] + [("point", row.tobytes()) for row in rows]
         assert (res.stop_reason, res.iterations) == ("resolution", 0)

@@ -587,7 +587,6 @@ class TestOptimize:
         ctx = context(
             target="identity",
             n_steps=8,
-            init="explicit",
             init_coeffs=(0.1, -0.2, 0.05),
             max_iters=50,
         )
@@ -595,8 +594,8 @@ class TestOptimize:
         assert report.converged
 
     def test_explicit_init_wrong_length(self):
-        with pytest.raises(ValueError):
-            optimize(context(target="identity", init="explicit", init_coeffs=(0.1, 0.2)))
+        with pytest.raises(ValueError, match=r"^init_coeffs: expected shape \(3,\), got shape \(2,\)"):
+            optimize(context(target="identity", init_coeffs=(0.1, 0.2)))
 
 
 class TestLockstep:
@@ -669,7 +668,7 @@ class TestLockstep:
 
     def test_failed_restart_is_returned_and_raised(self):
         # a zero-envelope start: the objective is not finite at the initial point
-        ctx = context(mode="time_optimal_renormalized", init="explicit", init_coeffs=tuple(gellmann_coeffs(SZ)))
+        ctx = context(mode="time_optimal_renormalized", init_coeffs=tuple(gellmann_coeffs(SZ)))
         outcomes = run_restarts(ctx, [0, 1])
         assert all(isinstance(o, ValueError) for o in outcomes)
         with pytest.raises(ValueError, match="not finite at the initial point"):
@@ -763,20 +762,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MagicarpConfig(n_steps=0)
 
-    def test_explicit_requires_coeffs(self):
-        with pytest.raises(ValueError):
+    def test_start_switch_must_agree_with_the_coeffs(self):
+        with pytest.raises(ValueError, match="^init: expected random_normal, which init_coeffs implies, got 'explicit'"):
             MagicarpConfig(init="explicit")
+        with pytest.raises(ValueError, match="^init: expected explicit, which init_coeffs implies, got 'random_normal'"):
+            MagicarpConfig(init="random_normal", init_coeffs=(0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize(
         "field,value",
         [("max_iters", 0), ("convergence_tol", 0.0), ("init_sigma", 0.0), ("seed", -1), ("init_coeffs", ())],
     )
     def test_message_starts_with_field(self, field, value):
-        explicit = {"init": "explicit"} if field == "init_coeffs" else {}
         with pytest.raises(ValueError, match=f"^{field}: "):
-            MagicarpConfig(**explicit, **{field: value})
+            MagicarpConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["convergence_tol", "stall_tol", "init_sigma"])
+    @pytest.mark.parametrize("field", ["convergence_tol", "init_sigma"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: expected a positive finite number"):
@@ -784,5 +784,5 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("coeffs", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 0.0)])
     def test_non_finite_init_coeffs_rejected(self, coeffs):
-        with pytest.raises(ValueError, match="^init_coeffs: expected finite coefficients"):
-            MagicarpConfig(init="explicit", init_coeffs=coeffs)
+        with pytest.raises(ValueError, match="^init_coeffs: expected a non-empty array of finite numbers"):
+            MagicarpConfig(init_coeffs=coeffs)
