@@ -17,9 +17,7 @@ from .propagation import (
     gate_fidelity,
     normalized_infidelity,
     propagate,
-    read_schedule_csv,
     verify_adjoint_constancy,
-    write_schedule_csv,
 )
 from .qudit import (
     AdjointMatrix,
@@ -71,14 +69,12 @@ __all__ = [
     "optimize",
     "propagate",
     "pulses_from_adjoint",
-    "read_schedule_csv",
     "restarted_optimize",
     "reverse_gradient",
     "run_campaign",
     "target_gate",
     "tau_qsl",
     "verify_adjoint_constancy",
-    "write_schedule_csv",
 ]
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ process pool.
 from __future__ import annotations
 
 import io
-import json
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -196,6 +194,12 @@ def records_to_csv(records: list[BenchmarkRecord]) -> str:
     return buf.getvalue()
 
 
+def scatter_to_dat(records: list[BenchmarkRecord], dim: int) -> str:
+    """A gnuplot-ready two-column file (duration_qsl, infidelity) of one dimension's records."""
+    rows = (f"{FLOAT_FMT % r.duration_qsl} {FLOAT_FMT % r.infidelity}\n" for r in records if r.dim == dim)
+    return "# duration_qsl infidelity\n" + "".join(rows)
+
+
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
@@ -211,31 +215,7 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
     return records
 
 
-def write_records_csv(path, records: list[BenchmarkRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_csv(records))
-
-
 def read_records_csv(path) -> list[BenchmarkRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         return records_from_csv(fh.read())
 
-
-def write_summary_json(path, records: list[BenchmarkRecord], threshold: float = 1e-7) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(campaign_summary(records, threshold), fh, indent=2)
-        fh.write("\n")
-
-
-def write_scatter_files(out_dir, records: list[BenchmarkRecord]) -> list[str]:
-    """One gnuplot-ready two-column file (duration_qsl, infidelity) per dim."""
-    paths = []
-    for d in sorted({r.dim for r in records}):
-        path = os.path.join(out_dir, f"scatter_d{d}.dat")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# duration_qsl infidelity\n")
-            for r in records:
-                if r.dim == d:
-                    fh.write(f"{FLOAT_FMT % r.duration_qsl} {FLOAT_FMT % r.infidelity}\n")
-        paths.append(path)
-    return paths

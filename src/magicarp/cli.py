@@ -2,10 +2,14 @@
 
 Subcommands: optimize | grape | benchmark | certify | bloch. A YAML config
 file is the file of record for an experiment; flags override file values,
-and the MAGICARP_SEED environment variable overrides the config seed
-(a --seed flag beats both). The seed is resolved first and the config is
-validated in one pass, the file's seeds and then the override. Exit codes:
-0 success, 1 runtime failure, 2 invalid input, 3 certification negative.
+and --seed overrides all three config seeds once the file's own are
+checked. A run has one boundary, ``main``: a command reads and checks all
+of its input, then ``main`` makes the --out directory, then the command's
+work runs and writes each output file through one writer. Exit codes:
+0 success, 1 runtime failure (any exception but a ConfigError, including an
+unusable --out; a run that does not converge says why on stderr), 2 invalid
+input (a ConfigError: the config, a flag or a schedule CSV), 3
+certification negative.
 
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import json
 import os
 import sys
 import types
@@ -25,30 +30,24 @@ import typing
 
 import numpy as np
 
-from .bench import (
-    BenchmarkSpec,
-    run_campaign,
-    write_records_csv,
-    write_scatter_files,
-    write_summary_json,
-)
+from .bench import BenchmarkSpec, campaign_summary, records_to_csv, run_campaign, scatter_to_dat
 from .grape import GrapeConfig, grape_optimize
 from .propagation import (
     FLOAT_FMT,
     bloch_to_csv,
     bloch_trajectory,
     propagate,
-    read_schedule_csv,
-    write_schedule_csv,
+    schedule_from_csv,
+    schedule_to_csv,
 )
 from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import (
     MagicarpConfig,
     ShootingContext,
+    adjoint_to_dict,
     optimality_certificate,
     optimize,
-    write_adjoint_json,
-    write_report_json,
+    report_to_dict,
 )
 
 # yaml and argparse are imported where they are first used (load_config,
@@ -206,6 +205,10 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a file that is not UTF-8, a date YAML cannot build
+        raise ConfigError(str(exc)) from None
     return normalize_config(raw, seed)
 
 
@@ -231,46 +234,43 @@ def _build_problem(cfg: dict):
     return controls, target
 
 
-def _run(runner, *args):
-    """Call a library runner: a ValueError it raises is a runtime failure, not invalid input."""
-    try:
-        return runner(*args)
-    except ValueError as exc:
-        raise RuntimeError(exc) from exc
-
-
-def _seed_override(flag: int | None) -> int | None:
-    """The seed override: the --seed flag, else MAGICARP_SEED, else none."""
-    env = os.environ.get("MAGICARP_SEED")
-    if flag is not None or env is None:
-        return flag
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"MAGICARP_SEED: expected an integer, got {env!r}") from None
+def _write(out_dir: str, name: str, content: str | dict) -> str:
+    """Write one output file, UTF-8 with Unix newlines, and return its path;
+    a dict is written as JSON with indent 2 and a final newline."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2) + "\n"
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(content)
+    return path
 
 
 def _write_run(report, cfg: dict, out_dir: str) -> int:
     """Write an optimizer run's report.json and schedule.csv and print its
-    summary line; the exit code says whether it converged."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_schedule_csv(os.path.join(out_dir, "schedule.csv"), report.final_schedule)
+    summary line; the exit code says whether it converged, and stderr why not."""
+    _write(out_dir, "report.json", report_to_dict(report))
+    _write(out_dir, "schedule.csv", schedule_to_csv(report.final_schedule))
     ratio = report.duration / tau_qsl(cfg["dim"], cfg["omega_max"])
     print(
         f"infidelity={FLOAT_FMT % report.infidelity} "
         f"duration={FLOAT_FMT % report.duration} "
         f"duration_qsl={FLOAT_FMT % ratio}"
     )
-    return EXIT_OK if report.converged else EXIT_RUNTIME
+    if report.converged:
+        return EXIT_OK
+    print(f"not converged: stopped on {report.stop_reason} after {report.iterations} iterations", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 def _load_schedule(path: str, cfg: dict):
     """A schedule CSV and the control set of the config's dimension, which must drive it."""
     try:
-        schedule = read_schedule_csv(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            schedule = schedule_from_csv(fh.read())
     except OSError as exc:  # a missing or unreadable file, a directory
         raise ConfigError(f"schedule file {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # a malformed file, or one that is not UTF-8
+        raise ConfigError(str(exc)) from None
     controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
     if schedule.n_controls != controls.n_controls:
         raise ConfigError(
@@ -280,63 +280,75 @@ def _load_schedule(path: str, cfg: dict):
     return schedule, controls
 
 
-def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
+# A command reads and checks its input, raising ConfigError, and returns its
+# work: a callable that ``main`` runs once --out exists, and whose result is
+# the exit code.
+
+
+def cmd_optimize(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     controls, target = _build_problem(cfg)
     config = _build("magicarp", cfg, start=(controls.dim**2 - 1,))
     context = ShootingContext(controls=controls, target=target, config=config)
-    return _write_run(_run(optimize, context), cfg, args.out)
+    return lambda: _write_run(optimize(context), cfg, args.out)
 
 
-def cmd_grape(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_grape(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     controls, target = _build_problem(cfg)
     config = _build("grape", cfg, start=(cfg["grape"]["n_steps"], controls.n_controls))
-    return _write_run(_run(grape_optimize, target, controls, config), cfg, args.out)
+    return lambda: _write_run(grape_optimize(target, controls, config), cfg, args.out)
 
 
-def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     workers = (os.cpu_count() or 1) if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError("--workers must be >= 1")
     magicarp = _build("magicarp", cfg)
     spec = _build("benchmark", cfg, magicarp=magicarp, omega_max=cfg["omega_max"])
-    records = _run(run_campaign, spec, workers)
-    os.makedirs(args.out, exist_ok=True)
-    write_records_csv(os.path.join(args.out, "records.csv"), records)
-    write_summary_json(os.path.join(args.out, "summary.json"), records, spec.threshold)
-    write_scatter_files(args.out, records)
-    for d in spec.dims:
-        of_dim = [r for r in records if r.dim == d]
-        converged = sum(r.converged for r in of_dim)
-        print(f"dim={d} runs={len(of_dim)} converged={converged}")
-    return EXIT_OK
+
+    def run() -> int:
+        records = run_campaign(spec, workers)
+        _write(args.out, "records.csv", records_to_csv(records))
+        _write(args.out, "summary.json", campaign_summary(records, spec.threshold))
+        for d in spec.dims:
+            _write(args.out, f"scatter_d{d}.dat", scatter_to_dat(records, d))
+        for d in spec.dims:
+            of_dim = [r for r in records if r.dim == d]
+            converged = sum(r.converged for r in of_dim)
+            print(f"dim={d} runs={len(of_dim)} converged={converged}")
+        return EXIT_OK
+
+    return run
 
 
-def cmd_certify(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_certify(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     schedule, controls = _load_schedule(args.schedule, cfg)
-    cert = optimality_certificate(schedule, controls)
-    os.makedirs(args.out, exist_ok=True)
-    write_adjoint_json(os.path.join(args.out, "g_fit.json"), cert.g_fit)
-    coeffs = " ".join(FLOAT_FMT % c for c in cert.g_fit.coeffs)
-    print(f"g_fit=[{coeffs}]")
-    print(f"residual={FLOAT_FMT % cert.residual} excluded_steps={cert.n_excluded}")
-    return EXIT_OK if cert.residual <= CERT_THRESHOLD else EXIT_NOT_OPTIMAL
+
+    def run() -> int:
+        cert = optimality_certificate(schedule, controls)
+        _write(args.out, "g_fit.json", adjoint_to_dict(cert.g_fit))
+        coeffs = " ".join(FLOAT_FMT % c for c in cert.g_fit.coeffs)
+        print(f"g_fit=[{coeffs}]")
+        print(f"residual={FLOAT_FMT % cert.residual} excluded_steps={cert.n_excluded}")
+        return EXIT_OK if cert.residual <= CERT_THRESHOLD else EXIT_NOT_OPTIMAL
+
+    return run
 
 
-def cmd_bloch(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_bloch(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     if cfg["dim"] != 2:
         raise ConfigError(f"bloch: only d=2 is supported, got dim={cfg['dim']}")
     schedule, controls = _load_schedule(args.schedule, cfg)
-    trajectory = bloch_trajectory(propagate(controls, schedule), schedule.dt)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "bloch.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bloch_to_csv(trajectory))
-    print(f"wrote {path}")
-    return EXIT_OK
+
+    def run() -> int:
+        trajectory = bloch_trajectory(propagate(controls, schedule), schedule.dt)
+        print(f"wrote {_write(args.out, 'bloch.csv', bloch_to_csv(trajectory))}")
+        return EXIT_OK
+
+    return run
 
 
 # command -> (function, help, help of its schedule CSV argument if it takes one).
-# A command looks its runner up when it runs, so a rebinding of ``optimize``,
+# A command's work looks its runner up when it runs, so a rebinding of ``optimize``,
 # ``grape_optimize`` or ``run_campaign`` in this module takes effect.
 _COMMANDS = {
     "optimize": (cmd_optimize, "run the shooting optimizer", None),
@@ -367,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _seed_override(args.seed))
-        return _COMMANDS[args.command][0](cfg, args)
-    except (ValueError, FileNotFoundError) as exc:
-        # a rejected config or flag, or a missing or malformed schedule CSV
+        cfg = load_config(args.config, args.seed)
+        work = _COMMANDS[args.command][0](cfg, args)
+        os.makedirs(args.out, exist_ok=True)
+        return work()
+    except ConfigError as exc:  # a rejected config, flag or schedule CSV
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -357,16 +357,6 @@ def schedule_from_csv(text: str) -> PulseSchedule:
     return schedule
 
 
-def write_schedule_csv(path, schedule: PulseSchedule) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(schedule_to_csv(schedule))
-
-
-def read_schedule_csv(path) -> PulseSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_csv(fh.read())
-
-
 def bloch_to_csv(trajectory: np.ndarray) -> str:
     buf = io.StringIO()
     buf.write("t,x,y,z\n")

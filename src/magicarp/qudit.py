@@ -136,6 +136,11 @@ class AdjointMatrix:
         return GeneratorBasis.create(self.dim).reconstruct(self.coeffs)
 
 
+def _check_omega_max(omega_max: float) -> None:
+    if not 0 < omega_max < math.inf:
+        raise ValueError(f"omega_max: expected a positive finite number, got {omega_max!r}")
+
+
 @dataclass(frozen=True)
 class ControlSet:
     """Ordered traceless Hermitian control Hamiltonians plus the drive bound.
@@ -163,8 +168,7 @@ class ControlSet:
         for i, m in enumerate(h):
             if abs(np.trace(m)) > HERMITIAN_TOL:
                 raise ValueError(f"control Hamiltonian {i} is not traceless")
-        if not self.omega_max > 0:
-            raise ValueError("omega_max must be positive")
+        _check_omega_max(self.omega_max)
         object.__setattr__(self, "hamiltonians", h)
         levels = np.arange(self.dim)
         off_band = np.abs(levels[:, None] - levels[None, :]) > 1
@@ -203,8 +207,7 @@ def tau_qsl(d: int, omega_max: float = 1.0) -> float:
     under an unconstrained control set."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if not omega_max > 0:
-        raise ValueError("omega_max must be positive")
+    _check_omega_max(omega_max)
     return math.pi / omega_max * (1.0 - 1.0 / d)
 
 

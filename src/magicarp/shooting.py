@@ -59,7 +59,6 @@ over its seeds, and campaign groups (``bench.py``) call it directly.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -617,14 +616,3 @@ def report_to_dict(report: OptimizationReport) -> dict:
         "wall_time": None,
     }
 
-
-def write_report_json(path, report: OptimizationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
-
-
-def write_adjoint_json(path, g: AdjointMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(adjoint_to_dict(g), fh, indent=2)
-        fh.write("\n")

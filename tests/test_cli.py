@@ -25,7 +25,7 @@ from magicarp.cli import (
     parse_matrix_literal,
 )
 from magicarp.grape import GrapeConfig, grape_objective, grape_optimize
-from magicarp.propagation import PulseSchedule, read_schedule_csv, write_schedule_csv
+from magicarp.propagation import PulseSchedule, schedule_from_csv, schedule_to_csv
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import MagicarpConfig, ShootingContext, batch_objective, pulses_from_adjoint
 
@@ -270,7 +270,7 @@ class TestOptimizeCommand:
         assert "duration_qsl=" in out
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is True
-        schedule = read_schedule_csv(tmp_path / "schedule.csv")
+        schedule = schedule_from_csv((tmp_path / "schedule.csv").read_text(encoding="utf-8"))
         assert schedule.n_controls == 2
 
     def test_malformed_config_exits_2(self, tmp_path):
@@ -313,6 +313,30 @@ class TestOptimizeCommand:
         config.write_text("dim: 2\ngrape: {n_steps: 2, max_iters: 5}\n", encoding="utf-8")
         assert main(["grape", "--config", str(config), "--out", str(out)]) == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("runtime error: ")
+
+    @pytest.mark.parametrize("out", ["a file", ""])
+    @pytest.mark.parametrize(
+        "command,runner", [("optimize", "optimize"), ("grape", "grape_optimize"), ("benchmark", "run_campaign")]
+    )
+    def test_unusable_out_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch, command, runner, out):
+        # --out is made once the input is checked, before the optimizer or campaign runs
+        calls = []
+        monkeypatch.setattr(cli, runner, lambda *args: calls.append(args))
+        if out:
+            out = tmp_path / "taken"
+            out.write_text("", encoding="utf-8")
+        assert main([command, "--out", str(out), *workers_flag(command)]) == EXIT_RUNTIME
+        assert calls == []
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
+    @pytest.mark.parametrize("command,section", [("optimize", "magicarp"), ("grape", "grape")])
+    def test_non_converged_run_says_why(self, tmp_path, capsys, command, section):
+        cfg = write_config(tmp_path, {"dim": 3, "target": "qft", section: {"n_steps": 8, "max_iters": 5}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out.startswith("infidelity=")
+        assert err == "not converged: stopped on max_iters after 5 iterations\n"
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"] is False
 
     @pytest.mark.parametrize(
         "command,runner", [("optimize", "optimize"), ("grape", "grape_optimize"), ("benchmark", "run_campaign")]
@@ -482,7 +506,7 @@ class TestCertifyCommand:
         g = AdjointMatrix(2, gellmann_coeffs(1.1 * SX + 0.4 * SY))
         schedule, _ = pulses_from_adjoint(g, ctrl, 32, "time_optimal_renormalized")
         path = tmp_path / "schedule.csv"
-        write_schedule_csv(path, schedule)
+        path.write_text(schedule_to_csv(schedule), encoding="utf-8")
         rc = main(["certify", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
@@ -493,8 +517,15 @@ class TestCertifyCommand:
     def test_random_schedule_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "random.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(2.0 * rng.standard_normal((16, 2))))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(2.0 * rng.standard_normal((16, 2)))), encoding="utf-8")
         assert main(["certify", str(path), "--out", str(tmp_path)]) == EXIT_NOT_OPTIMAL
+
+    def test_zero_pulse_exits_1_with_the_reason(self, tmp_path, capsys):
+        # the file is valid input; the certificate of a pulse that never drives is undefined
+        path = tmp_path / "zero.csv"
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.zeros((8, 2)))), encoding="utf-8")
+        assert main(["certify", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: schedule envelope is zero everywhere; nothing to certify\n"
 
     def test_empty_schedule_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -513,7 +544,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("command", ["certify", "bloch"])
     def test_unreadable_schedule_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, command, how):
         path = tmp_path / "locked.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.ones((4, 2))))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.ones((4, 2)))), encoding="utf-8")
         lock(path, how, monkeypatch)
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: schedule file {path} cannot be read: ")
@@ -554,7 +585,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("command", ["certify", "bloch"])
     def test_wrong_control_count_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "four.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.full((4, 4), 0.5)))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.full((4, 4), 0.5))), encoding="utf-8")
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: schedule has 4 controls")
         assert not (tmp_path / "out").exists()
@@ -563,7 +594,7 @@ class TestCertifyCommand:
 class TestBlochCommand:
     def test_zero_schedule_stays_north(self, tmp_path):
         path = tmp_path / "zero.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.zeros((8, 2))))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.zeros((8, 2)))), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["bloch", str(path), "--out", str(out)]) == EXIT_OK
         traj = read_bloch_csv(out / "bloch.csv")
@@ -572,7 +603,7 @@ class TestBlochCommand:
     def test_unit_norm_rows(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "s.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(rng.standard_normal((12, 2))))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(rng.standard_normal((12, 2)))), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["bloch", str(path), "--out", str(out)]) == EXIT_OK
         traj = read_bloch_csv(out / "bloch.csv")
@@ -581,32 +612,8 @@ class TestBlochCommand:
     def test_non_qubit_dim_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"dim": 3})
         path = tmp_path / "s.csv"
-        write_schedule_csv(path, PulseSchedule.from_amplitudes(np.zeros((4, 4))))
+        path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.zeros((4, 4)))), encoding="utf-8")
         assert main(["bloch", str(path), "--config", cfg]) == EXIT_INVALID
-
-
-class TestSeedOverrides:
-    def test_env_var_overrides_config(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {"target": "qft", "magicarp": {**FAST_MAGICARP, "seed": 1}})
-        out_env, out_flag = tmp_path / "env", tmp_path / "flag"
-        monkeypatch.setenv("MAGICARP_SEED", "99")
-        assert main(["optimize", "--config", cfg, "--out", str(out_env)]) == EXIT_OK
-        monkeypatch.delenv("MAGICARP_SEED")
-        assert main(["optimize", "--config", cfg, "--seed", "99", "--out", str(out_flag)]) == EXIT_OK
-        assert (out_env / "report.json").read_bytes() == (out_flag / "report.json").read_bytes()
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {"target": "qft", "magicarp": {**FAST_MAGICARP, "seed": 1}})
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("MAGICARP_SEED", "123456")
-        assert main(["optimize", "--config", cfg, "--seed", "7", "--out", str(out_a)]) == EXIT_OK
-        monkeypatch.delenv("MAGICARP_SEED")
-        assert main(["optimize", "--config", cfg, "--seed", "7", "--out", str(out_b)]) == EXIT_OK
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
-
-    def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAGICARP_SEED", "not-a-number")
-        assert main(["optimize", "--out", str(tmp_path)]) == EXIT_INVALID
 
 
 class TestEntryPoint:

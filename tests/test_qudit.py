@@ -12,6 +12,7 @@ from magicarp.qudit import (
     nearest_neighbor_control_set,
     qft_gate,
     target_gate,
+    tau_qsl,
 )
 
 from conftest import KERNEL_SETS, gellmann_coeffs, kernel_case, random_traceless_hermitian, random_unitary
@@ -163,11 +164,20 @@ class TestControlSet:
         with pytest.raises(ValueError, match="traceless"):
             ControlSet(dim=2, hamiltonians=bad)
 
-    def test_rejects_bad_omega(self):
+    @pytest.mark.parametrize("omega_max", [0.0, float("inf"), float("nan")])
+    def test_rejects_bad_omega(self, omega_max):
         from magicarp.qudit import ControlSet
 
-        with pytest.raises(ValueError, match="omega_max"):
-            ControlSet(dim=2, hamiltonians=np.stack([SX]), omega_max=0.0)
+        with pytest.raises(ValueError, match="^omega_max: expected a positive finite number"):
+            ControlSet(dim=2, hamiltonians=np.stack([SX]), omega_max=omega_max)
+        with pytest.raises(ValueError, match="^omega_max: expected a positive finite number"):
+            nearest_neighbor_control_set(2, omega_max)
+
+    @pytest.mark.parametrize("omega_max", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tau_qsl_rejects_bad_omega(self, omega_max):
+        # an infinite drive bound would give tau_qsl = 0, and every duration_qsl a division by zero
+        with pytest.raises(ValueError, match="^omega_max: expected a positive finite number"):
+            tau_qsl(2, omega_max)
 
     def test_symmetrizes_members(self, rng):
         from magicarp.qudit import ControlSet
