@@ -28,6 +28,13 @@ The runner holds the pass of each single point it values, so the gradient
 at a point accepted alone and the final report build no second pass. The
 report counts the passes built, the gradients contracted and the curvature
 updates BFGS took (in memory only).
+
+A random start lies in a region where the infidelity is concave, where
+s.y < 0 leaves BFGS without curvature and its first steps at most |g|
+long. So GRAPE runs BFGS with ``learn_step``: each such step doubles the
+next line search's first step, and cold QFT(5) over 64 steps reaches the
+gate in about 42 iterations instead of 510-841. Its N*K amplitudes, 512
+there, also take the low-rank inverse Hessian (``optimizer.InverseHessian``).
 """
 
 from __future__ import annotations
@@ -209,7 +216,9 @@ def grape_optimize(
 
     x0 = initial_schedule(config, k).amplitudes.ravel()
     t0 = time.perf_counter()
-    run = run_lockstep([x0], forward, backward, ladder, tol=config.convergence_tol, max_iters=config.max_iters)[0]
+    run = run_lockstep(
+        [x0], forward, backward, ladder, tol=config.convergence_tol, max_iters=config.max_iters, learn_step=True
+    )[0]
     wall = time.perf_counter() - t0
     if isinstance(run, Exception):
         raise run

@@ -1,16 +1,29 @@
-"""Dense BFGS with Armijo backtracking, shared by the shooting and GRAPE drivers.
+"""BFGS with Armijo backtracking, shared by the shooting and GRAPE drivers.
 
 The engine is deliberately small: the parameter spaces here are tiny (d^2-1
 or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
-first-order methods on objective-call count. The inverse-Hessian update is
-the rank-two form (``bfgs_inverse_update``), O(n^2) per iteration and in
-place: a run owns its inverse Hessian and two scratch blocks of at most
-64 rows of n, and no update allocates an n x n array. The update goes over the inverse
-Hessian 64 rows at a time, forming each block's rank-two term in the
-scratch while those rows are in cache. That matters for GRAPE's N*K = 512
-parameters at QFT(5) over 64 steps, whose 2 MB inverse Hessian it passes
-over once, instead of also writing and reading two 2 MB outer products.
+first-order methods on objective-call count. The inverse Hessian
+(``InverseHessian``) takes its form from the parameter count n. Up to
+``UPDATE_BLOCK`` = 64 parameters, every shooting run among them, it is a
+dense array updated in place by the rank-two form (``bfgs_inverse_update``),
+O(n^2) per iteration: the update goes over H 64 rows at a time, forming each
+block's rank-two term in two scratch blocks while those rows are in cache,
+and allocates no n x n array. Above 64, GRAPE's N*K amplitudes, H is kept
+low-rank, gamma I + S^T W + W^T S, the compact form of Byrd, Nocedal and
+Schnabel (Math. Program. 63, 129 (1994)): an update appends one row to each
+of S and W, and a product with H is four thin products, O(nk) for k
+updates. At QFT(5) over 64 steps, 512 parameters, that replaces a pass over
+a 2 MB matrix. H is made dense once, when k reaches n/4.
+
+Before a run's first curvature pair, its first step is |g| long at most,
+the scale of the identity it starts from. GRAPE's amplitudes start far
+from a gate on a landscape that is concave there, so those steps are short
+and s.y < 0 leaves H as it was, step after step. With ``learn_step`` the
+line search then starts at twice the step it last accepted, until the
+first curvature pair (de Fouquieres, Schirmer, Glaser and Kuprov,
+J. Magn. Reson. 212, 412 (2011), take quasi-Newton steps from the start).
+Shooting keeps the plain rule: the learnt step gave its runs no gain.
 
 The loop is the generator ``bfgs_steps``: it yields evaluation requests
 and returns the result, and its arithmetic does not depend on who answers.
@@ -156,6 +169,15 @@ def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | 
     return None
 
 
+def _rank_two_term(s: np.ndarray, y: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """w of the BFGS inverse update H + s w^T + w s^T, from s, y and Hy:
+    w = (rho^2 y.Hy + rho)/2 s - rho Hy with rho = 1 / (s.y)."""
+    rho = 1.0 / float(s @ y)
+    w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
+    w -= rho * hy
+    return w
+
+
 def bfgs_inverse_update(
     h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, work: tuple[np.ndarray, np.ndarray]
 ) -> None:
@@ -173,10 +195,7 @@ def bfgs_inverse_update(
     the same sum as with whole (n, n) outer products.
     """
     sw, ws = work
-    rho = 1.0 / float(s @ y)
-    hy = h_inv @ y
-    w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
-    w -= rho * hy
+    w = _rank_two_term(s, y, h_inv @ y)
     for lo in range(0, s.size, UPDATE_BLOCK):
         hi = min(lo + UPDATE_BLOCK, s.size)
         sw_block, ws_block = sw[: hi - lo], ws[: hi - lo]
@@ -191,11 +210,69 @@ def _set_scaled_identity(h: np.ndarray, scale: float) -> None:
     np.fill_diagonal(h, scale)
 
 
+class InverseHessian:
+    """A BFGS run's inverse Hessian H over n parameters, from the identity.
+
+    Up to ``UPDATE_BLOCK`` parameters H is a dense array from the start,
+    updated in place by ``bfgs_inverse_update``. Above, H is kept low-rank,
+    H = gamma I + S^T W + W^T S: row i of S and of W holds the i-th update's
+    s and w, the rank-two term of ``bfgs_inverse_update``, so ``H @ v`` is
+    four thin products and no (n, n) array exists. The stores hold n/4 rows
+    each; when they are full, H is made dense once, A = S^T W and then
+    H = gamma I + A + A^T, exactly symmetric, and it stays dense.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.gamma, self.k = n, 1.0, 0
+        if n > UPDATE_BLOCK:
+            self.dense = None
+            self.s, self.w = np.empty((n // 4, n)), np.empty((n // 4, n))
+        else:
+            self._set_dense(np.eye(n))
+
+    def _set_dense(self, h: np.ndarray) -> None:
+        rows = min(self.n, UPDATE_BLOCK)
+        self.dense, self.s, self.w = h, None, None
+        self.work = (np.empty((rows, self.n)), np.empty((rows, self.n)))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ v
+        s, w = self.s[: self.k], self.w[: self.k]
+        return self.gamma * v + s.T @ (w @ v) + w.T @ (s @ v)
+
+    def reset(self, gamma: float) -> None:
+        """H = gamma I."""
+        if self.dense is not None:
+            _set_scaled_identity(self.dense, gamma)
+        else:
+            self.gamma, self.k = gamma, 0
+
+    def update(self, s: np.ndarray, y: np.ndarray) -> None:
+        """The BFGS update of H by the step s and gradient change y, s.y > 0."""
+        if self.dense is not None:
+            bfgs_inverse_update(self.dense, s, y, self.work)
+            return
+        self.s[self.k], self.w[self.k] = s, _rank_two_term(s, y, self @ y)
+        self.k += 1
+        if self.k == len(self.s):
+            h = self.s.T @ self.w  # A; then A + A^T a block of rows at a time, with no second (n, n) array
+            self._set_dense(h)
+            total = self.work[0]
+            for lo in range(0, self.n, UPDATE_BLOCK):
+                hi = min(lo + UPDATE_BLOCK, self.n)
+                block = np.add(h[lo:hi, lo:], h[lo:, lo:hi].T, out=total[: hi - lo, : self.n - lo])
+                h[lo:hi, lo:] = block
+                h[lo:, lo:hi] = block.T
+            h.flat[:: self.n + 1] += self.gamma
+
+
 def bfgs_steps(
     x0: np.ndarray,
     *,
     tol: float,
     max_iters: int,
+    learn_step: bool = False,
 ) -> Generator[tuple[str, np.ndarray], object, MinimizeResult]:
     """The BFGS loop as a generator: it yields evaluation requests and returns the result.
 
@@ -208,6 +285,12 @@ def bfgs_steps(
     ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3, 4-7, 8-15, 16-29). A block
     is cut before its first row equal to x, and reaching that row with no
     rung accepted ends the run on ``resolution``.
+
+    Until the first curvature pair the line search starts at
+    min(1, 1/|g|) times the step scale, 1 at first. With ``learn_step`` an
+    accepted step that fails the curvature test sets the scale so that the
+    next search starts at twice that step; the first curvature pair sets it
+    back to 1.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -215,10 +298,10 @@ def bfgs_steps(
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
-    h_inv = np.eye(n)
-    work = (np.empty((min(n, UPDATE_BLOCK), n)), np.empty((min(n, UPDATE_BLOCK), n)))
+    h_inv = InverseHessian(n)
     updates = 0
     first_update = True
+    scale = 1.0
     g = None
     stop = "max_iters"
 
@@ -227,10 +310,10 @@ def bfgs_steps(
             break
         if g is None:
             g = np.asarray((yield ("grad", x)), dtype=float)
-        p = -(h_inv @ g)  # negating the product, not h_inv, which would copy it
+        p = -(h_inv @ g)
         gp = float(g @ p)
         if gp >= 0.0:
-            _set_scaled_identity(h_inv, 1.0)
+            h_inv.reset(1.0)
             first_update = True
             p = -g
             gp = float(g @ p)
@@ -238,7 +321,7 @@ def bfgs_steps(
                 stop = "line_search"
                 break
 
-        alpha0 = min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
+        alpha0 = scale * min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
         accepted = None
         for lo, hi in zip(LADDER_EDGES[:-1], LADDER_EDGES[1:]):
@@ -262,10 +345,12 @@ def bfgs_steps(
         sy = float(s @ y)
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             if first_update:
-                _set_scaled_identity(h_inv, sy / float(y @ y))
-                first_update = False
-            bfgs_inverse_update(h_inv, s, y, work)
+                h_inv.reset(sy / float(y @ y))
+                first_update, scale = False, 1.0
+            h_inv.update(s, y)
             updates += 1
+        elif learn_step and first_update:
+            scale *= 2.0 * alpha / alpha0
         x, f, g = x_new, f_new, g_new
         trace.append(f)
 
@@ -360,6 +445,7 @@ def run_lockstep(
     *,
     tol: float,
     max_iters: int,
+    learn_step: bool = False,
 ) -> list[LockstepRun | Exception]:
     """Independent ``bfgs_steps`` runs from the given points, in lockstep.
 
@@ -376,13 +462,13 @@ def run_lockstep(
     every gradient whose forward pass is held. So the gradient at an
     accepted single rung costs only its backward pass. Where the callables
     compute each row as they would alone, every run follows the iterates of
-    its lone run.
+    its lone run. ``learn_step`` goes to every run's ``bfgs_steps``.
 
     Returns one finished run per point, in order, holding the pass of its
     final point, or the ``ValueError`` or ``RuntimeError`` that ended that
     run; other errors propagate.
     """
-    runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters)) for x0 in x0s]
+    runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, learn_step=learn_step)) for x0 in x0s]
 
     def hold_passes(group):
         values, tape = forward([run.point for run in group])

@@ -262,6 +262,15 @@ class TestGrapeOptimize:
         report = grape_optimize(target, ctrl, cfg)
         assert report.infidelity <= 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_start_reaches_the_gate_on_qft5(self, seed):
+        # 512 amplitudes from init_sigma 1: the learnt first step leaves the
+        # concave start region in a few iterations (510-841 at a fixed first step)
+        cfg = GrapeConfig(n_steps=64, max_iters=150, seed=seed)
+        report = grape_optimize(target_gate("qft", 5), nearest_neighbor_control_set(5), cfg)
+        assert report.stop_reason == "tol"
+        assert report.infidelity <= 1e-7
+
     def test_parameter_count_is_n_times_k(self):
         for d, n in ((2, 8), (3, 4)):
             ctrl = nearest_neighbor_control_set(d)
@@ -417,7 +426,7 @@ class TestHeldPass:
         assert np.array_equal(held.final_schedule.amplitudes, fresh.final_schedule.amplitudes)
         assert (held.infidelity, held.stop_reason) == (fresh.infidelity, fresh.stop_reason)
 
-    @pytest.mark.parametrize("d,n_steps,weight,seed", [(3, 16, 0.05, 0), (3, 16, 0.05, 3), (3, 2, 0.0, 0), (5, 16, 0.0, 1)])
+    @pytest.mark.parametrize("d,n_steps,weight,seed", [(3, 16, 0.05, 0), (3, 16, 0.05, 3), (3, 2, 0.0, 0), (5, 16, 0.0, 4)])
     def test_doubling_ladder_equals_one_rung_at_a_time(self, monkeypatch, d, n_steps, weight, seed):
         # the ladder's blocks of 2, 4, 8 and 14 rungs accept the rung a
         # sequential search accepts, with the value of that rung's own pass
