@@ -5,7 +5,7 @@ or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
 first-order methods on objective-call count. The inverse Hessian
 (``InverseHessian``) takes its form from the parameter count n. Up to
-``UPDATE_BLOCK`` = 64 parameters, every shooting run among them, it is a
+``UPDATE_BLOCK`` = 64 parameters, shooting up to d = 8 among them, it is a
 dense array updated in place by the rank-two form (``bfgs_inverse_update``),
 O(n^2) per iteration: the update goes over H 64 rows at a time, forming each
 block's rank-two term in two scratch blocks while those rows are in cache,
@@ -67,7 +67,9 @@ LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # ladder blocks: rungs [0], 
 STALL_WINDOW = 25
 STALL_TOL = 1e-12  # a run stalls when STALL_WINDOW iterations gain less than this share of f
 CURVATURE_FLOOR = 1e-12
-UPDATE_BLOCK = 64  # rows of H per block of the inverse-Hessian update
+# rows of H per block of the dense inverse-Hessian update; also the largest
+# parameter count whose H is dense from the start (above it H starts low-rank)
+UPDATE_BLOCK = 64
 
 
 def _finite_array(values) -> bool:
@@ -256,15 +258,10 @@ class InverseHessian:
         self.s[self.k], self.w[self.k] = s, _rank_two_term(s, y, self @ y)
         self.k += 1
         if self.k == len(self.s):
-            h = self.s.T @ self.w  # A; then A + A^T a block of rows at a time, with no second (n, n) array
-            self._set_dense(h)
-            total = self.work[0]
-            for lo in range(0, self.n, UPDATE_BLOCK):
-                hi = min(lo + UPDATE_BLOCK, self.n)
-                block = np.add(h[lo:hi, lo:], h[lo:, lo:hi].T, out=total[: hi - lo, : self.n - lo])
-                h[lo:hi, lo:] = block
-                h[lo:, lo:hi] = block.T
+            h = self.s.T @ self.w
+            h = h + h.T  # a + b equals b + a bit for bit, so H is exactly symmetric
             h.flat[:: self.n + 1] += self.gamma
+            self._set_dense(h)
 
 
 def bfgs_steps(

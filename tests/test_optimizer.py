@@ -458,10 +458,10 @@ class TestLowRankInverseHessian:
         assert h.dense is None and h.k == n // 4 - 1
         assert peak < n * n * 8
 
-    @pytest.mark.parametrize("n", [2, 15, UPDATE_BLOCK])
-    def test_small_runs_keep_the_dense_arithmetic(self, monkeypatch, n):
-        # up to UPDATE_BLOCK parameters a run is bitwise the run whose H is
-        # dense at any n; the dense update's sums do not depend on its blocks
+    def test_small_runs_keep_the_dense_arithmetic(self, monkeypatch):
+        # at UPDATE_BLOCK parameters, the largest count whose H starts dense,
+        # a run is bitwise the run whose H is dense at any n
+        n = UPDATE_BLOCK
         a = np.random.default_rng(n).standard_normal((n, n))
         hessian, center = a @ a.T / n + np.eye(n), np.linspace(-1.0, 2.0, n)
 
