@@ -165,7 +165,10 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
     if seed is not None:
         for section, key in _SEEDS.items():
             cfg[section][key] = seed
-            _build(section, cfg)
+            try:
+                _build(section, cfg)
+            except ConfigError as exc:  # the message names the flag, not a field the config never set
+                raise ConfigError(str(exc).replace(f"{section}.{key}", "--seed", 1)) from None
     return cfg
 
 

@@ -33,8 +33,9 @@ A random start lies in a region where the infidelity is concave, where
 s.y < 0 leaves BFGS without curvature and its first steps at most |g|
 long. So GRAPE runs BFGS with ``learn_step``: each such step doubles the
 next line search's first step, and cold QFT(5) over 64 steps reaches the
-gate in about 42 iterations instead of 510-841. Its N*K amplitudes, 512
-there, also take the low-rank inverse Hessian (``optimizer.InverseHessian``).
+gate in about 42 iterations instead of 510-841: fewer than the 128 updates
+its inverse Hessian (``optimizer.InverseHessian``) stores before it first
+makes a dense array of them.
 """
 
 from __future__ import annotations

@@ -4,17 +4,14 @@ The engine is deliberately small: the parameter spaces here are tiny (d^2-1
 or N*K reals) while each objective call costs a full propagation, so a
 quasi-Newton step with a plain backtracking line search wins over
 first-order methods on objective-call count. The inverse Hessian
-(``InverseHessian``) takes its form from the parameter count n. Up to
-``UPDATE_BLOCK`` = 64 parameters, shooting up to d = 8 among them, it is a
-dense array updated in place by the rank-two form (``bfgs_inverse_update``),
-O(n^2) per iteration: the update goes over H 64 rows at a time, forming each
-block's rank-two term in two scratch blocks while those rows are in cache,
-and allocates no n x n array. Above 64, GRAPE's N*K amplitudes, H is kept
-low-rank, gamma I + S^T W + W^T S, the compact form of Byrd, Nocedal and
-Schnabel (Math. Program. 63, 129 (1994)): an update appends one row to each
-of S and W, and a product with H is four thin products, O(nk) for k
-updates. At QFT(5) over 64 steps, 512 parameters, that replaces a pass over
-a 2 MB matrix. H is made dense once, when k reaches n/4.
+(``InverseHessian``) is the compact form of Byrd, Nocedal and Schnabel
+(Math. Program. 63, 129 (1994)), B + S^T W + W^T S: an update stores a row
+of S and of W, and a full store is folded into B. The store holds one pair
+up to ``DENSE_LIMIT`` = 64 parameters, shooting up to d = 8 among them, so
+H there is dense after every update. Above 64, GRAPE's N*K amplitudes, it
+holds n/4 pairs, and a product with H costs O(nk) for k stored pairs: at
+QFT(5) over 64 steps, 512 parameters, a run reaches the gate before its
+first fold and never passes over a 2 MB matrix.
 
 Before a run's first curvature pair, its first step is |g| long at most,
 the scale of the identity it starts from. GRAPE's amplitudes start far
@@ -67,9 +64,9 @@ LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # ladder blocks: rungs [0], 
 STALL_WINDOW = 25
 STALL_TOL = 1e-12  # a run stalls when STALL_WINDOW iterations gain less than this share of f
 CURVATURE_FLOOR = 1e-12
-# rows of H per block of the dense inverse-Hessian update; also the largest
-# parameter count whose H is dense from the start (above it H starts low-rank)
-UPDATE_BLOCK = 64
+# the largest parameter count whose store holds a single pair, so that its H is
+# dense after every update; above it the store holds n // 4 pairs
+DENSE_LIMIT = 64
 
 
 def _finite_array(values) -> bool:
@@ -172,96 +169,56 @@ def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | 
 
 
 def _rank_two_term(s: np.ndarray, y: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """w of the BFGS inverse update H + s w^T + w s^T, from s, y and Hy:
-    w = (rho^2 y.Hy + rho)/2 s - rho Hy with rho = 1 / (s.y)."""
+    """w of the BFGS inverse update (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T,
+    rho = 1 / (s.y), which for a symmetric H is H + s w^T + w s^T with
+    w = (rho^2 y.Hy + rho)/2 s - rho Hy."""
     rho = 1.0 / float(s @ y)
     w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
     w -= rho * hy
     return w
 
 
-def bfgs_inverse_update(
-    h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, work: tuple[np.ndarray, np.ndarray]
-) -> None:
-    """The BFGS inverse-Hessian update (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T, in place.
-
-    With rho = 1 / (s.y) and H symmetric it expands to the rank-two form
-    H + s w^T + w s^T with w = (rho^2 y.Hy + rho)/2 s - rho Hy, which costs
-    O(n^2). It runs over blocks of ``UPDATE_BLOCK`` rows of H, so that each
-    block's rank-two term is formed in cache and added while H's rows are
-    still there: ``work`` is two scratch blocks of min(n, UPDATE_BLOCK) rows,
-    and the update allocates no n x n array. Entry (i, j) of s w^T + w s^T is
-    s_i w_j + w_i s_j, each a single rounded product, and entry (j, i) adds
-    the same two products in the other order, so the sum is symmetric bit
-    for bit and a symmetric H stays exactly symmetric. Each entry of H gains
-    the same sum as with whole (n, n) outer products.
-    """
-    sw, ws = work
-    w = _rank_two_term(s, y, h_inv @ y)
-    for lo in range(0, s.size, UPDATE_BLOCK):
-        hi = min(lo + UPDATE_BLOCK, s.size)
-        sw_block, ws_block = sw[: hi - lo], ws[: hi - lo]
-        np.einsum("i,j->ij", s[lo:hi], w, out=sw_block)
-        np.einsum("i,j->ij", w[lo:hi], s, out=ws_block)
-        ws_block += sw_block
-        h_inv[lo:hi] += ws_block
-
-
-def _set_scaled_identity(h: np.ndarray, scale: float) -> None:
-    h.fill(0.0)
-    np.fill_diagonal(h, scale)
-
-
 class InverseHessian:
-    """A BFGS run's inverse Hessian H over n parameters, from the identity.
+    """A BFGS run's inverse Hessian over n parameters, H = B + S^T W + W^T S.
 
-    Up to ``UPDATE_BLOCK`` parameters H is a dense array from the start,
-    updated in place by ``bfgs_inverse_update``. Above, H is kept low-rank,
-    H = gamma I + S^T W + W^T S: row i of S and of W holds the i-th update's
-    s and w, the rank-two term of ``bfgs_inverse_update``, so ``H @ v`` is
-    four thin products and no (n, n) array exists. The stores hold n/4 rows
-    each; when they are full, H is made dense once, A = S^T W and then
-    H = gamma I + A + A^T, exactly symmetric, and it stays dense.
+    Row i of the store S, W holds the i-th stored update's step s and its
+    rank-two term w (``_rank_two_term``), so ``H @ v`` is B's product plus
+    four thin ones. B is gamma I, held as the scalar, until the store first
+    fills. A full store is folded into B as B += A + A^T with A = S^T W,
+    from gamma I on the first fold, and empties; a + b equals b + a bit for
+    bit, so B is exactly symmetric. The store holds one pair up to
+    ``DENSE_LIMIT`` parameters and n // 4 above.
     """
 
     def __init__(self, n: int):
-        self.n, self.gamma, self.k = n, 1.0, 0
-        if n > UPDATE_BLOCK:
-            self.dense = None
-            self.s, self.w = np.empty((n // 4, n)), np.empty((n // 4, n))
-        else:
-            self._set_dense(np.eye(n))
-
-    def _set_dense(self, h: np.ndarray) -> None:
-        rows = min(self.n, UPDATE_BLOCK)
-        self.dense, self.s, self.w = h, None, None
-        self.work = (np.empty((rows, self.n)), np.empty((rows, self.n)))
+        rows = 1 if n <= DENSE_LIMIT else n // 4
+        self.s, self.w = np.empty((rows, n)), np.empty((rows, n))
+        self.reset(1.0)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense @ v
-        s, w = self.s[: self.k], self.w[: self.k]
-        return self.gamma * v + s.T @ (w @ v) + w.T @ (s @ v)
+        hv = self.gamma * v if self.dense is None else self.dense @ v
+        if self.k:
+            s, w = self.s[: self.k], self.w[: self.k]
+            hv = hv + s.T @ (w @ v) + w.T @ (s @ v)
+        return hv
 
     def reset(self, gamma: float) -> None:
         """H = gamma I."""
-        if self.dense is not None:
-            _set_scaled_identity(self.dense, gamma)
-        else:
-            self.gamma, self.k = gamma, 0
+        self.gamma, self.dense, self.k = gamma, None, 0
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         """The BFGS update of H by the step s and gradient change y, s.y > 0."""
-        if self.dense is not None:
-            bfgs_inverse_update(self.dense, s, y, self.work)
-            return
         self.s[self.k], self.w[self.k] = s, _rank_two_term(s, y, self @ y)
         self.k += 1
         if self.k == len(self.s):
-            h = self.s.T @ self.w
-            h = h + h.T  # a + b equals b + a bit for bit, so H is exactly symmetric
-            h.flat[:: self.n + 1] += self.gamma
-            self._set_dense(h)
+            a = self.s.T @ self.w
+            a = a + a.T
+            if self.dense is None:
+                a.flat[:: len(a) + 1] += self.gamma
+                self.dense = a
+            else:
+                self.dense += a
+            self.k = 0
 
 
 def bfgs_steps(

@@ -164,10 +164,13 @@ class ControlSet:
         h = np.asarray(self.hamiltonians, dtype=complex)
         if h.ndim != 3 or h.shape[0] < 1 or h.shape[1] != self.dim or h.shape[2] != self.dim:
             raise ValueError(f"expected control stack of shape (K, {self.dim}, {self.dim})")
-        h = np.stack([hermitize(m) for m in h])
         for i, m in enumerate(h):
-            if abs(np.trace(m)) > HERMITIAN_TOL:
+            # a rounding-level defect is symmetrized below; a larger one is not a Hermitian control
+            if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
+                raise ValueError(f"control Hamiltonian {i} is not Hermitian")
+            if abs(np.trace(m).real) > HERMITIAN_TOL:  # the trace of its Hermitian part
                 raise ValueError(f"control Hamiltonian {i} is not traceless")
+        h = np.stack([hermitize(m) for m in h])
         _check_omega_max(self.omega_max)
         object.__setattr__(self, "hamiltonians", h)
         levels = np.arange(self.dim)

@@ -14,9 +14,11 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   envelope is pinned to its initial value c0 = ||v(0)||, so the pulse is
   constant-envelope: u(n) = c0 * v(n)/||v(n)||. Run at the hardware bound
   this is a maximally-driven pulse of duration c0/omega_max; its duration
-  therefore varies with g through c0 alone. This renormalization is a
-  heuristic: the exact structural equation holds only approximately, and
-  ``optimality_certificate`` reports by how much.
+  therefore varies with g through c0 alone. The envelope is constant to
+  rounding, but the renormalization is a heuristic: u/c0 = v/||v|| is
+  linear in g only where ||v|| is constant, which is the model
+  ``optimality_certificate`` fits, so a renormalized pulse scores a
+  residual from the varying ||v|| alone.
 
 Since v_n is real linear in the evolved adjoint G_n = U_n g U_n^dag, the
 construction forms the step generator Theta_n = -dt sum_k u_k H_k in

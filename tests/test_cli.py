@@ -167,6 +167,14 @@ class TestConfig:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "grape"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_flag_exits_2_naming_the_flag(self, tmp_path, capsys, command, seed):
+        rc = main([command, "--seed", str(seed), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: --seed: expected a 64-bit unsigned integer, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_controls_is_an_unknown_key(self, tmp_path, capsys):
         # every command drives the adjacent-level controls; the key that named them is gone
         config = write_config(tmp_path, {"controls": "nearest_neighbor"})

@@ -19,6 +19,8 @@ from magicarp.propagation import (
     control_generator,
     eigh_guard,
     exp_divided_differences,
+    normalized_infidelity,
+    propagate,
     pulse_eigensystems,
     step_eigensystems,
 )
@@ -271,6 +273,17 @@ class TestGrapeOptimize:
         assert report.stop_reason == "tol"
         assert report.infidelity <= 1e-7
 
+    def test_run_past_several_folds(self):
+        # 17 steps of 4 controls are 68 amplitudes, whose store holds 17 pairs:
+        # 51 curvature updates fold it into H three times
+        target, ctrl = target_gate("qft", 3), nearest_neighbor_control_set(3)
+        cfg = GrapeConfig(n_steps=17, max_iters=400, penalty_weight=1e-3, seed=0)
+        report = grape_optimize(target, ctrl, cfg)
+        assert report.curvature_updates >= 51
+        assert np.all(np.diff(report.cost_trace) <= 0)
+        again = normalized_infidelity(target, propagate(ctrl, report.final_schedule).unitaries[-1])
+        assert abs(report.infidelity - again) <= 1e-12
+
     def test_parameter_count_is_n_times_k(self):
         for d, n in ((2, 8), (3, 4)):
             ctrl = nearest_neighbor_control_set(d)
@@ -377,8 +390,8 @@ class TestHeldPass:
         points = self.count(monkeypatch, "grape_objective")
         gradients = self.count(monkeypatch, "grape_gradient")
         updates = []
-        real_update = optimizer.bfgs_inverse_update
-        monkeypatch.setattr(optimizer, "bfgs_inverse_update", lambda *args: updates.append(real_update(*args)))
+        real_update = optimizer.InverseHessian.update
+        monkeypatch.setattr(optimizer.InverseHessian, "update", lambda *args: updates.append(real_update(*args)))
         report = grape_optimize(target, ctrl, cfg)
         assert report.stop_reason == stop
         # the gradients and the report read the pass of a point valued alone;

@@ -5,7 +5,7 @@ import pytest
 
 from magicarp import optimizer
 from magicarp.grape import GrapeConfig, grape_optimize
-from magicarp.optimizer import UPDATE_BLOCK, InverseHessian, bfgs_inverse_update, bfgs_steps, run_lockstep
+from magicarp.optimizer import DENSE_LIMIT, InverseHessian, bfgs_steps, run_lockstep
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
 from magicarp.shooting import MagicarpConfig, ShootingContext, run_restarts
 
@@ -350,64 +350,25 @@ def product_form_update(h_inv, s, y):
     return v @ h_inv @ v.T + rho * np.outer(s, s)
 
 
-def update_work(n):
-    """The two scratch blocks of a dense inverse Hessian: min(n, UPDATE_BLOCK) rows of n."""
-    return np.empty((min(n, UPDATE_BLOCK), n)), np.empty((min(n, UPDATE_BLOCK), n))
+class DenseRecurrence:
+    """The oracle of ``InverseHessian``: a dense H updated by the explicit
+    recurrence H + (w s^T + s w^T), w = (rho^2 y.Hy + rho)/2 s - rho Hy."""
 
+    def __init__(self, n):
+        self.h = np.eye(n)
 
-class TestInverseUpdate:
-    @pytest.mark.parametrize("n", [3, 15, 512])
-    def test_equals_product_form_and_stays_symmetric(self, rng, n):
-        for _ in range(3):
-            a = rng.standard_normal((n, n))
-            h_inv = a @ a.T / n + np.eye(n)
-            h_inv = 0.5 * (h_inv + h_inv.T)  # exactly symmetric positive definite
-            s, y = rng.standard_normal(n), rng.standard_normal(n)
-            if s @ y <= 0:
-                y = -y
-            h_new = h_inv.copy()
-            bfgs_inverse_update(h_new, s, y, update_work(n))
-            ref = product_form_update(h_inv, s, y)
-            assert np.linalg.norm(h_new - ref) <= 1e-13 * np.linalg.norm(ref)
-            assert np.array_equal(h_new, h_new.T)
+    def __matmul__(self, v):
+        return self.h @ v
 
-    def test_allocates_no_n_by_n_array(self, rng):
-        # numpy reports its buffers to tracemalloc: the update's peak stays
-        # below one (n, n) float array
-        n = 512
-        h_inv, work = np.eye(n), update_work(n)
-        s, y = rng.standard_normal(n), rng.standard_normal(n)
-        if s @ y <= 0:
-            y = -y
-        tracemalloc.start()
-        try:
-            bfgs_inverse_update(h_inv, s, y, work)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
-        # nor a temporary of a block's size: the blocks are formed in the scratch
-        assert peak < UPDATE_BLOCK * n * 8
-        assert not np.array_equal(h_inv, np.eye(n))
+    def reset(self, gamma):
+        self.h = gamma * np.eye(len(self.h))
 
-    @pytest.mark.parametrize("n", [3, 15, 63, 64, 65, 512, 600])
-    def test_blocks_equal_whole_outer_products_bitwise(self, rng, n):
-        # below, at and across the block edges: each entry of H gains the sum
-        # s_i w_j + w_i s_j of the unblocked update, bit for bit
-        a = rng.standard_normal((n, n))
-        h_inv = a @ a.T / n + np.eye(n)
-        h_inv = 0.5 * (h_inv + h_inv.T)
-        s, y = rng.standard_normal(n), rng.standard_normal(n)
-        if s @ y <= 0:
-            y = -y
+    def update(self, s, y):
         rho = 1.0 / float(s @ y)
-        hy = h_inv @ y
+        hy = self.h @ y
         w = (0.5 * (rho * rho * float(y @ hy) + rho)) * s
         w -= rho * hy
-        ref = h_inv + (np.outer(s, w) + np.outer(w, s))
-        bfgs_inverse_update(h_inv, s, y, update_work(n))
-        assert same_bits(h_inv, ref)
-        assert np.array_equal(h_inv, h_inv.T)
+        self.h = self.h + (np.outer(w, s) + np.outer(s, w))
 
 
 def curvature_pairs(rng, n, count):
@@ -418,31 +379,51 @@ def curvature_pairs(rng, n, count):
     return [(s, b @ s) for s in rng.standard_normal((count, n))]
 
 
-class TestLowRankInverseHessian:
-    @pytest.mark.parametrize("n", [65, 512, 600])
-    def test_products_equal_the_dense_recurrence(self, rng, n):
-        # from gamma I, through a reset, the switch to dense at k = n/4 and
-        # dense updates after it, H @ v matches bfgs_inverse_update's H
-        h, ref, work = InverseHessian(n), np.eye(n), update_work(n)
-        assert h.dense is None
-        pairs = curvature_pairs(rng, n, 5 + n // 4 + 20)
-        for i, (s, y) in enumerate(pairs):
-            if i == 5:
-                h.reset(0.7)
-                ref = 0.7 * np.eye(n)
+class TestInverseHessian:
+    @pytest.mark.parametrize("n", [3, 15, 512])
+    def test_equals_product_form(self, rng, n):
+        h, ref = InverseHessian(n), np.eye(n)
+        for s, y in curvature_pairs(rng, n, 3):
             h.update(s, y)
-            bfgs_inverse_update(ref, s, y, work)
-            assert (h.dense is None) == (i < 5 + n // 4 - 1)
+            ref = product_form_update(ref, s, y)
+            dense = h @ np.eye(n)
+            assert np.linalg.norm(dense - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [3, 15, DENSE_LIMIT])
+    def test_small_n_is_the_dense_recurrence_bitwise(self, rng, n):
+        # a one-pair store is folded at every update, from gamma I after a reset too
+        h, ref = InverseHessian(n), DenseRecurrence(n)
+        for i, (s, y) in enumerate(curvature_pairs(rng, n, 8)):
+            if i == 4:
+                h.reset(0.7)
+                ref.reset(0.7)
+            h.update(s, y)
+            ref.update(s, y)
+            assert h.k == 0 and same_bits(h.dense, ref.h)
+            v = rng.standard_normal(n)
+            assert same_bits(h @ v, ref @ v)
+
+    @pytest.mark.parametrize("n", [65, 512, 600])
+    def test_products_match_the_dense_recurrence(self, rng, n):
+        # from gamma I through a fold, a reset and two more folds, with pairs left in the store
+        rows, folds = n // 4, 0
+        h, ref = InverseHessian(n), DenseRecurrence(n)
+        for i, (s, y) in enumerate(curvature_pairs(rng, n, 3 * rows + 4)):
+            if i == rows + 2:
+                h.reset(0.7)
+                ref.reset(0.7)
+                assert h.dense is None and h.k == 0
+            h.update(s, y)
+            ref.update(s, y)
+            if h.k == 0:
+                folds += 1
+                assert np.array_equal(h.dense, h.dense.T)  # B += A + A^T: symmetric bit for bit
             v = rng.standard_normal(n)
             expected = ref @ v
             assert np.linalg.norm(h @ v - expected) <= 1e-12 * np.linalg.norm(expected)
-            if i == 5 + n // 4 - 1:
-                # made dense from A = S^T W as gamma I + A + A^T: symmetric bit for bit
-                assert np.array_equal(h.dense, h.dense.T)
-                assert np.linalg.norm(h.dense - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.array_equal(h.dense, h.dense.T)
+        assert (folds, h.k) == (3, 2)
 
-    def test_allocates_no_n_by_n_array_while_low_rank(self, rng):
+    def test_allocates_no_n_by_n_array_before_the_first_fold(self, rng):
         n = 512
         pairs = curvature_pairs(rng, n, n // 4 - 1)
         v = rng.standard_normal(n)
@@ -458,10 +439,11 @@ class TestLowRankInverseHessian:
         assert h.dense is None and h.k == n // 4 - 1
         assert peak < n * n * 8
 
-    def test_small_runs_keep_the_dense_arithmetic(self, monkeypatch):
-        # at UPDATE_BLOCK parameters, the largest count whose H starts dense,
-        # a run is bitwise the run whose H is dense at any n
-        n = UPDATE_BLOCK
+    @pytest.mark.parametrize("n,dense_limit", [(DENSE_LIMIT, DENSE_LIMIT), (100, 10**9)])
+    def test_small_runs_keep_the_dense_arithmetic(self, monkeypatch, n, dense_limit):
+        # a run whose store holds one pair, at DENSE_LIMIT parameters or at any n
+        # under a raised limit, is bitwise the run on the explicit dense recurrence
+        monkeypatch.setattr(optimizer, "DENSE_LIMIT", dense_limit)
         a = np.random.default_rng(n).standard_normal((n, n))
         hessian, center = a @ a.T / n + np.eye(n), np.linspace(-1.0, 2.0, n)
 
@@ -472,11 +454,11 @@ class TestLowRankInverseHessian:
             return hessian @ (x - center)
 
         default = lone_run(fun, grad, np.zeros(n), tol=1e-14, max_iters=200)
-        monkeypatch.setattr(optimizer, "UPDATE_BLOCK", 10**9)
-        forced_dense = lone_run(fun, grad, np.zeros(n), tol=1e-14, max_iters=200)
+        monkeypatch.setattr(optimizer, "InverseHessian", DenseRecurrence)
+        dense = lone_run(fun, grad, np.zeros(n), tol=1e-14, max_iters=200)
         assert default.curvature_updates > 1
-        assert default.trace == forced_dense.trace
-        assert same_bits(default.x, forced_dense.x)
+        assert default.trace == dense.trace
+        assert same_bits(default.x, dense.x)
 
 
 def gradient_points(fun, grad, x0, **options):

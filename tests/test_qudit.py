@@ -164,6 +164,15 @@ class TestControlSet:
         with pytest.raises(ValueError, match="traceless"):
             ControlSet(dim=2, hamiltonians=bad)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_rejects_non_hermitian_members(self, scale):
+        # the raising operator is not a control: its Hermitian part would be sx / 2
+        from magicarp.qudit import ControlSet
+
+        raising = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="control Hamiltonian 1 is not Hermitian"):
+            ControlSet(dim=2, hamiltonians=np.stack([SX, raising]))
+
     @pytest.mark.parametrize("omega_max", [0.0, float("inf"), float("nan")])
     def test_rejects_bad_omega(self, omega_max):
         from magicarp.qudit import ControlSet
