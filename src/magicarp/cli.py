@@ -215,11 +215,18 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     return normalize_config(raw, seed)
 
 
+def _entry(pair) -> complex:
+    """re + i im of an [re, im] pair of numbers; a bool is not a number here."""
+    if len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair):
+        raise ValueError(pair)
+    return complex(*pair)
+
+
 def parse_matrix_literal(rows: list) -> np.ndarray:
     """Row-major list of [re, im] pairs -> complex matrix."""
     try:
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError, ValueError):
+        mat = np.array([[_entry(e) for e in row] for row in rows])
+    except (TypeError, ValueError):
         raise ConfigError("custom_target: entries must be [re, im] pairs") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"custom_target: expected a square matrix, got shape {mat.shape}")

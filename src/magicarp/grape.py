@@ -22,12 +22,12 @@ stacks, only the entries where some control is non-zero are read, and one
 (N, nnz) @ (nnz, K) product contracts them. Other sets take batched complex
 d x d products and one flat (N, d^2) @ (d^2, K) product.
 ``grape_optimize`` hands the BFGS runner (``optimizer.run_lockstep``) a
-per-point forward pass that also values the point, a gradient that reads a
-held pass, and a ladder that values its rows through the same forward pass.
-The runner holds the pass of each single point it values, so the gradient
-at a point accepted alone and the final report build no second pass. The
-report counts the passes built, the gradients contracted and the curvature
-updates BFGS took (in memory only).
+per-point forward pass that also values the point and a gradient that reads
+a held pass. The line search values one rung at a time and the runner holds
+the pass of each point it values, so the gradient at an accepted rung and
+the final report build no second pass. The report counts the passes built,
+the gradients contracted and the curvature updates BFGS took (in memory
+only).
 
 A random start lies in a region where the infidelity is concave, where
 s.y < 0 leaves BFGS without curvature and its first steps at most |g|
@@ -211,14 +211,10 @@ def grape_optimize(
             grads.append(grape_gradient(schedule, target, controls, weight, forward=passed).ravel())
         return grads
 
-    def ladder(points: np.ndarray) -> np.ndarray:
-        """The objective at each row, one pass at a time: no pass outlives its row."""
-        return np.array([forward([x])[0][0] for x in points])
-
     x0 = initial_schedule(config, k).amplitudes.ravel()
     t0 = time.perf_counter()
     run = run_lockstep(
-        [x0], forward, backward, ladder, tol=config.convergence_tol, max_iters=config.max_iters, learn_step=True
+        [x0], forward, backward, tol=config.convergence_tol, max_iters=config.max_iters, learn_step=True
     )[0]
     wall = time.perf_counter() - t0
     if isinstance(run, Exception):

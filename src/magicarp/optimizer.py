@@ -22,29 +22,25 @@ first curvature pair (de Fouquieres, Schirmer, Glaser and Kuprov,
 J. Magn. Reson. 212, 412 (2011), take quasi-Newton steps from the start).
 Shooting keeps the plain rule: the learnt step gave its runs no gain.
 
-The loop is the generator ``bfgs_steps``: it yields evaluation requests
-and returns the result, and its arithmetic does not depend on who answers.
-It has one driver, ``run_lockstep``, which runs several generators in
-lockstep from three callables: a forward pass over a list of points, a
-backward pass over rows of earlier forward passes, and a ladder that values
-a stack of points. It holds each run's last single-point pass, so the
-gradient at an accepted rung and the final report build no second pass,
-counts the points and gradients each run costs, and keeps a numerical
-failure to the run that raised it. Shooting supplies batched passes
-(``shooting.run_restarts``), GRAPE per-point passes
-(``grape.grape_optimize``).
+The loop is the generator ``bfgs_steps``: it yields evaluation requests,
+each at one point, and returns the result, and its arithmetic does not
+depend on who answers. It has one driver, ``run_lockstep``, which runs
+several generators in lockstep from two callables: a forward pass over a
+list of points and a backward pass over rows of earlier forward passes. It
+holds the pass of each run's last valued point, so the gradient at an
+accepted rung and the final report build no second pass, counts the points
+and gradients each run costs, and keeps a numerical failure to the run that
+raised it. Shooting supplies batched passes (``shooting.run_restarts``),
+GRAPE per-point passes (``grape.grape_optimize``).
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
-trace, and stop reason are reproducible bitwise. The line search is one
-ladder loop over blocks of Armijo rungs, each block asked for only if every
-rung before it failed the test. The blocks double: rung 0 (the full step)
-alone, then rung 1 alone, then rungs 2-3, 4-7, 8-15 and 16-29
-(``LADDER_EDGES``). Most wide ladders accept rung 2 or 3, so a rejection
-costs a few rows, not 28. The ladder picks the largest step that passes the
-Armijo test, the step a sequential backtracking loop would accept.
-A rung whose x + alpha p rounds to x is never asked for: its value is f,
-and every smaller step leaves x unchanged too, so a ladder that reaches one
-with no rung accepted ends the run on ``resolution``.
+trace, and stop reason are reproducible bitwise. The line search is
+sequential Armijo backtracking (Nocedal and Wright, Numerical Optimization,
+Alg. 3.1): rung j tries x + alpha0 SHRINK^j p, and the first rung that
+passes the Armijo test is accepted. A rung whose x + alpha p rounds to x is
+never asked for: its value is f, and every smaller step leaves x unchanged
+too, so the run ends on ``resolution``; after ``MAX_BACKTRACKS`` failed
+rungs it ends on ``line_search``.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from .qudit import AdjointMatrix
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 30
-LADDER_EDGES = (0, 1, 2, 4, 8, 16, MAX_BACKTRACKS)  # ladder blocks: rungs [0], [1], [2, 3], ... [16, 29]
 STALL_WINDOW = 25
 STALL_TOL = 1e-12  # a run stalls when STALL_WINDOW iterations gain less than this share of f
 CURVATURE_FLOOR = 1e-12
@@ -155,17 +150,9 @@ class OptimizationReport:
     wall_time: float  # of the whole lockstep group for a shooting restart
     stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
     # in memory only as well
-    forward_points: int = 0  # points whose forward pass was built, ladder rows included
+    forward_points: int = 0  # points whose forward pass was built, one per valued point or rebuilt report
     backward_passes: int = 0  # gradients contracted
     curvature_updates: int = 0  # MinimizeResult.curvature_updates
-
-
-def _first_armijo(alphas, values, f: float, gp: float) -> tuple[float, float] | None:
-    """The first (alpha, value) pair of a ladder that passes the Armijo test."""
-    for alpha, fj in zip(alphas, values):
-        if np.isfinite(fj) and fj <= f + ARMIJO_C * alpha * gp:
-            return float(alpha), float(fj)
-    return None
 
 
 def _rank_two_term(s: np.ndarray, y: np.ndarray, hy: np.ndarray) -> np.ndarray:
@@ -230,15 +217,14 @@ def bfgs_steps(
 ) -> Generator[tuple[str, np.ndarray], object, MinimizeResult]:
     """The BFGS loop as a generator: it yields evaluation requests and returns the result.
 
-    A request is ``("values", xs)``, answered with the objective at each row
-    of a (B, n) stack (+inf where it is undefined), or ``("grad", x)``,
-    answered with the gradient. The initial value is a one-row ``values``
-    request. The arithmetic is the same whoever answers, so a run's iterates
-    depend only on the replies. The line search asks for its rungs block by
-    block, stopping at the first block with an accepted rung: the blocks are
-    ``LADDER_EDGES`` (rung 0, rung 1, rungs 2-3, 4-7, 8-15, 16-29). A block
-    is cut before its first row equal to x, and reaching that row with no
-    rung accepted ends the run on ``resolution``.
+    A request is ``("value", x)``, answered with the objective at x (+inf
+    where it is undefined), or ``("grad", x)``, answered with the gradient.
+    The arithmetic is the same whoever answers, so a run's iterates depend
+    only on the replies. The line search asks for one rung at a time,
+    x + alpha0 SHRINK^j p for j = 0, 1, ..., until one passes the Armijo
+    test; the gradient request that follows is at that rung's point. A rung
+    equal to x is not asked for and ends the run on ``resolution``, and
+    ``MAX_BACKTRACKS`` failed rungs end it on ``line_search``.
 
     Until the first curvature pair the line search starts at
     min(1, 1/|g|) times the step scale, 1 at first. With ``learn_step`` an
@@ -248,7 +234,7 @@ def bfgs_steps(
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    f = float((yield ("values", x[None, :]))[0])
+    f = float((yield ("value", x)))
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
@@ -276,23 +262,21 @@ def bfgs_steps(
                 break
 
         alpha0 = scale * min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
-        alphas = alpha0 * SHRINK ** np.arange(MAX_BACKTRACKS)
-        accepted = None
-        for lo, hi in zip(LADDER_EDGES[:-1], LADDER_EDGES[1:]):
-            rows = x[None, :] + alphas[lo:hi, None] * p[None, :]
-            # rounding is monotone, so the rows that move x come first and the rest equal x
-            moving = int(np.any(rows != x, axis=1).sum())
-            if moving:
-                values = yield ("values", rows[:moving])
-                accepted = _first_armijo(alphas[lo:hi], np.asarray(values, dtype=float), f, gp)
-            if accepted is not None or moving < len(rows):
+        for j in range(MAX_BACKTRACKS):
+            alpha = alpha0 * SHRINK**j
+            x_new = x + alpha * p
+            # rounding is monotone, so once a rung leaves x unchanged every smaller one does too
+            if np.array_equal(x_new, x):
+                stop = "resolution"
                 break
-        if accepted is None:
-            stop = "line_search" if moving == len(rows) else "resolution"
+            f_new = float((yield ("value", x_new)))
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_C * alpha * gp:
+                break
+        else:
+            stop = "line_search"
+        if stop != "max_iters":  # the search accepted no rung
             break
-        alpha, f_new = accepted
 
-        x_new = x + alpha * p
         g_new = np.asarray((yield ("grad", x_new)), dtype=float)
         s = x_new - x
         y = g_new - g
@@ -324,17 +308,16 @@ def bfgs_steps(
 class LockstepRun:
     """One BFGS run of ``run_lockstep``.
 
-    It keeps its generator and pending ``request``; the ``point`` of a
-    single-point request and that point's bytes, ``point_key`` (both None
-    for a wide ladder); its last single-point pass ``held`` (value, tape and
-    row) and the bytes ``key`` of that pass's point; its counts; and how it
-    ended, ``result`` or the ``error`` it raised.
+    It keeps its generator, its pending ``request`` and the bytes
+    ``point_key`` of that request's point; the pass ``held`` (value, tape and
+    row) of the last point it valued and the bytes ``key`` of that point; its
+    counts; and how it ended, ``result`` or the ``error`` it raised.
     """
 
     def __init__(self, steps: Generator):
         self.steps = steps
         self.key = self.held = self.result = self.error = None
-        self.forward_points = 0  # points whose forward pass was built, ladder rows included
+        self.forward_points = 0  # points whose forward pass was built
         self.backward_passes = 0
         self.reply(None)
 
@@ -348,12 +331,10 @@ class LockstepRun:
         except (ValueError, RuntimeError) as exc:
             self.fail(exc)
             return
-        kind, x = self.request
-        self.point = x if kind != "values" else x[0] if len(x) == 1 else None
-        self.point_key = None if self.point is None else self.point.tobytes()
+        self.point_key = self.request[1].tobytes()
 
     def fail(self, exc: Exception) -> None:
-        self.error, self.request, self.point, self.held = exc, None, None, None
+        self.error, self.request, self.held = exc, None, None
 
     def report(self, **problem) -> OptimizationReport:
         """The run's report, given the fields that depend on the problem
@@ -395,7 +376,6 @@ def run_lockstep(
     x0s: Sequence[np.ndarray],
     forward: Callable[[list[np.ndarray]], tuple[Sequence[float], object]],
     backward: Callable[[list[tuple[object, int]]], Sequence[np.ndarray]],
-    ladder: Callable[[np.ndarray], np.ndarray],
     *,
     tol: float,
     max_iters: int,
@@ -406,17 +386,15 @@ def run_lockstep(
     ``forward(points)`` takes a list of points and gives their objective
     values (+inf where undefined) and a tape, whose row i is point i's pass;
     ``backward([(tape, row), ...])`` gives the gradient at each of those
-    passes' points; ``ladder(points)`` values a (B, n) stack, the rows of the
-    wider ``LADDER_EDGES`` blocks.
-    Each round answers the runs' requests in three phases: (A) one forward
-    pass over every single-point request (the initial value, rungs 0 and 1,
-    a gradient point whose pass is not held, the final point), whose passes
-    the runs hold, after which the value requests are answered; (B) one
-    ``ladder`` call over every wider ladder; (C) one backward pass over
-    every gradient whose forward pass is held. So the gradient at an
-    accepted single rung costs only its backward pass. Where the callables
-    compute each row as they would alone, every run follows the iterates of
-    its lone run. ``learn_step`` goes to every run's ``bfgs_steps``.
+    passes' points. Each round answers the runs' requests in two phases:
+    (A) one forward pass over every requested point whose pass is not held
+    (the initial value, each rung, a gradient point whose pass is not held,
+    the final point), whose passes the runs hold, after which the value
+    requests are answered; (B) one backward pass over every gradient whose
+    forward pass is held. So the gradient at an accepted rung, whatever its
+    depth, costs only its backward pass. Where the callables compute each
+    row as they would alone, every run follows the iterates of its lone run.
+    ``learn_step`` goes to every run's ``bfgs_steps``.
 
     Returns one finished run per point, in order, holding the pass of its
     final point, or the ``ValueError`` or ``RuntimeError`` that ended that
@@ -425,41 +403,30 @@ def run_lockstep(
     runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, learn_step=learn_step)) for x0 in x0s]
 
     def hold_passes(group):
-        values, tape = forward([run.point for run in group])
+        values, tape = forward([run.request[1] for run in group])
         return [(value, tape, row) for row, value in enumerate(values)]
 
     def hold(run, held):
         run.key, run.held = run.point_key, held
         run.forward_points += 1
 
-    def ladders(group):
-        values = ladder(np.concatenate([run.request[1] for run in group]))
-        return np.split(values, np.cumsum([len(run.request[1]) for run in group])[:-1])
-
     def gradients(group):
         return backward([run.held[1:] for run in group])
-
-    def answer_ladder(run, values):
-        run.forward_points += len(values)
-        run.reply(values)
 
     def answer_gradient(run, grad):
         run.backward_passes += 1
         run.reply(grad)
 
     while live := [run for run in runs if run.request is not None]:
-        # (A) single-point forward passes; then answer the value requests
-        _serve([run for run in live if run.point is not None and run.point_key != run.key], hold_passes, hold)
+        # (A) forward passes at the points not held; then answer the value requests
+        _serve([run for run in live if run.point_key != run.key], hold_passes, hold)
         for run in live:
-            if run.point is not None and run.point_key == run.key:
-                kind = run.request[0]
-                if kind == "pulse":
-                    run.request = None
-                elif kind == "values":
-                    run.reply([run.held[0]])
-        # (B) wider ladders
-        _serve([run for run in live if run.request and run.point is None], ladders, answer_ladder)
-        # (C) gradients at held points
+            kind = run.request[0] if run.request else None
+            if kind == "value":
+                run.reply(run.held[0])
+            elif kind == "pulse":
+                run.request = None
+        # (B) gradients at held points
         _serve(
             [run for run in live if run.request and run.request[0] == "grad" and run.point_key == run.key],
             gradients,

@@ -49,12 +49,12 @@ is bitwise the row of its point computed alone.
 
 ``run_restarts`` runs several restarts in lockstep. It supplies the BFGS
 runner (``optimizer.run_lockstep``) with its batched passes: ``_forward``
-for single-point requests, ``_backward`` over the gathered rows of their
-tapes and ``batch_objective`` for wider ladders. The runner answers every
-restart's requests with one forward pass, ladder and backward pass per
-round. A restart's gradient at an accepted rung 0 or 1 costs only the
-backward pass, so a typical iteration costs one forward and one backward
-pass.
+over the points the restarts ask for, one each, and ``_backward`` over the
+gathered rows of their tapes. The runner answers every restart's requests
+with one forward and one backward pass per round. The line search values
+one rung at a time, and a restart's gradient at the accepted rung costs
+only the backward pass, so a typical iteration costs one forward and one
+backward pass.
 ``optimize`` is the runner with one seed, ``restarted_optimize`` the runner
 over its seeds, and campaign groups (``bench.py``) call it directly.
 """
@@ -227,17 +227,15 @@ def _construct_batch(
     coeff_batch: np.ndarray,
     pairings: _Pairings,
     mode: str,
-    keep_tape: bool = False,
-) -> tuple[np.ndarray, np.ndarray, _Tape | None]:
+) -> tuple[np.ndarray, np.ndarray, _Tape]:
     """Build pulses for B coefficient vectors at once.
 
     Returns (final unitaries (B, d, d), valid (B,), tape). Entries with a
-    degenerate envelope are flagged invalid rather than raising, so
-    vectorized line-search ladders can mask them. With ``keep_tape`` the
-    tape keeps the per-step states and the pulses of every point for the
-    backward pass and the report; otherwise it is None. Each row is the same
-    whatever the batch around it: every product is a stack of per-row
-    products.
+    degenerate envelope are flagged invalid rather than raising, so a batch
+    can hold them beside valid ones. The tape keeps the per-step states and
+    the pulses of every point for the backward pass and the report. Each row
+    is the same whatever the batch around it: every product is a stack of
+    per-row products.
 
     The step loop carries the evolved adjoint G_n = U_n g U_n^dag and the
     stack X_n = [U_n, U_n g]. Since v_{n,k} = 1/2 Re Tr(G_n H_k) is real
@@ -247,26 +245,22 @@ def _construct_batch(
     forms v_n, its norm and u_n per step. Each step then writes its
     eigensystem and exponential P_n = exp(i Theta_n), advances
     X_{n+1} = P_n X_n in one product and forms G_{n+1} = (U g)(U^dag), all in
-    place: into the tape's step-major slots for step n, or without a tape
-    into two slots that the steps take in turn.
+    place, into the tape's step-major slots for step n.
     """
     coeff_batch = np.atleast_2d(np.asarray(coeff_batch, dtype=float))
     b = coeff_batch.shape[0]
     k, d, _ = pairings.theta_hams.shape
     n_steps = pairings.n_steps
     renorm = mode == "time_optimal_renormalized"
-    slots = n_steps if keep_tape else 2  # one per step on a tape, else two that the steps take in turn
 
-    adj = np.empty((slots, b, d, d), dtype=complex)  # G_n
-    adj_ri = adj.view(float).reshape(slots, b, 1, 2 * d * d)
-    stack = np.empty((slots + 1, 2, b, d, d), dtype=complex)  # X_n = [U_n, U_n g]
+    adj = np.empty((n_steps, b, d, d), dtype=complex)  # G_n
+    adj_ri = adj.view(float).reshape(n_steps, b, 1, 2 * d * d)
+    stack = np.empty((n_steps + 1, 2, b, d, d), dtype=complex)  # X_n = [U_n, U_n g]
     units, units_g = stack[:, 0], stack[:, 1]
-    i_theta, q_n, p_n = step_out((slots, b, d, d))  # eigh writes theta_n into i_theta's imaginary part
-    # per-slot views, taken once: indexing a view costs about as much as a small
-    # product's dispatch. Slot i advances X into slot i + 1, or without a tape
-    # into the other slot.
-    nexts = stack[1:] if keep_tape else stack[1::-1]
-    slot_views = list(zip(units, units_g, adj, adj_ri, i_theta, q_n, p_n, stack, nexts))
+    i_theta, q_n, p_n = step_out((n_steps, b, d, d))  # eigh writes theta_n into i_theta's imaginary part
+    # per-step views, taken once: indexing a view costs about as much as a small
+    # product's dispatch. Step n advances X into slot n + 1.
+    step_views = list(zip(units, units_g, adj, adj_ri, i_theta, q_n, p_n, stack, stack[1:]))
     theta = np.empty((b, d, d), dtype=complex)
     theta_ri = theta.view(float).reshape(b, 1, 2 * d * d)
     u_conj = np.empty((b, d, d), dtype=complex)
@@ -286,8 +280,7 @@ def _construct_batch(
     else:
         to_theta = pairings.to_theta
     with eigh_guard():
-        for n in range(n_steps):
-            unit, unit_g, adj_n, adj_ri_n, i_theta_n, q, p, x, x_next = slot_views[n % slots]
+        for n, (unit, unit_g, adj_n, adj_ri_n, i_theta_n, q, p, x, x_next) in enumerate(step_views):
             if n > 0:
                 np.conjugate(unit, out=u_conj)
                 np.matmul(unit_g, u_dag, out=adj_n)
@@ -305,8 +298,6 @@ def _construct_batch(
             step_eigensystems(theta, out=(i_theta_n, q, p), work=work)
             np.matmul(p, x, out=x_next)
     valid = np.all(norms >= ENVELOPE_FLOOR, axis=0)[:, 0, 0] if renorm else np.ones(b, dtype=bool)
-    if not keep_tape:
-        return units[n_steps % 2], valid, None
     if renorm:
         amplitudes, v, c0 = amps[..., 0, :], v_n[..., 0, :], norms[0, :, 0, 0]
     else:
@@ -330,7 +321,7 @@ def pulses_from_adjoint(
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
     pairings = _Pairings.create(controls, n_steps, GeneratorBasis.create(controls.dim))
-    _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, mode, True)
+    _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, mode)
     if not valid[0]:
         raise DegenerateEnvelopeError(
             "structural prediction has norm below "
@@ -353,14 +344,13 @@ def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.nda
 
     Degenerate-envelope entries come back as +inf.
     """
-    u_final, valid, _ = _construct_batch(coeff_batch, context.pairings, context.config.mode)
-    return _infidelities(u_final, valid, context)
+    return _forward(coeff_batch, context)[0]
 
 
 def _forward(points, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
     """Objective values (+inf for a degenerate envelope) and the tape of B points,
     a (B, d^2-1) stack or a list of B coefficient vectors."""
-    u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode, True)
+    u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode)
     return _infidelities(u_final, valid, context), tape
 
 
@@ -477,10 +467,9 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
     """Independent BFGS restarts from the given seeds, run in lockstep.
 
     ``optimizer.run_lockstep`` drives them, with ``_forward`` for the
-    single-point passes, ``_backward`` over the gathered rows of their tapes
-    and ``batch_objective`` for the wider ladders. Since each row of these
-    batches is bitwise the same as the row computed alone, every restart
-    follows the iterates of its lone run.
+    requested points and ``_backward`` over the gathered rows of their
+    tapes. Since each row of these batches is bitwise the same as the row
+    computed alone, every restart follows the iterates of its lone run.
 
     Returns one report per seed, in order, or the ``ValueError`` or
     ``RuntimeError`` that ended that restart; other errors propagate. Every
@@ -493,7 +482,6 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
         [initial_coeffs(replace(cfg, seed=seed), context.n_params) for seed in seeds],
         lambda points: _forward(points, context),
         lambda held: _backward(_Tape.rows(held), context),
-        lambda points: batch_objective(points, context),
         tol=cfg.convergence_tol,
         max_iters=cfg.max_iters,
     )

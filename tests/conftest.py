@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicarp import optimizer
 from magicarp.qudit import ControlSet, gellmann_basis, nearest_neighbor_control_set
 
 # numpy >= 1.25 keeps it in numpy.exceptions, numpy 1.24 at the top level
@@ -60,6 +61,27 @@ def kernel_case(name: str, d: int, rng: np.random.Generator, n_steps: int) -> tu
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype and bytes: bitwise equal, signed zeros and NaN payloads included."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def spy_on_requests(monkeypatch):
+    """Wrap every ``bfgs_steps`` that ``run_lockstep`` starts. The returned list
+    gets one list per run, of the (kind, point) requests it yields."""
+    runs = []
+    real = optimizer.bfgs_steps
+
+    def spy(x0, **options):
+        steps, reply, requests = real(x0, **options), None, []
+        runs.append(requests)
+        while True:
+            try:
+                kind, point = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            requests.append((kind, point.copy()))
+            reply = yield kind, point
+
+    monkeypatch.setattr(optimizer, "bfgs_steps", spy)
+    return runs
 
 
 @pytest.fixture

@@ -205,6 +205,9 @@ class TestConfig:
             ("magicarp: 5\n", "magicarp: expected a mapping, got 5"),
             ("target: custom\ncustom_target: [[[1, 0], [0, 0]]]\n", "custom_target: expected a square matrix"),
             ("target: custom\ncustom_target: [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]\n", "target: matrix is not unitary"),
+            # an entry of three numbers, or of two bools, would read as 1+0j
+            ("target: custom\ncustom_target: [[[1, 0, 99], [0, 0]], [[0, 0], [1, 0]]]\n", "custom_target: entries must be"),
+            ("target: custom\ncustom_target: [[[true, false], [0, 0]], [[0, 0], [1, 0]]]\n", "custom_target: entries must be"),
             # a matrix the run would ignore
             (
                 "target: qft\ncustom_target: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n",

@@ -394,8 +394,7 @@ class TestHeldPass:
         monkeypatch.setattr(optimizer.InverseHessian, "update", lambda *args: updates.append(real_update(*args)))
         report = grape_optimize(target, ctrl, cfg)
         assert report.stop_reason == stop
-        # the gradients and the report read the pass of a point valued alone;
-        # a point accepted from a wider ladder gets a pass of its own
+        # the gradients and the report read the pass of the point last valued
         assert len(gradients) == report.iterations + 1
         assert len(passes) == len(points)
         # the report counts the same work
@@ -438,20 +437,6 @@ class TestHeldPass:
         assert np.array_equal(held.cost_trace, fresh.cost_trace)
         assert np.array_equal(held.final_schedule.amplitudes, fresh.final_schedule.amplitudes)
         assert (held.infidelity, held.stop_reason) == (fresh.infidelity, fresh.stop_reason)
-
-    @pytest.mark.parametrize("d,n_steps,weight,seed", [(3, 16, 0.05, 0), (3, 16, 0.05, 3), (3, 2, 0.0, 0), (5, 16, 0.0, 4)])
-    def test_doubling_ladder_equals_one_rung_at_a_time(self, monkeypatch, d, n_steps, weight, seed):
-        # the ladder's blocks of 2, 4, 8 and 14 rungs accept the rung a
-        # sequential search accepts, with the value of that rung's own pass
-        target, ctrl = target_gate("qft", d), nearest_neighbor_control_set(d)
-        cfg = GrapeConfig(n_steps=n_steps, max_iters=300, penalty_weight=weight, seed=seed)
-        ladder = grape_optimize(target, ctrl, cfg)
-        monkeypatch.setattr(optimizer, "LADDER_EDGES", tuple(range(optimizer.MAX_BACKTRACKS + 1)))
-        sequential = grape_optimize(target, ctrl, cfg)
-        assert np.array_equal(ladder.cost_trace, sequential.cost_trace)
-        assert same_bits(ladder.final_schedule.amplitudes, sequential.final_schedule.amplitudes)
-        assert (ladder.infidelity, ladder.stop_reason) == (sequential.infidelity, sequential.stop_reason)
-        assert ladder.forward_points > sequential.forward_points  # some wider block was asked for
 
     def test_failing_pass_raises_its_error(self, monkeypatch, tmp_path, capsys):
         # the runner keeps a numerical failure to its run; grape_optimize raises it

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicarp import optimizer
+from magicarp import grape, optimizer, shooting
 from magicarp.grape import GrapeConfig, grape_optimize
 from magicarp.optimizer import DENSE_LIMIT, InverseHessian, bfgs_steps, run_lockstep
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
-from magicarp.shooting import MagicarpConfig, ShootingContext, run_restarts
+from magicarp.shooting import MagicarpConfig, ShootingContext, optimize, run_restarts
 
-from conftest import same_bits
+from conftest import same_bits, spy_on_requests
 
 
 def quadratic(center):
@@ -36,9 +36,8 @@ def rosenbrock_grad(x):
 
 
 def lone_run(fun, grad, x0, *, log=None, **options):
-    """One ``run_lockstep`` run on the per-point callables ``fun`` and ``grad``,
-    with a ladder that calls ``fun`` on each row; its result. ``log`` gets
-    ("forward", points) and ("ladder", rows) for each call."""
+    """One ``run_lockstep`` run on the per-point callables ``fun`` and ``grad``;
+    its result. ``log`` gets ("forward", points) for each forward call."""
     log = [] if log is None else log
 
     def forward(points):
@@ -48,11 +47,7 @@ def lone_run(fun, grad, x0, *, log=None, **options):
     def backward(held):
         return [grad(tape[row]) for tape, row in held]
 
-    def batch(xs):
-        log.append(("ladder", len(xs)))
-        return np.array([fun(x) for x in xs])
-
-    outcome = run_lockstep([x0], forward, backward, batch, **options)[0]
+    outcome = run_lockstep([x0], forward, backward, **options)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.result
@@ -97,7 +92,7 @@ class TestRunLockstep:
         assert res.fun == pytest.approx(1.0, abs=1e-10)
 
     def test_initial_point_must_be_finite(self):
-        (outcome,) = run_lockstep([np.zeros(2)], lambda xs: ([np.inf] * len(xs), None), None, None, tol=1e-8, max_iters=10)
+        (outcome,) = run_lockstep([np.zeros(2)], lambda xs: ([np.inf] * len(xs), None), None, tol=1e-8, max_iters=10)
         assert isinstance(outcome, ValueError)
         assert "not finite at the initial point" in str(outcome)
 
@@ -116,22 +111,11 @@ class TestRunLockstep:
         res = lone_run(fun, grad, np.array([-3.0, -3.0]), tol=1e-12, max_iters=100)
         assert res.fun <= 1e-12
 
-    def test_ladder_matches_sequential(self, monkeypatch):
-        # blocks of one rung each are a sequential backtracking loop
-        fun, grad = quadratic(np.array([2.0, -1.0, 0.5, 4.0]))
-        x0 = np.array([5.0, 5.0, 5.0, 5.0])
-        bat = lone_run(fun, grad, x0, tol=1e-13, max_iters=100)
-        monkeypatch.setattr(optimizer, "LADDER_EDGES", tuple(range(optimizer.MAX_BACKTRACKS + 1)))
-        seq = lone_run(fun, grad, x0, tol=1e-13, max_iters=100)
-        assert seq.trace == bat.trace
-        assert np.array_equal(seq.x, bat.x)
-
     @pytest.mark.parametrize("first", [0, 1, 2, 3, 5, 9, 16, 29])
-    def test_ladder_accepts_the_first_passing_rung_as_a_sequential_search(self, first):
+    def test_accepts_the_first_passing_rung_of_a_sequential_search(self, first):
         # f(x) = -x + x^2 / delta from x = 0 along p = 1, with delta = 1.5 2^-first:
         # the Armijo test passes for steps up to about delta, so a backtracking
-        # loop that tries rung 0, 1, 2, ... in turn stops at rung ``first``, in
-        # whichever block the ladder holds it
+        # loop that tries rung 0, 1, 2, ... in turn stops at rung ``first``
         delta = 1.5 * 2.0**-first
 
         def fun(x):
@@ -139,60 +123,17 @@ class TestRunLockstep:
 
         sequential = next(j for j in range(30) if fun([2.0**-j]) <= fun([0.0]) - optimizer.ARMIJO_C * 2.0**-j)
         assert sequential == first
-        res = lone_run(fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1)
-        assert res.x[0] == 2.0**-first
-        assert res.trace == [0.0, fun([2.0**-first])]
-
-    def test_lazy_ladder_evaluates_rung_zero_alone(self):
-        # a unit step from |g| <= 1 lands on the minimum, so rung 0 is accepted
-        center = np.array([0.3, -0.2])
-
-        def fun(x):
-            return 0.5 * float(np.sum((x - center) ** 2))
-
         log = []
-        res = lone_run(fun, lambda x: x - center, np.zeros(2), tol=1e-20, max_iters=5, log=log)
-        assert res.fun == 0.0
-        # the initial value, then rung 0; the gradient and the report reuse its pass
-        assert log == [("forward", 1), ("forward", 1)]
-
-    def test_lazy_ladder_batches_the_rest_after_a_rejection(self):
-        # rung 1 is tested alone; only when it fails too come rungs 2-3, then 4-7, 8-15, 16-29
-        # (the first call is the initial value)
-        center = np.array([0.03, -0.02])
-
-        def fun(x):
-            return float(np.sum((x - center) ** 2))
-
-        single = ("forward", 1)
-        for scale, expected in ((2.0, [single] * 3), (8.0, [single] * 3 + [("ladder", 2), single])):
-            # a gradient `scale` times too long: the unit step overshoots, and the
-            # step of 2 / scale lands on the minimum (rung 1 for 2x, rung 3 for 8x,
-            # whose gradient needs a pass of its own)
-            log = []
-            res = lone_run(fun, lambda x: scale * (x - center), np.zeros(2), tol=1e-20, max_iters=5, log=log)
-            assert res.fun == 0.0
-            assert log == expected
-
-    def test_lazy_ladder_reaches_the_last_block(self):
-        # f(x) = -x + x^2 / delta from x = 0 along p = 1: the Armijo test passes
-        # only for steps below about delta, so the first accepted rung is 16,
-        # in the last block of rungs 16-29
-        delta = 1.5 * 2.0**-16
-        log = []
-
-        def fun(x):
-            return float(-x[0] + x[0] ** 2 / delta)
-
         res = lone_run(
             fun, lambda x: np.array([-1.0 + 2.0 * x[0] / delta]), np.zeros(1), tol=-1.0, max_iters=1, log=log
         )
-        assert res.x[0] == 2.0**-16
-        # the initial value, then the ladder, then the pass of the accepted point for its gradient
-        single = ("forward", 1)
-        assert log == [single] * 3 + [("ladder", b) for b in (2, 4, 8, 14)] + [single]
+        assert res.x[0] == 2.0**-first
+        assert res.trace == [0.0, fun([2.0**-first])]
+        # one pass for the initial value and one per rung, each of one point; the
+        # gradient at the accepted rung and the report reuse its pass
+        assert log == [("forward", 1)] * (first + 2)
 
-    def test_lazy_ladder_asks_for_every_block_when_all_rungs_fail(self):
+    def test_every_rung_failing_stops_on_line_search(self):
         # a gradient of the wrong sign: every rung climbs, and the run stops
         def fun(x):
             return float(np.sum(x**2))
@@ -200,9 +141,8 @@ class TestRunLockstep:
         log = []
         res = lone_run(fun, lambda x: -2.0 * x, np.ones(2), tol=0.0, max_iters=5, log=log)
         assert (res.stop_reason, res.iterations) == ("line_search", 0)
-        # the initial value, then the ladder, then the final point's pass again for the report
-        single = ("forward", 1)
-        assert log == [single] * 3 + [("ladder", b) for b in (2, 4, 8, 14)] + [single]
+        # the initial value, one pass per rung, then the final point's pass again for the report
+        assert log == [("forward", 1)] * (1 + optimizer.MAX_BACKTRACKS + 1)
 
     def test_deterministic(self):
         runs = [
@@ -224,14 +164,11 @@ class TestRunLockstep:
         def backward(held):
             return [grad(tape[row]) for tape, row in held]
 
-        def batch(xs):
-            return forward(list(xs))[0]
-
         x0s = [np.array([-3.0, 0.0]), np.array([0.0, 3.0])]
         options = dict(tol=1e-14, max_iters=50)
-        outcomes = run_lockstep(x0s, forward, backward, batch, **options)
+        outcomes = run_lockstep(x0s, forward, backward, **options)
         assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "poisoned point"
-        (alone,) = run_lockstep(x0s[:1], forward, backward, batch, **options)
+        (alone,) = run_lockstep(x0s[:1], forward, backward, **options)
         assert outcomes[0].result.trace == alone.result.trace
         assert same_bits(outcomes[0].result.x, alone.result.x)
         assert (outcomes[0].forward_points, outcomes[0].backward_passes) == (alone.forward_points, alone.backward_passes)
@@ -241,13 +178,12 @@ class TestRunLockstep:
             raise TypeError("a bug, not a numerical failure")
 
         with pytest.raises(TypeError, match="a bug"):
-            run_lockstep([np.zeros(2), np.ones(2)], forward, None, None, tol=1e-8, max_iters=10)
+            run_lockstep([np.zeros(2), np.ones(2)], forward, None, tol=1e-8, max_iters=10)
 
 
 def drive_at_fixed_point(x0, f0, g0):
     """Run ``bfgs_steps`` with a constant objective f0 and gradient g0, whatever
-    the point; log every evaluated row as ("point", bytes) and every gradient
-    request as ("grad", bytes), whatever kind of request carried them."""
+    the point; log every request as (kind, bytes of its point)."""
     steps = bfgs_steps(x0, tol=-1.0, max_iters=100)
     log, reply = [], None
     while True:
@@ -255,25 +191,20 @@ def drive_at_fixed_point(x0, f0, g0):
             kind, x = steps.send(reply)
         except StopIteration as done:
             return done.value, log
-        if kind == "grad":
-            log.append(("grad", x.tobytes()))
-            reply = g0.copy()
-        else:
-            rows = np.atleast_2d(x)
-            log += [("point", row.tobytes()) for row in rows]
-            reply = np.full(len(rows), f0) if kind == "values" else f0
+        log.append((kind, x.tobytes()))
+        reply = g0.copy() if kind == "grad" else f0
 
 
-class TestLadderBelowResolution:
+class TestLineSearchBelowResolution:
     # |alpha p| <= 2.2e-20 on x = (1, -2): every rung's x + alpha p is x bitwise
     X0 = np.array([1.0, -2.0])
     G0 = np.array([1e-20, 2e-20])
 
     def test_armijo_product_rounds_away_yet_no_rung_is_asked_for(self):
         # f + c alpha g.p rounds to f = 1, so a row equal to x would pass at
-        # rung 0 with f unchanged, iteration after iteration; no such row is asked for
+        # rung 0 with f unchanged, iteration after iteration; no such rung is asked for
         res, log = drive_at_fixed_point(self.X0, 1.0, self.G0)
-        assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
+        assert log == [("value", self.X0.tobytes()), ("grad", self.X0.tobytes())]
         assert (res.stop_reason, res.iterations, res.curvature_updates) == ("resolution", 0, 0)
         assert res.trace == [1.0] and res.x.tobytes() == self.X0.tobytes()
 
@@ -281,58 +212,49 @@ class TestLadderBelowResolution:
         # at f = 0 the bound c alpha g.p < 0 survives, and every row equal to x
         # would fail; none is asked for
         res, log = drive_at_fixed_point(self.X0, 0.0, self.G0)
-        assert log == [("point", self.X0.tobytes()), ("grad", self.X0.tobytes())]
+        assert log == [("value", self.X0.tobytes()), ("grad", self.X0.tobytes())]
         assert (res.stop_reason, res.iterations, res.trace) == ("resolution", 0, [0.0])
 
-    def test_rows_that_move_x_are_asked_for_as_before(self):
+    def test_rungs_that_move_x_are_asked_for(self):
         # x = 1 along p = -2^-40 with f and g constant: rung j gives
         # 1 - 2^-(40+j), which moves x while it is at least the spacing 2^-53
         # below 1, that is for j <= 13 (j = 14 is a tie that rounds to 1). Every
-        # rung fails the Armijo test, so the ladder asks for rungs 0-13, in its
-        # blocks cut before rung 14, with the same rows as before, then stops
+        # rung fails the Armijo test, so the search asks for rungs 0-13, one at
+        # a time, then stops before rung 14
         x0, g0 = np.array([1.0]), np.array([2.0**-40])
         res, log = drive_at_fixed_point(x0, 0.0, g0)
         rows = x0[None, :] + (2.0 ** -np.arange(14))[:, None] * -g0[None, :]
-        assert log == [("point", x0.tobytes()), ("grad", x0.tobytes())] + [("point", row.tobytes()) for row in rows]
+        assert log == [("value", x0.tobytes()), ("grad", x0.tobytes())] + [("value", row.tobytes()) for row in rows]
         assert (res.stop_reason, res.iterations) == ("resolution", 0)
 
 
-def spy_on_ladder_rows(monkeypatch):
-    """Wrap every ``bfgs_steps`` that ``run_lockstep`` starts. The returned list
-    gets, for each row of a value request after the initial one, whether it
-    differs from the run's x, the point of its last gradient request."""
+def rungs_moving_x(runs):
+    """For each rung a run asked for, whether its point differs from the run's
+    x, the point of its last gradient request."""
     differs = []
-    real = optimizer.bfgs_steps
-
-    def spy(x0, **options):
-        steps, reply, x = real(x0, **options), None, None
-        while True:
-            try:
-                kind, point = steps.send(reply)
-            except StopIteration as done:
-                return done.value
+    for requests in runs:
+        x = None
+        for kind, point in requests:
             if kind == "grad":
-                x = point.copy()
-            elif x is not None:
-                differs.extend(bool(np.any(row != x)) for row in point)
-            reply = yield kind, point
-
-    monkeypatch.setattr(optimizer, "bfgs_steps", spy)
+                x = point
+            elif kind == "value" and x is not None:
+                differs.append(bool(np.any(point != x)))
     return differs
 
 
 class TestEveryRowMovesX:
     def test_grape_plateau_runs(self, monkeypatch):
         # QFT(3) on 2 steps: seeds 0 and 4 end on a plateau, 1 and 2 converge
-        differs = spy_on_ladder_rows(monkeypatch)
+        runs = spy_on_requests(monkeypatch)
         target, ctrl = target_gate("qft", 3), nearest_neighbor_control_set(3)
         seeds = (0, 1, 2, 4)
         stops = [grape_optimize(target, ctrl, GrapeConfig(n_steps=2, max_iters=300, seed=s)).stop_reason for s in seeds]
         assert stops == ["resolution", "tol", "tol", "resolution"]
+        differs = rungs_moving_x(runs)
         assert len(differs) > 100 and all(differs)
 
     def test_shooting_restarts(self, monkeypatch):
-        differs = spy_on_ladder_rows(monkeypatch)
+        runs = spy_on_requests(monkeypatch)
         ctx = ShootingContext(
             controls=nearest_neighbor_control_set(3),
             target=target_gate("qft", 3),
@@ -340,7 +262,63 @@ class TestEveryRowMovesX:
         )
         reports = run_restarts(ctx, range(16))
         assert "resolution" in {r.stop_reason for r in reports}
+        differs = rungs_moving_x(runs)
         assert len(differs) > 100 and all(differs)
+
+
+class TestHeldPassAtDeepRungs:
+    """A run that accepts a rung >= 2 builds one pass per valued point, in the
+    order it values them, and none for the gradient at an accepted rung."""
+
+    @staticmethod
+    def check(runs, built, report):
+        (requests,) = runs
+        valued = [point for kind, point in requests if kind == "value"]
+        depths, rung = [], 0
+        for kind, point in requests:
+            if kind == "value":
+                rung += 1
+            elif kind == "grad":  # the initial value stands as rung 0 of x0
+                depths.append(rung - 1)
+                assert sum(same_bits(b, point) for b in built) == 1  # its pass was built once, as a rung
+                rung = 0
+        assert max(depths) >= 2
+        # a run that ends on tol reports its last accepted point, whose pass it holds
+        assert report.stop_reason == "tol"
+        assert len(built) == len(valued) and all(same_bits(b, v) for b, v in zip(built, valued))
+        assert report.forward_points == len(built)
+        assert report.backward_passes == sum(kind == "grad" for kind, _ in requests) == report.iterations + 1
+
+    def test_grape(self, monkeypatch):
+        # QFT(3) on 8 steps, seed 1, accepts rungs 2 and 5
+        runs, built = spy_on_requests(monkeypatch), []
+        real = grape._forward_pass
+
+        def spy(controls, schedule):
+            built.append(schedule.amplitudes.ravel().copy())
+            return real(controls, schedule)
+
+        monkeypatch.setattr(grape, "_forward_pass", spy)
+        cfg = GrapeConfig(n_steps=8, max_iters=300, seed=1)
+        report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
+        self.check(runs, built, report)
+
+    def test_shooting(self, monkeypatch):
+        # QFT(2) on 16 steps, seed 7, accepts rung 5
+        runs, built = spy_on_requests(monkeypatch), []
+        real = shooting._construct_batch
+
+        def spy(coeff_batch, *args):
+            built.extend(np.atleast_2d(coeff_batch).copy())
+            return real(coeff_batch, *args)
+
+        monkeypatch.setattr(shooting, "_construct_batch", spy)
+        ctx = ShootingContext(
+            controls=nearest_neighbor_control_set(2),
+            target=target_gate("qft", 2),
+            config=MagicarpConfig(n_steps=16, max_iters=300, seed=7),
+        )
+        self.check(runs, built, optimize(ctx))
 
 
 def product_form_update(h_inv, s, y):
@@ -423,6 +401,21 @@ class TestInverseHessian:
             assert np.linalg.norm(h @ v - expected) <= 1e-12 * np.linalg.norm(expected)
         assert (folds, h.k) == (3, 2)
 
+    @pytest.mark.parametrize("n", [65, 512])
+    def test_product_sums_in_order_bitwise(self, rng, n):
+        # H v = (B v + S^T (W v)) + W^T (S v) from the stored rows, B = gamma I
+        # before the first fold and the dense B after it
+        h, checked = InverseHessian(n), set()
+        for s, y in curvature_pairs(rng, n, n // 4 + 3):
+            h.update(s, y)
+            if h.k >= 2:
+                v = rng.standard_normal(n)
+                s_k, w_k = h.s[: h.k], h.w[: h.k]
+                base = h.gamma * v if h.dense is None else h.dense @ v
+                assert same_bits(h @ v, base + s_k.T @ (w_k @ v) + w_k.T @ (s_k @ v))
+                checked.add(h.dense is None)
+        assert checked == {True, False}
+
     def test_allocates_no_n_by_n_array_before_the_first_fold(self, rng):
         n = 512
         pairs = curvature_pairs(rng, n, n // 4 - 1)
@@ -473,7 +466,7 @@ def gradient_points(fun, grad, x0, **options):
             points.append(x.copy())
             reply = grad(x)
         else:
-            reply = np.array([fun(row) for row in x])
+            reply = fun(x)
 
 
 class TestLearnedStep:

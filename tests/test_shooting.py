@@ -6,7 +6,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import magicarp.optimizer as optimizer
 import magicarp.shooting as shooting
 from magicarp.propagation import PulseSchedule, exp_divided_differences
 from magicarp.qudit import AdjointMatrix, ControlSet, nearest_neighbor_control_set, target_gate
@@ -28,7 +27,7 @@ from magicarp.shooting import (
     run_restarts,
 )
 
-from conftest import KERNEL_SETS, gellmann_coeffs, kernel_case, same_bits
+from conftest import KERNEL_SETS, gellmann_coeffs, kernel_case, same_bits, spy_on_requests
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -445,10 +444,9 @@ class TestStepLoopOracle:
         points = np.random.default_rng(10 * d).standard_normal((3, d * d - 1))
         for batch in (points, points[1:2]):
             _, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
-            for keep_tape in (False, True):  # the checks below read the tape of the second pass
-                final, valid, tape = shooting._construct_batch(batch, ctx.pairings, mode, keep_tape)
-                assert rel_err(final, ref_final) <= rtol
-                assert same_bits(valid, ref_valid)
+            final, valid, tape = shooting._construct_batch(batch, ctx.pairings, mode)
+            assert rel_err(final, ref_final) <= rtol
+            assert same_bits(valid, ref_valid)
             loop_tape = as_loop_tape(tape)
             assert same_bits(loop_tape.g, ref_tape.g)
             for name in ("amplitudes", "unitaries", "c0", "steps"):
@@ -462,19 +460,12 @@ class TestStepLoopOracle:
             ref = loop_backward(loop_tape, ctx)
             assert np.linalg.norm(shooting._backward(tape, ctx) - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_objective_equals_the_tape_keeping_pass(self, mode):
-        # a value accepted from a ladder (no tape) equals the held pass's value
-        ctx = context(d=3, target="qft", mode=mode, n_steps=16)
-        points = np.random.default_rng(8).standard_normal((4, 8))
-        assert same_bits(batch_objective(points, ctx), shooting._forward(points, ctx)[0])
-
     def test_degenerate_rows_flagged_alike(self):
         ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
         points = np.random.default_rng(4).standard_normal((3, 8))
         points[1] = 0.0
         ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
-        _, valid, tape = shooting._construct_batch(points, ctx.pairings, ctx.config.mode, True)
+        _, valid, tape = shooting._construct_batch(points, ctx.pairings, ctx.config.mode)
         assert list(valid) == list(ref[2]) == [True, False, True]
         assert rel_err(tape.amplitudes.swapaxes(0, 1), ref[0]) <= 1e-12
 
@@ -524,46 +515,38 @@ class TestOptimize:
         assert budget.stop_reason == "max_iters"
         assert "stop_reason" not in report_to_dict(budget)
 
-    def test_never_uses_finite_differences(self, monkeypatch):
-        rows = []
-        real = shooting.batch_objective
-
-        def spy(xs, ctx):
-            rows.append(np.atleast_2d(xs).shape[0])
-            return real(xs, ctx)
-
-        monkeypatch.setattr(shooting, "batch_objective", spy)
-        d = 3
-        report = optimize(context(d=d, target="qft", n_steps=16, seed=7, max_iters=40))
-        assert report.iterations > 0
-        assert 2 * (d * d - 1) not in rows
-
-    def test_gradient_reuses_accepted_rung_zero(self, monkeypatch):
-        # one B = 1 construction per single-rung test (rung 0, and rung 1 after a
-        # rejection): the gradient at an accepted single rung reuses its forward
-        # pass; a wider ladder costs one more, at its accepted rung
-        sizes, single_rungs = [], []
+    @staticmethod
+    def construction_sizes(monkeypatch):
+        """The batch size of every pulse construction."""
+        sizes = []
         real = shooting._construct_batch
-        real_armijo = optimizer._first_armijo
 
         def spy(coeff_batch, *args):
             sizes.append(np.atleast_2d(coeff_batch).shape[0])
             return real(coeff_batch, *args)
 
-        def armijo(alphas, *args):
-            if len(alphas) == 1:
-                single_rungs.append(alphas[0])
-            return real_armijo(alphas, *args)
-
         monkeypatch.setattr(shooting, "_construct_batch", spy)
-        monkeypatch.setattr(optimizer, "_first_armijo", armijo)
+        return sizes
+
+    def test_never_uses_finite_differences(self, monkeypatch):
+        # a lone run builds one point at a time: no batch of 2(d^2-1) probes
+        sizes = self.construction_sizes(monkeypatch)
+        report = optimize(context(d=3, target="qft", n_steps=16, seed=7, max_iters=40))
+        assert report.iterations > 0
+        assert set(sizes) == {1}
+
+    def test_gradient_reuses_the_accepted_rung(self, monkeypatch):
+        # one B = 1 construction per valued point, x0 and every rung: the
+        # gradient at the accepted rung, and the report, reuse its forward pass
+        sizes = self.construction_sizes(monkeypatch)
+        runs = spy_on_requests(monkeypatch)
         report = optimize(context(d=3, target="qft", n_steps=16, seed=7))
         assert report.stop_reason == "tol"
-        wide = sum(1 for b in sizes if b > 1)
-        assert len(single_rungs) > report.iterations  # some rung 0 was rejected
-        # x0, one per single rung, one per wider ladder; the report reuses the last
-        assert sizes.count(1) == 1 + len(single_rungs) + wide
-        assert report.forward_points == sum(sizes)
+        (requests,) = runs
+        valued = sum(kind == "value" for kind, _ in requests)
+        assert valued > report.iterations + 1  # some rung 0 was rejected
+        assert sizes == [1] * valued
+        assert report.forward_points == valued
         assert report.backward_passes == report.iterations + 1
 
     @pytest.mark.parametrize("stop", STOP_REASONS)
