@@ -289,8 +289,10 @@ class TestHeldPassAtDeepRungs:
         assert report.forward_points == len(built)
         assert report.backward_passes == sum(kind == "grad" for kind, _ in requests) == report.iterations + 1
 
-    def test_grape(self, monkeypatch):
-        # QFT(3) on 8 steps, seed 1, accepts rungs 2 and 5
+    @pytest.mark.parametrize("n_steps,seed,dense", [(8, 1, True), (32, 2, False)])
+    def test_grape(self, monkeypatch, n_steps, seed, dense):
+        # QFT(3): 8 steps, seed 1, accepts rungs 2 and 5 with a dense inverse
+        # Hessian; 32 steps, seed 2, accepts rung 7 with a low-rank one
         runs, built = spy_on_requests(monkeypatch), []
         real = grape._forward_pass
 
@@ -299,12 +301,15 @@ class TestHeldPassAtDeepRungs:
             return real(controls, schedule)
 
         monkeypatch.setattr(grape, "_forward_pass", spy)
-        cfg = GrapeConfig(n_steps=8, max_iters=300, seed=1)
+        cfg = GrapeConfig(n_steps=n_steps, max_iters=300, seed=seed)
         report = grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), cfg)
+        assert (report.final_schedule.amplitudes.size <= DENSE_LIMIT) == dense
         self.check(runs, built, report)
 
-    def test_shooting(self, monkeypatch):
-        # QFT(2) on 16 steps, seed 7, accepts rung 5
+    @pytest.mark.parametrize("mode,seed", [("energy_optimal", 7), ("time_optimal_renormalized", 5)])
+    def test_shooting(self, monkeypatch, mode, seed):
+        # QFT(2) on 16 steps: seed 7 accepts rung 5 in energy-optimal mode,
+        # seed 5 rung 4 in renormalized mode
         runs, built = spy_on_requests(monkeypatch), []
         real = shooting._construct_batch
 
@@ -316,7 +321,7 @@ class TestHeldPassAtDeepRungs:
         ctx = ShootingContext(
             controls=nearest_neighbor_control_set(2),
             target=target_gate("qft", 2),
-            config=MagicarpConfig(n_steps=16, max_iters=300, seed=7),
+            config=MagicarpConfig(n_steps=16, max_iters=300, seed=seed, mode=mode),
         )
         self.check(runs, built, optimize(ctx))
 

@@ -460,6 +460,18 @@ class TestStepLoopOracle:
             ref = loop_backward(loop_tape, ctx)
             assert np.linalg.norm(shooting._backward(tape, ctx) - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_objective_equals_the_tape_keeping_pass(self, mode):
+        # the runner values a list of points through the pass whose tape it
+        # holds: its values are batch_objective's on the stacked rows, and its
+        # tape gives the gradients of the stacked rows' pass
+        ctx = context(d=3, target="qft", mode=mode, n_steps=16)
+        points = np.random.default_rng(8).standard_normal((4, 8))
+        values, tape = shooting._forward(list(points), ctx)
+        assert same_bits(values, batch_objective(points, ctx))
+        stacked = shooting._backward(shooting._forward(points, ctx)[1], ctx)
+        assert same_bits(shooting._backward(tape, ctx), stacked)
+
     def test_degenerate_rows_flagged_alike(self):
         ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
         points = np.random.default_rng(4).standard_normal((3, 8))
