@@ -227,7 +227,7 @@ def bfgs_steps(
     ``MAX_BACKTRACKS`` failed rungs end it on ``line_search``.
 
     Until the first curvature pair the line search starts at
-    min(1, 1/|g|) times the step scale, 1 at first. With ``learn_step`` an
+    1/max(1, |g|) times the step scale, 1 at first. With ``learn_step`` an
     accepted step that fails the curvature test sets the scale so that the
     next search starts at twice that step; the first curvature pair sets it
     back to 1.
@@ -261,7 +261,7 @@ def bfgs_steps(
                 stop = "line_search"
                 break
 
-        alpha0 = scale * min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
+        alpha0 = scale * (1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
         for j in range(MAX_BACKTRACKS):
             alpha = alpha0 * SHRINK**j
             x_new = x + alpha * p

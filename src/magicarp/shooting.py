@@ -26,6 +26,9 @@ energy-optimal mode as one product of G_n with a fixed matrix, and carries
 [U_n, U_n g] as one stack advanced by one product per step
 (``_construct_batch``); the step is P_n = exp(i Theta_n). The fixed matrices
 of both passes are built once per context (``ShootingContext.pairings``).
+``_pairing`` makes the map X -> (1/2 Re Tr(X M_m))_m one real matrix: over the
+controls it takes G_n to v_n, over the generators (``_Pairings.to_coeffs``)
+g_bar to dJ/dc and U_n^dag H_k U_n to the certificate's design.
 
 Gradients over g are exact and reverse-mode (``reverse_gradient``). One
 forward pass builds the pulse and writes, per step and in place, U_n and the
@@ -111,7 +114,6 @@ class ShootingContext:
     controls: ControlSet
     target: np.ndarray
     config: MagicarpConfig
-    basis: GeneratorBasis = field(init=False, repr=False)
     pairings: "_Pairings" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,8 +123,7 @@ class ShootingContext:
                 f"target dimension {target.shape[0]} != control dimension {self.controls.dim}"
             )
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "basis", GeneratorBasis.create(self.controls.dim))
-        object.__setattr__(self, "pairings", _Pairings.create(self.controls, self.config.n_steps, self.basis))
+        object.__setattr__(self, "pairings", _Pairings.create(self.controls, self.config.n_steps))
 
     @property
     def n_params(self) -> int:
@@ -158,14 +159,15 @@ class _Pairings:
     pattern: np.ndarray  # (K, nnz): theta_hams_k[i_p, j_p]
 
     @classmethod
-    def create(cls, controls: ControlSet, n_steps: int, basis: GeneratorBasis) -> "_Pairings":
+    def create(cls, controls: ControlSet, n_steps: int) -> "_Pairings":
         k, d = controls.n_controls, controls.dim
+        generators = GeneratorBasis.create(d).generators
         theta_hams = (-1.0 / n_steps) * controls.hamiltonians
         to_v = _pairing(controls.hamiltonians)
         to_theta = to_v @ theta_hams.view(float).reshape(k, 2 * d * d)
         rows, cols = controls.nonzero
         return cls(
-            n_steps, basis.generators, theta_hams, to_v, to_theta, _pairing(basis.generators),
+            n_steps, generators, theta_hams, to_v, to_theta, _pairing(generators),
             rows, cols, theta_hams[:, rows, cols],
         )
 
@@ -313,22 +315,20 @@ def pulses_from_adjoint(
     n_steps: int,
     mode: str = "energy_optimal",
 ) -> tuple[PulseSchedule, PropagationResult]:
-    """Construct the pulse induced by g and propagate it."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps: expected an integer >= 1, got {n_steps!r}")
+    """Construct the pulse induced by g, with the unitaries its construction propagated."""
+    config = MagicarpConfig(n_steps=n_steps, mode=mode)
     if g.dim != controls.dim:
         raise ValueError("adjoint dimension does not match control set")
-    pairings = _Pairings.create(controls, n_steps, GeneratorBasis.create(controls.dim))
-    _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, mode)
+    pairings = _Pairings.create(controls, config.n_steps)
+    _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, config.mode)
     if not valid[0]:
         raise DegenerateEnvelopeError(
             "structural prediction has norm below "
             f"{ENVELOPE_FLOOR:g} at some step; pulse direction is undefined"
         )
     schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, 0])
-    return schedule, propagate(controls, schedule)
+    # a copy: the tape's unitaries are a view of its [U_n, U_n g] stack
+    return schedule, PropagationResult(tape.unitaries[:, 0].copy(), schedule.duration(controls.omega_max))
 
 
 def _infidelities(u_final: np.ndarray, valid: np.ndarray, context: ShootingContext) -> np.ndarray:
@@ -411,7 +411,7 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
         jac[0] = np.eye(k)
         mix[:, :, k:] = v_hat
         pair_ri = mix @ pair_ri
-    to_v, to_c0 = pair_ri[:, :, :k], pair_ri[:, :, k:]  # to_c0_n . M_n = u_bar_n . v^_n
+    pull_v, pull_c0 = pair_ri[:, :, :k], pair_ri[:, :, k:]  # pull_c0_n . M_n = u_bar_n . v^_n
 
     left = np.empty((n_steps, b, d, 2 * d), dtype=complex)  # [Y_{n+1} | g U_n^dag]
     right = np.empty((n_steps, b, 2 * d, d), dtype=complex)  # [P_n ; S_n]
@@ -428,19 +428,19 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     overlap = np.sum((context.target.conj() * tape.unitaries[-1]).reshape(b, d * d), axis=1)
     np.multiply((-2.0 * overlap.conj() / d**2)[:, None, None], context.target.conj().T, out=y[-1])
     # per-step views, taken once: indexing a view costs about as much as a product's dispatch
-    sweep = list(zip(y, q, qu, m, m_ri, to_v, v_bar, v_bar_t, s_ri, left, right, [None, *y]))
-    for y_n, q_n, qu_n, m_n, m_ri_n, to_v_n, v_bar_n, v_bar_t_n, s_ri_n, left_n, right_n, y_prev in reversed(sweep):
+    sweep = list(zip(y, q, qu, m, m_ri, pull_v, v_bar, v_bar_t, s_ri, left, right, [None, *y]))
+    for y_n, q_n, qu_n, m_n, m_ri_n, pull_v_n, v_bar_n, v_bar_t_n, s_ri_n, left_n, right_n, y_prev in reversed(sweep):
         np.matmul(qu_n, np.matmul(y_n, q_n, out=yq), out=m_n)
-        np.matmul(to_v_n, m_ri_n, out=v_bar_n)
+        np.matmul(pull_v_n, m_ri_n, out=v_bar_n)
         if y_prev is not None:  # step 0 ends the sweep
             np.matmul(v_bar_t_n, hams_ri, out=s_ri_n)
             np.matmul(left_n, right_n, out=y_prev)
     if renorm:
-        # c0_bar = sum_{n>0} to_c0_n . M_n, one dot per row over its steps
+        # c0_bar = sum_{n>0} pull_c0_n . M_n, one dot per row over its steps
         def by_row(a):
             return np.ascontiguousarray(a[1:].swapaxes(0, 1)).reshape(b, 1, -1)
 
-        c0_bar = by_row(to_c0) @ by_row(m_ri).swapaxes(-1, -2)
+        c0_bar = by_row(pull_c0) @ by_row(m_ri).swapaxes(-1, -2)
         v_bar[0] += (c0_bar / tape.c0[:, None, None]) * tape.v[0, :, :, None]
     np.matmul(v_bar_t[0], hams_ri, out=s_ri[0])
 
@@ -551,25 +551,24 @@ def optimality_certificate(schedule: PulseSchedule, controls: ControlSet) -> Cer
     of a time-optimal pulse. Steps with vanishing envelope are excluded and
     counted.
     """
-    basis = GeneratorBasis.create(controls.dim)
+    d = controls.dim
     result = propagate(controls, schedule)
     env = schedule.envelope
     keep = env >= ENVELOPE_FLOOR
     if not keep.any():
         raise ValueError("schedule envelope is zero everywhere; nothing to certify")
-    unitaries = result.unitaries[:-1][keep]
+    unitaries = result.unitaries[:-1][keep, None]
     targets = (schedule.amplitudes[keep] / env[keep][:, None]).ravel()
-    evolved = np.einsum(
-        "nab,mbc,ndc->nmad", unitaries, basis.generators, unitaries.conj()
-    )
-    design = 0.5 * np.einsum("nmab,kba->nkm", evolved, controls.hamiltonians).real
-    design = design.reshape(-1, basis.size)
+    # D_n[k, m] = 1/2 Re Tr(U_n G_m U_n^dag H_k) = 1/2 Re Tr((U_n^dag H_k U_n) G_m):
+    # the K conjugated controls of each kept step, paired with the generators
+    conjugated = unitaries.conj().swapaxes(-1, -2) @ controls.hamiltonians @ unitaries
+    design = conjugated.view(float).reshape(-1, 2 * d * d) @ _pairing(GeneratorBasis.create(d).generators)
     coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
     residual = float(
         np.linalg.norm(design @ coeffs - targets) / np.sqrt(targets.size)
     )
     return CertificateResult(
-        g_fit=AdjointMatrix(controls.dim, coeffs),
+        g_fit=AdjointMatrix(d, coeffs),
         residual=residual,
         n_excluded=int((~keep).sum()),
     )

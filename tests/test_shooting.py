@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import magicarp.shooting as shooting
-from magicarp.propagation import PulseSchedule, exp_divided_differences
-from magicarp.qudit import AdjointMatrix, ControlSet, nearest_neighbor_control_set, target_gate
+from magicarp.propagation import PulseSchedule, exp_divided_differences, propagate
+from magicarp.qudit import AdjointMatrix, ControlSet, GeneratorBasis, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import (
     ENVELOPE_FLOOR,
     MODES,
@@ -138,6 +138,24 @@ class TestPulsesFromAdjoint:
         # checked before the step generators, which carry -1 / n_steps, are formed
         with pytest.raises(ValueError, match="n_steps: expected an integer >= 1, got 0"):
             pulses_from_adjoint(AdjointMatrix(2, np.zeros(3)), nearest_neighbor_control_set(2), 0)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match="^mode: "):
+            pulses_from_adjoint(AdjointMatrix(2, np.zeros(3)), nearest_neighbor_control_set(2), 8, "bolza")
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 64, 128])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_unitaries_equal_a_fresh_propagation(self, d, mode, n_steps):
+        # the result keeps the unitaries its construction propagated rather than
+        # propagating the pulse a second time
+        ctrl = nearest_neighbor_control_set(d)
+        g = AdjointMatrix(d, np.random.default_rng(d * n_steps).standard_normal(d * d - 1))
+        schedule, res = pulses_from_adjoint(g, ctrl, n_steps, mode)
+        ref = propagate(ctrl, schedule)
+        assert res.unitaries.shape == ref.unitaries.shape == (n_steps + 1, d, d)
+        assert np.max(np.abs(res.unitaries - ref.unitaries)) <= 1e-13
+        assert res.duration == ref.duration
 
 
 class TestObjective:
@@ -342,7 +360,7 @@ def loop_backward(tape, context):
     grads = np.empty((b, context.n_params))
     for i in range(b):
         g_bar = 0.5 * np.einsum("nji,njk,nkl->il", units[i].conj(), s_all[i], units[i])
-        grads[i] = np.einsum("mij,ji->m", context.basis.generators, g_bar).real
+        grads[i] = np.einsum("mij,ji->m", GeneratorBasis.create(d).generators, g_bar).real
     return grads
 
 
@@ -443,7 +461,7 @@ class TestStepLoopOracle:
         rtol = self.RTOL[kind]
         points = np.random.default_rng(10 * d).standard_normal((3, d * d - 1))
         for batch in (points, points[1:2]):
-            _, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, ctx.basis, True)
+            _, ref_final, ref_valid, ref_tape = loop_construct_batch(batch, controls, 12, mode, GeneratorBasis.create(d), True)
             final, valid, tape = shooting._construct_batch(batch, ctx.pairings, mode)
             assert rel_err(final, ref_final) <= rtol
             assert same_bits(valid, ref_valid)
@@ -476,7 +494,7 @@ class TestStepLoopOracle:
         ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
         points = np.random.default_rng(4).standard_normal((3, 8))
         points[1] = 0.0
-        ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, ctx.basis)
+        ref = loop_construct_batch(points, ctx.controls, 6, ctx.config.mode, GeneratorBasis.create(3))
         _, valid, tape = shooting._construct_batch(points, ctx.pairings, ctx.config.mode)
         assert list(valid) == list(ref[2]) == [True, False, True]
         assert rel_err(tape.amplitudes.swapaxes(0, 1), ref[0]) <= 1e-12
@@ -679,7 +697,63 @@ class TestLockstep:
         self.assert_lone(ctx, range(5), reports)
 
 
+def reference_certificate(schedule, controls):
+    """The certificate's least-squares problem as it was formed before the
+    design came from the generator pairing: U_n G_m U_n^dag for every step and
+    generator, an (N, d^2-1, d, d) stack, paired with each control.
+
+    Returns (design, targets, n_excluded, residual).
+    """
+    basis = GeneratorBasis.create(controls.dim)
+    env = schedule.envelope
+    keep = env >= ENVELOPE_FLOOR
+    unitaries = propagate(controls, schedule).unitaries[:-1][keep]
+    targets = (schedule.amplitudes[keep] / env[keep][:, None]).ravel()
+    evolved = np.einsum("nab,mbc,ndc->nmad", unitaries, basis.generators, unitaries.conj())
+    design = (0.5 * np.einsum("nmab,kba->nkm", evolved, controls.hamiltonians).real).reshape(-1, basis.size)
+    coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    return design, targets, int((~keep).sum()), rms(design @ coeffs - targets)
+
+
+def rms(r):
+    return float(np.linalg.norm(r) / np.sqrt(r.size))
+
+
 class TestCertificate:
+    @staticmethod
+    def oracle_pulses(d, n_steps):
+        """A random pulse, the same with its middle step zeroed (for N >= 2), and
+        the pulse of a random g in each mode."""
+        ctrl = nearest_neighbor_control_set(d)
+        rng = np.random.default_rng(100 * d + n_steps)
+        amps = 2.0 * rng.standard_normal((n_steps, ctrl.n_controls))
+        pulses = [amps]
+        if n_steps >= 2:
+            pulses.append(amps.copy())
+            pulses[-1][n_steps // 2] = 0.0
+        g = AdjointMatrix(d, rng.standard_normal(d * d - 1))
+        pulses += [pulses_from_adjoint(g, ctrl, n_steps, mode)[0].amplitudes for mode in MODES]
+        return ctrl, [PulseSchedule.from_amplitudes(a) for a in pulses]
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 32, 128])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_fit_equals_the_evolved_generator_design(self, d, n_steps):
+        # the fitted g itself is not compared: where the design is ill-conditioned
+        # or rank-deficient (N K < d^2 - 1), g_fit moves with the design's rounding.
+        # A residual rounds to about eps |targets| absolute, hence the 1e-15 floor
+        # (a d = 2 residual of 1.2e-6 moves by 1.3e-17)
+        ctrl, schedules = self.oracle_pulses(d, n_steps)
+        excluded = []
+        for schedule in schedules:
+            cert = optimality_certificate(schedule, ctrl)
+            design, targets, n_excluded, residual = reference_certificate(schedule, ctrl)
+            tol = max(1e-12 * residual, 1e-15)
+            assert abs(cert.residual - residual) <= tol
+            assert abs(rms(design @ cert.g_fit.coeffs - targets) - residual) <= tol
+            assert cert.n_excluded == n_excluded
+            excluded.append(cert.n_excluded)
+        assert excluded == ([0, 1, 0, 0] if n_steps >= 2 else [0, 0, 0])
+
     def test_renormalized_self_consistency(self):
         # adjoint inside the control span keeps the renormalization factors
         # at one, so the fit must be essentially exact and proportional to g
