@@ -308,8 +308,16 @@ def cmd_grape(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
     return lambda: _write_run(grape_optimize(target, controls, config), cfg, args.out)
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (a process pinned by ``taskset`` sees its own share), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]:
-    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+    workers = _default_workers() if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError("--workers must be >= 1")
     magicarp = _build("magicarp", cfg)
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, parents=[common], help=help_text)
         if schedule_help is not None:
             command.add_argument("schedule", help=schedule_help)
-    sub.choices["benchmark"].add_argument("--workers", type=int, help="worker processes (default: the CPU count)")
+    sub.choices["benchmark"].add_argument("--workers", type=int, help="worker processes (default: the CPUs this process may run on)")
     return parser
 
 

@@ -45,6 +45,8 @@ rungs it ends on ``line_search``.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import InitVar, dataclass
 from typing import Callable, ClassVar, Generator, Sequence
 
@@ -153,6 +155,12 @@ class OptimizationReport:
     forward_points: int = 0  # points whose forward pass was built, one per valued point or rebuilt report
     backward_passes: int = 0  # gradients contracted
     curvature_updates: int = 0  # MinimizeResult.curvature_updates
+    # seconds of the runner's rounds the run took part in, of its whole lockstep
+    # group as wall_time is: in forward passes, in backward passes, and the rest
+    # (BFGS arithmetic and the runner itself)
+    forward_s: float = 0.0
+    backward_s: float = 0.0
+    bookkeeping_s: float = 0.0
 
 
 def _rank_two_term(s: np.ndarray, y: np.ndarray, hy: np.ndarray) -> np.ndarray:
@@ -261,12 +269,12 @@ def bfgs_steps(
                 stop = "line_search"
                 break
 
-        alpha0 = scale * (1.0 / max(1.0, float(np.linalg.norm(g)))) if first_update else 1.0
+        alpha0 = scale * (1.0 / max(1.0, math.sqrt(g @ g))) if first_update else 1.0
         for j in range(MAX_BACKTRACKS):
             alpha = alpha0 * SHRINK**j
             x_new = x + alpha * p
             # rounding is monotone, so once a rung leaves x unchanged every smaller one does too
-            if np.array_equal(x_new, x):
+            if (x_new == x).all():
                 stop = "resolution"
                 break
             f_new = float((yield ("value", x_new)))
@@ -281,7 +289,7 @@ def bfgs_steps(
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > CURVATURE_FLOOR * math.sqrt(s @ s) * math.sqrt(y @ y):
             if first_update:
                 h_inv.reset(sy / float(y @ y))
                 first_update, scale = False, 1.0
@@ -311,7 +319,8 @@ class LockstepRun:
     It keeps its generator, its pending ``request`` and the bytes
     ``point_key`` of that request's point; the pass ``held`` (value, tape and
     row) of the last point it valued and the bytes ``key`` of that point; its
-    counts; and how it ended, ``result`` or the ``error`` it raised.
+    counts and phase seconds; and how it ended, ``result`` or the ``error``
+    it raised.
     """
 
     def __init__(self, steps: Generator):
@@ -319,6 +328,7 @@ class LockstepRun:
         self.key = self.held = self.result = self.error = None
         self.forward_points = 0  # points whose forward pass was built
         self.backward_passes = 0
+        self.forward_s = self.backward_s = self.bookkeeping_s = 0.0
         self.reply(None)
 
     def reply(self, value) -> None:
@@ -348,6 +358,9 @@ class LockstepRun:
             forward_points=self.forward_points,
             backward_passes=self.backward_passes,
             curvature_updates=result.curvature_updates,
+            forward_s=self.forward_s,
+            backward_s=self.backward_s,
+            bookkeeping_s=self.bookkeeping_s,
         )
 
 
@@ -394,16 +407,27 @@ def run_lockstep(
     forward pass is held. So the gradient at an accepted rung, whatever its
     depth, costs only its backward pass. Where the callables compute each
     row as they would alone, every run follows the iterates of its lone run.
-    ``learn_step`` goes to every run's ``bfgs_steps``.
+    ``learn_step`` goes to every run's ``bfgs_steps``. Each run adds the
+    seconds of every round it takes part in to its ``forward_s`` (inside
+    ``forward``), ``backward_s`` (inside ``backward``) and ``bookkeeping_s``
+    (the rest of the round).
 
     Returns one finished run per point, in order, holding the pass of its
     final point, or the ``ValueError`` or ``RuntimeError`` that ended that
     run; other errors propagate.
     """
     runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, learn_step=learn_step)) for x0 in x0s]
+    spent = [0.0, 0.0]  # the round's seconds inside forward and inside backward
+
+    def timed(phase, evaluate, args):
+        t0 = time.perf_counter()
+        try:
+            return evaluate(args)
+        finally:
+            spent[phase] += time.perf_counter() - t0
 
     def hold_passes(group):
-        values, tape = forward([run.request[1] for run in group])
+        values, tape = timed(0, forward, [run.request[1] for run in group])
         return [(value, tape, row) for row, value in enumerate(values)]
 
     def hold(run, held):
@@ -411,13 +435,15 @@ def run_lockstep(
         run.forward_points += 1
 
     def gradients(group):
-        return backward([run.held[1:] for run in group])
+        return timed(1, backward, [run.held[1:] for run in group])
 
     def answer_gradient(run, grad):
         run.backward_passes += 1
         run.reply(grad)
 
     while live := [run for run in runs if run.request is not None]:
+        spent[:] = 0.0, 0.0
+        start = time.perf_counter()
         # (A) forward passes at the points not held; then answer the value requests
         _serve([run for run in live if run.point_key != run.key], hold_passes, hold)
         for run in live:
@@ -432,4 +458,9 @@ def run_lockstep(
             gradients,
             answer_gradient,
         )
+        rest = time.perf_counter() - start - spent[0] - spent[1]
+        for run in live:
+            run.forward_s += spent[0]
+            run.backward_s += spent[1]
+            run.bookkeeping_s += rest
     return [run.error if run.error is not None else run for run in runs]

@@ -9,7 +9,9 @@ it is the plain envelope integral, i.e. T in units of 1/omega_max).
 
 ``step_eigensystems`` is the one step kernel and ``accumulate`` the one loop
 of step products; only the shooting construction, whose every step depends
-on the state before it, interleaves its own. The kernel takes the scaled
+on the state before it, interleaves its own. The loop calls each step's
+bound ``ndarray.dot``, which on 2-D complex arrays gives the bits of ``@``
+at less cost per call. The kernel takes the scaled
 generator Theta = -dt H, so that the step is exp(i Theta): numpy's ``eigh``
 gufunc, called directly, writes the eigenvalues theta of Theta into the
 imaginary part of a phase buffer, and one ``exp`` of that buffer gives the
@@ -25,9 +27,13 @@ of 64 steps at d = 5, and returns the eigenvectors as their real factors
 q = D Q_T: the real Q_T and the gauge's phases. Each step
 D (Q_T e^{i theta} Q_T^T) D^dag is then one real product on the float view
 of the complex e^{i theta} Q_T^T, scaled by the gauge, instead of a complex
-q e^{i theta} q^dag. The shooting construction keeps the complex kernel:
-it exponentiates one step at a time for at most 32 restarts, where forming
-the gauge costs more numpy calls than the real ``eigh`` saves.
+q e^{i theta} q^dag. The gauge's phases are divided without a mask unless
+some superdiagonal amplitude is exactly 0, and T's diagonal is a product
+only for a set that has one (``ControlSet.has_diagonal``); the
+adjacent-level sets the CLI and ``bench`` use have none. The shooting
+construction keeps the complex kernel: it exponentiates one step at a time
+for at most 32 restarts, where forming the gauge costs more numpy calls
+than the real ``eigh`` saves.
 """
 
 from __future__ import annotations
@@ -171,7 +177,7 @@ def exp_divided_differences(theta: np.ndarray) -> np.ndarray:
     """
     half = 0.5 * theta
     x = half[..., :, None] - half[..., None, :]
-    x += (x == 0) * 1e-300
+    np.copyto(x, 1e-300, where=x == 0)
     ratio = np.sin(x)
     ratio /= x
     half_phases = np.zeros(theta.shape, dtype=complex)
@@ -212,14 +218,18 @@ def pulse_eigensystems(
             return step_eigensystems(theta)
     n, d = schedule.n_steps, controls.dim
     gauged = np.zeros((n, d * d))  # T_n, flat
-    np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
+    if controls.has_diagonal:
+        np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
     off = amplitudes @ controls.superdiagonal
     magnitude = np.abs(off, out=gauged[:, d :: d + 1])  # the subdiagonal, which eigh reads
     g = np.ones((n, d), dtype=complex)
     i_theta = np.zeros((n, d), dtype=complex)
     q_real = np.empty((n, d, d))
     with eigh_guard():
-        np.divide(off.conj(), magnitude, out=g[:, 1:], where=magnitude != 0)
+        if magnitude.all():
+            np.divide(off.conj(), magnitude, out=g[:, 1:])
+        else:
+            np.divide(off.conj(), magnitude, out=g[:, 1:], where=magnitude != 0)
         np.multiply.accumulate(g[:, 1:], axis=1, out=g[:, 1:])
         _umath_linalg.eigh_lo(gauged.reshape(n, d, d), out=(i_theta.imag, q_real))
         e_qt = np.multiply(np.exp(i_theta)[:, :, None], q_real.swapaxes(-1, -2), out=np.empty((n, d, d), dtype=complex))
@@ -244,7 +254,7 @@ def accumulate(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray
     products[0] = np.eye(d) if start is None else start
     rows = list(products)
     for step, before, after in zip(steps, rows, rows[1:]):
-        np.matmul(step, before, out=after)
+        step.dot(before, after)
     return products
 
 

@@ -475,6 +475,27 @@ class TestBenchmarkCommand:
         assert rc == EXIT_INVALID
         assert "error: --workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_workers_are_the_cpus_the_process_may_run_on(self, tmp_path, monkeypatch, affinity):
+        # pinned to one of two CPUs, a campaign starts one process, not two;
+        # without an affinity mask the CPU count decides
+        used = []
+
+        def serial(spec, workers):
+            used.append(workers)
+            return real_campaign(spec, 1)
+
+        real_campaign = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign", serial)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        cfg = write_config(tmp_path, {"magicarp": FAST_MAGICARP, "benchmark": {"dims": [2], "runs_per_dim": 2}})
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "bench")]) == EXIT_OK
+        assert used == [1 if affinity else 2]
+
     def test_best_row_replays_with_optimize(self, tmp_path):
         # the Hadamard recipe: a campaign, then `optimize --seed` on the seed of
         # its minimal-duration converged row reproduces that row bit for bit

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from magicarp import grape, optimizer, shooting
 from magicarp.grape import GrapeConfig, grape_optimize
 from magicarp.optimizer import DENSE_LIMIT, InverseHessian, bfgs_steps, run_lockstep
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
-from magicarp.shooting import MagicarpConfig, ShootingContext, optimize, run_restarts
+from magicarp.shooting import MagicarpConfig, ShootingContext, optimize, report_to_dict, run_restarts
 
 from conftest import same_bits, spy_on_requests
 
@@ -172,6 +173,40 @@ class TestRunLockstep:
         assert outcomes[0].result.trace == alone.result.trace
         assert same_bits(outcomes[0].result.x, alone.result.x)
         assert (outcomes[0].forward_points, outcomes[0].backward_passes) == (alone.forward_points, alone.backward_passes)
+
+    def test_phase_seconds_land_in_their_phase(self):
+        # a forward pass that sleeps 5 ms, against a backward pass and BFGS
+        # arithmetic on two parameters that take microseconds
+        fun, grad = quadratic(np.array([1.0, -2.0]))
+
+        def forward(points):
+            time.sleep(0.005)
+            return [fun(x) for x in points], points
+
+        def backward(held):
+            return [grad(tape[row]) for tape, row in held]
+
+        (run,) = run_lockstep([np.zeros(2)], forward, backward, tol=1e-12, max_iters=50)
+        assert run.result.stop_reason == "tol" and run.forward_points >= 3
+        assert run.forward_s >= 0.005 * run.forward_points
+        assert 0.0 < run.backward_s + run.bookkeeping_s < run.forward_s
+
+    def test_phase_seconds_stay_in_memory(self):
+        # a GRAPE run and a lockstep group of two shooting restarts: each run's
+        # phases are seconds of its group's rounds, and no file sees them
+        ctx = ShootingContext(
+            controls=nearest_neighbor_control_set(3),
+            target=target_gate("qft", 3),
+            config=MagicarpConfig(n_steps=16, max_iters=40),
+        )
+        reports = run_restarts(ctx, [0, 1]) + [
+            grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), GrapeConfig(n_steps=16, seed=1))
+        ]
+        for report in reports:
+            phases = (report.forward_s, report.backward_s, report.bookkeeping_s)
+            assert min(phases) > 0.0
+            assert sum(phases) <= report.wall_time
+            assert not {"forward_s", "backward_s", "bookkeeping_s"} & set(report_to_dict(report))
 
     def test_programming_error_propagates(self):
         def forward(points):

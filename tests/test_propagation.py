@@ -300,13 +300,16 @@ class TestAccumulate:
             assert np.array_equal(products[4], steps[3] @ (steps[2] @ (steps[1] @ (steps[0] @ x0))))
 
 
-    def test_equals_the_step_loop_bitwise(self, rng):
-        steps = np.stack([random_unitary(rng, 5) for _ in range(64)])
-        start = random_unitary(rng, 5)
-        for begin, x0 in ((None, np.eye(5, dtype=complex)), (start, start)):
-            ref = np.empty((65, 5, 5), dtype=complex)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_equals_the_step_loop_bitwise(self, rng, d, n):
+        # the chain calls each step's bound dot; the loop is the @ it replaces
+        steps = np.stack([random_unitary(rng, d) for _ in range(n)])
+        start = random_unitary(rng, d)
+        for begin, x0 in ((None, np.eye(d, dtype=complex)), (start, start)):
+            ref = np.empty((n + 1, d, d), dtype=complex)
             ref[0] = x0
-            for i in range(64):
+            for i in range(n):
                 ref[i + 1] = steps[i] @ ref[i]
             assert same_bits(accumulate(steps, begin), ref)
 
