@@ -27,10 +27,9 @@ a held pass. The line search values one rung at a time and the runner holds
 the pass of each point it values, so the gradient at an accepted rung and
 the final report build no second pass. The held pass (``_held_pass``) also
 keeps the overlap Tr(V^dag U_N) the objective forms, which the gradient and
-the report read instead of forming it again, and ``grape_optimize``
-conjugates V once per run for every pass and gradient. The report counts
-the passes built, the gradients contracted and the curvature updates BFGS
-took, and the runner's phase seconds (in memory only).
+the report read instead of forming it again. The report counts the passes
+built, the gradients contracted and the curvature updates BFGS took, and
+the runner's phase seconds (in memory only).
 
 A random start lies in a region where the infidelity is concave, where
 s.y < 0 leaves BFGS without curvature and its first steps at most |g|
@@ -53,6 +52,8 @@ from .propagation import (
     PulseSchedule,
     accumulate,
     exp_divided_differences,
+    gate_overlap,
+    infidelity_from_overlap,
     pulse_eigensystems,
 )
 from .qudit import ControlSet, assert_unitary, tau_qsl
@@ -85,18 +86,11 @@ def _forward_pass(controls: ControlSet, schedule: PulseSchedule) -> tuple:
     return theta, q, accumulate(steps)
 
 
-def _held_pass(controls: ControlSet, schedule: PulseSchedule, target_conj: np.ndarray) -> tuple:
+def _held_pass(controls: ControlSet, schedule: PulseSchedule, target: np.ndarray) -> tuple:
     """The pass the objective and the gradient read: ``_forward_pass`` and the
-    overlap Tr(V^dag U_N) = sum(conj(V) o U_N), given conj(V)."""
+    overlap Tr(V^dag U_N) of the target V."""
     theta, q, products = _forward_pass(controls, schedule)
-    if target_conj.shape != products[-1].shape:
-        raise ValueError(f"dimension mismatch: {target_conj.shape} vs {products[-1].shape}")
-    return theta, q, products, np.sum(target_conj * products[-1])
-
-
-def _infidelity(overlap: complex, d: int) -> float:
-    """``normalized_infidelity`` from the overlap Tr(V^dag U_N), in its arithmetic."""
-    return 1.0 - float(abs(overlap) ** 2) / d**2
+    return theta, q, products, gate_overlap(target, products[-1])
 
 
 def grape_objective(
@@ -111,8 +105,8 @@ def grape_objective(
 
     ``forward`` is the schedule's held pass (``_held_pass``) if the caller already holds it.
     """
-    overlap = (_held_pass(controls, schedule, target.conj()) if forward is None else forward)[3]
-    value = _infidelity(overlap, controls.dim)
+    overlap = (_held_pass(controls, schedule, target) if forward is None else forward)[3]
+    value = infidelity_from_overlap(overlap, controls.dim)
     if penalty_weight != 0.0:
         value += penalty_weight * energy_integral(schedule) / tau_qsl(
             controls.dim, controls.omega_max
@@ -127,26 +121,22 @@ def grape_gradient(
     penalty_weight: float = 0.0,
     *,
     forward: tuple | None = None,
-    target_conj: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact gradient of ``grape_objective`` w.r.t. every amplitude, shape (N, K).
 
-    ``forward`` is the schedule's held pass (``_held_pass``) and ``target_conj``
-    conj(V), if the caller already holds them.
+    ``forward`` is the schedule's held pass (``_held_pass``) if the caller already holds it.
     """
     d = controls.dim
     dt = schedule.dt
-    if target_conj is None:
-        target_conj = target.conj()
     # L_n = P_{n-1} ... P_0
-    theta, q, fwd, overlap = _held_pass(controls, schedule, target_conj) if forward is None else forward
+    theta, q, fwd, overlap = _held_pass(controls, schedule, target) if forward is None else forward
 
     # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) = Tr(M_n D_{n,k}) with
     # W = V^dag U_N and M_n = L_n W L_{n+1}^dag. With P_n = exp(i Theta_n),
     # Theta_n = -dt H_n, in the step eigenbasis D = -dt Q (phi o (Q^dag H_k Q)) Q^dag,
     # and phi is symmetric, so Tr(M D) = -dt sum_ab X_ba H_k,ab with
     # X = Q (phi o (Q^dag M Q)) Q^dag, the -dt taken into the final factor.
-    w_mat = target_conj.T @ fwd[-1]
+    w_mat = target.conj().T @ fwd[-1]
     phi = exp_divided_differences(theta)
     if controls.tridiagonal:
         grad_tau = _gauged_contraction(fwd, w_mat, phi, *q, controls)
@@ -214,23 +204,20 @@ def grape_optimize(
     if target.shape[0] != controls.dim:
         raise ValueError("target dimension does not match control set")
     n, k, weight = config.n_steps, controls.n_controls, config.penalty_weight
-    target_conj = target.conj()
 
     def forward(points: list[np.ndarray]) -> tuple[list[float], list[tuple[PulseSchedule, tuple]]]:
         """The objective at each point, and the tape of their held passes: (schedule, pass) per point."""
         tape = []
         for x in points:
             schedule = PulseSchedule.from_amplitudes(x.reshape(n, k))
-            tape.append((schedule, _held_pass(controls, schedule, target_conj)))
+            tape.append((schedule, _held_pass(controls, schedule, target)))
         return [grape_objective(s, target, controls, weight, forward=passed) for s, passed in tape], tape
 
     def backward(held: list[tuple[list, int]]) -> list[np.ndarray]:
         grads = []
         for tape, row in held:
             schedule, passed = tape[row]
-            grads.append(
-                grape_gradient(schedule, target, controls, weight, forward=passed, target_conj=target_conj).ravel()
-            )
+            grads.append(grape_gradient(schedule, target, controls, weight, forward=passed).ravel())
         return grads
 
     x0 = initial_schedule(config, k).amplitudes.ravel()
@@ -243,7 +230,7 @@ def grape_optimize(
         raise run
     _, tape, row = run.held
     schedule, (*_, overlap) = tape[row]
-    infidelity = _infidelity(overlap, controls.dim)
+    infidelity = infidelity_from_overlap(overlap, controls.dim)
     return run.report(
         final_g=None,
         final_schedule=schedule,

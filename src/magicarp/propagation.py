@@ -27,13 +27,9 @@ of 64 steps at d = 5, and returns the eigenvectors as their real factors
 q = D Q_T: the real Q_T and the gauge's phases. Each step
 D (Q_T e^{i theta} Q_T^T) D^dag is then one real product on the float view
 of the complex e^{i theta} Q_T^T, scaled by the gauge, instead of a complex
-q e^{i theta} q^dag. The gauge's phases are divided without a mask unless
-some superdiagonal amplitude is exactly 0, and T's diagonal is a product
-only for a set that has one (``ControlSet.has_diagonal``); the
-adjacent-level sets the CLI and ``bench`` use have none. The shooting
-construction keeps the complex kernel: it exponentiates one step at a time
-for at most 32 restarts, where forming the gauge costs more numpy calls
-than the real ``eigh`` saves.
+q e^{i theta} q^dag. The shooting construction keeps the complex kernel:
+it exponentiates one step at a time for at most 32 restarts, where forming
+the gauge costs more numpy calls than the real ``eigh`` saves.
 """
 
 from __future__ import annotations
@@ -218,18 +214,14 @@ def pulse_eigensystems(
             return step_eigensystems(theta)
     n, d = schedule.n_steps, controls.dim
     gauged = np.zeros((n, d * d))  # T_n, flat
-    if controls.has_diagonal:
-        np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
+    np.matmul(amplitudes, controls.diagonal, out=gauged[:, :: d + 1])
     off = amplitudes @ controls.superdiagonal
     magnitude = np.abs(off, out=gauged[:, d :: d + 1])  # the subdiagonal, which eigh reads
     g = np.ones((n, d), dtype=complex)
     i_theta = np.zeros((n, d), dtype=complex)
     q_real = np.empty((n, d, d))
     with eigh_guard():
-        if magnitude.all():
-            np.divide(off.conj(), magnitude, out=g[:, 1:])
-        else:
-            np.divide(off.conj(), magnitude, out=g[:, 1:], where=magnitude != 0)
+        np.divide(off.conj(), magnitude, out=g[:, 1:], where=magnitude != 0)
         np.multiply.accumulate(g[:, 1:], axis=1, out=g[:, 1:])
         _umath_linalg.eigh_lo(gauged.reshape(n, d, d), out=(i_theta.imag, q_real))
         e_qt = np.multiply(np.exp(i_theta)[:, :, None], q_real.swapaxes(-1, -2), out=np.empty((n, d, d), dtype=complex))
@@ -264,19 +256,29 @@ def propagate(controls: ControlSet, schedule: PulseSchedule) -> PropagationResul
     return PropagationResult(unitaries=accumulate(steps), duration=schedule.duration(controls.omega_max))
 
 
-def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
-    """|Tr(U_target^dag U)|^2, in [0, d^2], invariant under global phases."""
+def gate_overlap(u_target: np.ndarray, u_final: np.ndarray) -> complex:
+    """Tr(U_target^dag U) = sum(conj(U_target) o U)."""
     u_target = np.asarray(u_target)
     u_final = np.asarray(u_final)
     if u_target.shape != u_final.shape:
         raise ValueError(f"dimension mismatch: {u_target.shape} vs {u_final.shape}")
-    return float(abs(np.sum(u_target.conj() * u_final)) ** 2)
+    return np.sum(u_target.conj() * u_final)
+
+
+def infidelity_from_overlap(overlap: complex, d: int) -> float:
+    """1 - |overlap|^2 / d^2: the normalized infidelity of a d x d gate pair
+    whose ``gate_overlap`` is ``overlap``."""
+    return 1.0 - float(abs(overlap) ** 2) / d**2
+
+
+def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
+    """|Tr(U_target^dag U)|^2, in [0, d^2], invariant under global phases."""
+    return float(abs(gate_overlap(u_target, u_final)) ** 2)
 
 
 def normalized_infidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
     """1 - |Tr(U_target^dag U)|^2 / d^2, in [0, 1]."""
-    d = np.asarray(u_target).shape[0]
-    return 1.0 - gate_fidelity(u_target, u_final) / d**2
+    return infidelity_from_overlap(gate_overlap(u_target, u_final), np.asarray(u_target).shape[0])
 
 
 def verify_adjoint_constancy(

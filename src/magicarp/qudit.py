@@ -148,8 +148,8 @@ class ControlSet:
     ``tridiagonal`` records once whether every control is zero off the
     tridiagonal band (true of adjacent-level sets); the step kernel of whole
     pulses then builds each step generator from ``superdiagonal`` and
-    ``diagonal`` alone, the latter only if ``has_diagonal``, and GRAPE's
-    gradient contracts only the entries ``nonzero`` of its derivative matrices.
+    ``diagonal`` alone, and GRAPE's gradient contracts only the entries
+    ``nonzero`` of its derivative matrices.
     """
 
     dim: int
@@ -158,7 +158,6 @@ class ControlSet:
     tridiagonal: bool = field(init=False, repr=False, compare=False)
     superdiagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d-1): H_k[j, j+1]
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)  # (K, d): H_k[j, j], real
-    has_diagonal: bool = field(init=False, repr=False, compare=False)  # whether some H_k[j, j] != 0
     nonzero: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # where some H_k != 0
 
     def __post_init__(self):
@@ -179,7 +178,6 @@ class ControlSet:
         object.__setattr__(self, "tridiagonal", not np.any(h[:, off_band]))
         object.__setattr__(self, "superdiagonal", np.ascontiguousarray(np.diagonal(h, 1, 1, 2)))
         object.__setattr__(self, "diagonal", np.ascontiguousarray(np.diagonal(h, 0, 1, 2).real))
-        object.__setattr__(self, "has_diagonal", bool(self.diagonal.any()))
         object.__setattr__(self, "nonzero", np.nonzero(np.any(h != 0, axis=0)))
 
     @property
