@@ -42,7 +42,6 @@ makes a dense array of them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,22 +220,12 @@ def grape_optimize(
         return grads
 
     x0 = initial_schedule(config, k).amplitudes.ravel()
-    t0 = time.perf_counter()
     run = run_lockstep(
         [x0], forward, backward, tol=config.convergence_tol, max_iters=config.max_iters, learn_step=True
     )[0]
-    wall = time.perf_counter() - t0
     if isinstance(run, Exception):
         raise run
     _, tape, row = run.held
     schedule, (*_, overlap) = tape[row]
     infidelity = infidelity_from_overlap(overlap, controls.dim)
-    return run.report(
-        final_g=None,
-        final_schedule=schedule,
-        infidelity=infidelity,
-        duration=schedule.duration(controls.omega_max),
-        converged=infidelity <= config.convergence_tol,
-        seed=config.seed,
-        wall_time=wall,
-    )
+    return run.report(schedule, infidelity, controls.omega_max, final_g=None, seed=config.seed)

@@ -31,7 +31,8 @@ holds the pass of each run's last valued point, so the gradient at an
 accepted rung and the final report build no second pass, counts the points
 and gradients each run costs, and keeps a numerical failure to the run that
 raised it. Shooting supplies batched passes (``shooting.run_restarts``),
-GRAPE per-point passes (``grape.grape_optimize``).
+GRAPE per-point passes (``grape.grape_optimize``); both report through
+``LockstepRun.report``.
 
 Determinism contract: for fixed inputs the iterate sequence, accepted cost
 trace, and stop reason are reproducible bitwise. The line search is
@@ -149,7 +150,7 @@ class OptimizationReport:
     iterations: int
     converged: bool
     seed: int
-    wall_time: float  # of the whole lockstep group for a shooting restart
+    wall_time: float  # of run_lockstep's whole call: the lockstep group's for a shooting restart
     stop_reason: str  # MinimizeResult.stop_reason; in memory only, not in report_to_dict
     # in memory only as well
     forward_points: int = 0  # points whose forward pass was built, one per valued point or rebuilt report
@@ -316,19 +317,20 @@ def bfgs_steps(
 class LockstepRun:
     """One BFGS run of ``run_lockstep``.
 
-    It keeps its generator, its pending ``request`` and the bytes
-    ``point_key`` of that request's point; the pass ``held`` (value, tape and
-    row) of the last point it valued and the bytes ``key`` of that point; its
-    counts and phase seconds; and how it ended, ``result`` or the ``error``
-    it raised.
+    It keeps its generator and the ``tol`` it stops on, its pending
+    ``request`` and the bytes ``point_key`` of that request's point; the pass
+    ``held`` (value, tape and row) of the last point it valued and the bytes
+    ``key`` of that point; its counts, phase seconds and ``wall_time``; and
+    how it ended, ``result`` or the ``error`` it raised.
     """
 
-    def __init__(self, steps: Generator):
-        self.steps = steps
+    def __init__(self, x0: np.ndarray, *, tol: float, max_iters: int, learn_step: bool):
+        self.steps = bfgs_steps(x0, tol=tol, max_iters=max_iters, learn_step=learn_step)
+        self.tol = tol
         self.key = self.held = self.result = self.error = None
         self.forward_points = 0  # points whose forward pass was built
         self.backward_passes = 0
-        self.forward_s = self.backward_s = self.bookkeeping_s = 0.0
+        self.forward_s = self.backward_s = self.bookkeeping_s = self.wall_time = 0.0
         self.reply(None)
 
     def reply(self, value) -> None:
@@ -346,14 +348,22 @@ class LockstepRun:
     def fail(self, exc: Exception) -> None:
         self.error, self.request, self.held = exc, None, None
 
-    def report(self, **problem) -> OptimizationReport:
-        """The run's report, given the fields that depend on the problem
-        (final_g, final_schedule, infidelity, duration, converged, seed, wall_time)."""
+    def report(
+        self, schedule: PulseSchedule, infidelity: float, omega_max: float, *, final_g: AdjointMatrix | None, seed: int
+    ) -> OptimizationReport:
+        """The finished run's report on its final pulse ``schedule`` of that ``infidelity``:
+        its duration at ``omega_max``, and converged if the infidelity reached the run's ``tol``."""
         result = self.result
         return OptimizationReport(
-            **problem,
+            final_g=final_g,
+            final_schedule=schedule,
+            infidelity=infidelity,
+            duration=schedule.duration(omega_max),
             cost_trace=result.trace,
             iterations=result.iterations,
+            converged=infidelity <= self.tol,
+            seed=seed,
+            wall_time=self.wall_time,
             stop_reason=result.stop_reason,
             forward_points=self.forward_points,
             backward_passes=self.backward_passes,
@@ -410,13 +420,14 @@ def run_lockstep(
     ``learn_step`` goes to every run's ``bfgs_steps``. Each run adds the
     seconds of every round it takes part in to its ``forward_s`` (inside
     ``forward``), ``backward_s`` (inside ``backward``) and ``bookkeeping_s``
-    (the rest of the round).
+    (the rest of the round), and the seconds of the whole call to its ``wall_time``.
 
     Returns one finished run per point, in order, holding the pass of its
     final point, or the ``ValueError`` or ``RuntimeError`` that ended that
     run; other errors propagate.
     """
-    runs = [LockstepRun(bfgs_steps(x0, tol=tol, max_iters=max_iters, learn_step=learn_step)) for x0 in x0s]
+    t0 = time.perf_counter()
+    runs = [LockstepRun(x0, tol=tol, max_iters=max_iters, learn_step=learn_step) for x0 in x0s]
     spent = [0.0, 0.0]  # the round's seconds inside forward and inside backward
 
     def timed(phase, evaluate, args):
@@ -463,4 +474,7 @@ def run_lockstep(
             run.forward_s += spent[0]
             run.backward_s += spent[1]
             run.bookkeeping_s += rest
+    wall = time.perf_counter() - t0
+    for run in runs:
+        run.wall_time = wall
     return [run.error if run.error is not None else run for run in runs]

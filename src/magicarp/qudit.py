@@ -33,14 +33,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
 
 
-def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {tol:.1e}")
-    if abs(abs(np.linalg.det(u)) - 1.0) > tol:
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {UNITARY_TOL:.1e}")
+    if abs(abs(np.linalg.det(u)) - 1.0) > UNITARY_TOL:
         raise ValueError("matrix determinant does not have unit modulus")
     return u
 

@@ -15,10 +15,11 @@ with U built from the amplitudes already fixed at steps 0..n-1. Two modes:
   constant-envelope: u(n) = c0 * v(n)/||v(n)||. Run at the hardware bound
   this is a maximally-driven pulse of duration c0/omega_max; its duration
   therefore varies with g through c0 alone. The envelope is constant to
-  rounding, but the renormalization is a heuristic: u/c0 = v/||v|| is
-  linear in g only where ||v|| is constant, which is the model
-  ``optimality_certificate`` fits, so a renormalized pulse scores a
-  residual from the varying ||v|| alone.
+  rounding. For a bound on ||u||, u = c0 v/||v|| is the maximum condition
+  of Pontryagin's principle itself; what is heuristic is the linear model
+  ``optimality_certificate`` fits: u/c0 = v/||v|| is linear in g only
+  where ||v|| is constant, so a renormalized pulse scores a residual from
+  the varying ||v|| alone.
 
 Since v_n is real linear in the evolved adjoint G_n = U_n g U_n^dag, the
 construction forms the step generator Theta_n = -dt sum_k u_k H_k in
@@ -58,13 +59,13 @@ with one forward and one backward pass per round. The line search values
 one rung at a time, and a restart's gradient at the accepted rung costs
 only the backward pass, so a typical iteration costs one forward and one
 backward pass.
-``optimize`` is the runner with one seed, ``restarted_optimize`` the runner
-over its seeds, and campaign groups (``bench.py``) call it directly.
+``restarted_optimize`` calls it over its seeds, ``LOCKSTEP_WIDTH`` at a
+time, ``optimize`` is ``restarted_optimize`` with one seed, and campaign
+groups (``bench.py``) call ``run_restarts`` directly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -477,7 +478,6 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
     """
     cfg = context.config
     seeds = [int(seed) for seed in seeds]
-    t0 = time.perf_counter()
     runs = run_lockstep(
         [initial_coeffs(replace(cfg, seed=seed), context.n_params) for seed in seeds],
         lambda points: _forward(points, context),
@@ -485,51 +485,34 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
         tol=cfg.convergence_tol,
         max_iters=cfg.max_iters,
     )
-    wall = time.perf_counter() - t0
 
-    outcomes = []
-    for seed, run in zip(seeds, runs):
-        if isinstance(run, Exception):
-            outcomes.append(run)
-            continue
+    def report(run, seed):
         _, tape, row = run.held
         # a copy: the row is a strided view of the whole group's pulses
         schedule = PulseSchedule.from_amplitudes(tape.amplitudes[:, row].copy())
-        infidelity = run.result.trace[-1]
-        outcomes.append(
-            run.report(
-                final_g=AdjointMatrix(context.controls.dim, run.result.x),
-                final_schedule=schedule,
-                infidelity=infidelity,
-                duration=schedule.duration(context.controls.omega_max),
-                converged=infidelity <= cfg.convergence_tol,
-                seed=seed,
-                wall_time=wall,
-            )
-        )
-    return outcomes
+        final_g = AdjointMatrix(context.controls.dim, run.result.x)
+        return run.report(schedule, run.result.trace[-1], context.controls.omega_max, final_g=final_g, seed=seed)
+
+    return [run if isinstance(run, Exception) else report(run, seed) for run, seed in zip(runs, seeds)]
 
 
 def optimize(context: ShootingContext) -> OptimizationReport:
-    """Quasi-Newton descent on infidelity over the d^2-1 adjoint coefficients."""
-    return _raise_failure(run_restarts(context, [context.config.seed]))[0]
+    """Quasi-Newton descent on infidelity over the d^2-1 adjoint coefficients,
+    from the config's seed: ``restarted_optimize`` with that one seed."""
+    return restarted_optimize(context, [context.config.seed])[0]
 
 
 def restarted_optimize(context: ShootingContext, seeds: Sequence[int]) -> list[OptimizationReport]:
-    """Independent restarts of ``optimize`` over the given seeds, LOCKSTEP_WIDTH at a time."""
+    """Independent restarts of ``optimize`` over the given seeds, LOCKSTEP_WIDTH at a
+    time; the error of the first restart that failed is raised before the next group starts."""
     seeds = list(seeds)
     reports = []
     for i in range(0, len(seeds), LOCKSTEP_WIDTH):
-        reports += _raise_failure(run_restarts(context, seeds[i : i + LOCKSTEP_WIDTH]))
+        for outcome in run_restarts(context, seeds[i : i + LOCKSTEP_WIDTH]):
+            if isinstance(outcome, Exception):
+                raise outcome
+            reports.append(outcome)
     return reports
-
-
-def _raise_failure(outcomes: list) -> list[OptimizationReport]:
-    """The reports, or the error of the first restart that failed."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
 
 
 # -- optimality certificate ------------------------------------------------

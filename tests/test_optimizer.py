@@ -202,6 +202,7 @@ class TestRunLockstep:
         reports = run_restarts(ctx, [0, 1]) + [
             grape_optimize(target_gate("qft", 3), nearest_neighbor_control_set(3), GrapeConfig(n_steps=16, seed=1))
         ]
+        assert reports[0].wall_time == reports[1].wall_time
         for report in reports:
             phases = (report.forward_s, report.backward_s, report.bookkeeping_s)
             assert min(phases) > 0.0
@@ -214,6 +215,29 @@ class TestRunLockstep:
 
         with pytest.raises(TypeError, match="a bug"):
             run_lockstep([np.zeros(2), np.ones(2)], forward, None, tol=1e-8, max_iters=10)
+
+
+class TestReport:
+    """The report the runner builds for either driver, at a drive bound other than 1."""
+
+    @staticmethod
+    def run(method, omega_max, max_iters):
+        controls, target = nearest_neighbor_control_set(3, omega_max), target_gate("qft", 3)
+        if method == "shooting":
+            return optimize(ShootingContext(controls, target, MagicarpConfig(n_steps=16, max_iters=max_iters, seed=3)))
+        return grape_optimize(target, controls, GrapeConfig(n_steps=16, max_iters=max_iters, seed=3))
+
+    @pytest.mark.parametrize("method", ["shooting", "grape"])
+    @pytest.mark.parametrize("max_iters, stop", [(200, "tol"), (3, "max_iters")])
+    def test_duration_and_convergence(self, method, max_iters, stop):
+        unit, fast = (self.run(method, omega_max, max_iters) for omega_max in (1.0, 2.5))
+        assert same_bits(fast.final_schedule.amplitudes, unit.final_schedule.amplitudes)
+        assert (fast.infidelity, fast.iterations) == (unit.infidelity, unit.iterations)
+        assert fast.duration == fast.final_schedule.duration(2.5)
+        assert fast.duration < unit.duration == unit.final_schedule.duration(1.0)
+        for report in (unit, fast):
+            assert report.stop_reason == stop
+            assert report.converged == (report.infidelity <= 1e-7) == (stop == "tol")
 
 
 def drive_at_fixed_point(x0, f0, g0):
