@@ -55,7 +55,7 @@ from .propagation import (
     infidelity_from_overlap,
     pulse_eigensystems,
 )
-from .qudit import ControlSet, assert_unitary, tau_qsl
+from .qudit import ControlSet, tau_qsl
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,7 @@ def grape_optimize(
     target: np.ndarray, controls: ControlSet, config: GrapeConfig
 ) -> OptimizationReport:
     """Same optimizer contract as the shooting driver, over N*K parameters."""
-    target = assert_unitary(target)
-    if target.shape[0] != controls.dim:
-        raise ValueError("target dimension does not match control set")
+    target = controls.check_target(target)
     n, k, weight = config.n_steps, controls.n_controls, config.penalty_weight
 
     def forward(points: list[np.ndarray]) -> tuple[list[float], list[tuple[PulseSchedule, tuple]]]:

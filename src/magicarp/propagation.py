@@ -47,23 +47,14 @@ FLOAT_FMT = "%.17g"
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Piecewise-constant control amplitudes u_k(n dt) on N uniform steps."""
+    """Piecewise-constant control amplitudes u_k(n dt), an (N, K) array, whence N, K and dt = 1/N."""
 
-    n_steps: int
-    n_controls: int
-    dt: float
     amplitudes: np.ndarray = field(repr=False)  # (N, K)
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if abs(self.dt * self.n_steps - 1.0) > 1e-12:
-            raise ValueError(f"dt * N = {self.dt * self.n_steps} is not 1")
         amps = np.asarray(self.amplitudes, dtype=float)
-        if amps.shape != (self.n_steps, self.n_controls):
-            raise ValueError(
-                f"amplitudes shape {amps.shape} != ({self.n_steps}, {self.n_controls})"
-            )
+        if amps.ndim != 2 or amps.shape[0] < 1:
+            raise ValueError(f"amplitudes: expected at least one step (row), got shape {amps.shape}")
         # one sum of squares catches NaN and inf, and amplitudes so large that
         # the envelope (a row's norm) or the energy overflows
         if not np.isfinite(np.vdot(amps, amps)):
@@ -72,11 +63,19 @@ class PulseSchedule:
 
     @classmethod
     def from_amplitudes(cls, amplitudes: np.ndarray) -> "PulseSchedule":
-        amplitudes = np.atleast_2d(np.asarray(amplitudes, dtype=float))
-        n, k = amplitudes.shape
-        if n < 1:
-            raise ValueError(f"amplitudes: expected at least one step (row), got shape {amplitudes.shape}")
-        return cls(n_steps=n, n_controls=k, dt=1.0 / n, amplitudes=amplitudes)
+        return cls(np.atleast_2d(np.asarray(amplitudes, dtype=float)))
+
+    @property
+    def n_steps(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def n_controls(self) -> int:
+        return self.amplitudes.shape[1]
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.n_steps
 
     @property
     def envelope(self) -> np.ndarray:
@@ -256,19 +255,22 @@ def propagate(controls: ControlSet, schedule: PulseSchedule) -> PropagationResul
     return PropagationResult(unitaries=accumulate(steps), duration=schedule.duration(controls.omega_max))
 
 
-def gate_overlap(u_target: np.ndarray, u_final: np.ndarray) -> complex:
-    """Tr(U_target^dag U) = sum(conj(U_target) o U)."""
-    u_target = np.asarray(u_target)
-    u_final = np.asarray(u_final)
-    if u_target.shape != u_final.shape:
+def gate_overlap(u_target: np.ndarray, u_final: np.ndarray) -> complex | np.ndarray:
+    """Tr(U_target^dag U) = sum(conj(U_target) o U) of one gate U or of each of a stack (..., d, d),
+    whose d^2 products are summed as one gate's are: a stack's overlaps are its gates' alone."""
+    u_target, u_final = np.asarray(u_target), np.asarray(u_final)
+    if u_target.shape != u_final.shape[-2:]:
         raise ValueError(f"dimension mismatch: {u_target.shape} vs {u_final.shape}")
-    return np.sum(u_target.conj() * u_final)
+    product = u_target.conj() * u_final
+    return product.reshape(*product.shape[:-2], -1).sum(axis=-1)
 
 
-def infidelity_from_overlap(overlap: complex, d: int) -> float:
-    """1 - |overlap|^2 / d^2: the normalized infidelity of a d x d gate pair
-    whose ``gate_overlap`` is ``overlap``."""
-    return 1.0 - float(abs(overlap) ** 2) / d**2
+def infidelity_from_overlap(overlap: complex | np.ndarray, d: int) -> float | np.ndarray:
+    """1 - |overlap|^2 / d^2: the normalized infidelity of each d x d gate pair
+    whose ``gate_overlap`` is ``overlap``, one overlap or an array of them."""
+    # ufunc loops also for one overlap: Python's abs of a complex scalar rounds otherwise on ~1/3 of values
+    values = 1.0 - np.square(np.abs(overlap)) / d**2
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:

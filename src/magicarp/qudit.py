@@ -184,6 +184,13 @@ class ControlSet:
     def n_controls(self) -> int:
         return self.hamiltonians.shape[0]
 
+    def check_target(self, target: np.ndarray) -> np.ndarray:
+        """The target gate of both drivers as a complex unitary of this set's dimension, or ``ValueError``."""
+        target = assert_unitary(target)
+        if target.shape[0] != self.dim:
+            raise ValueError(f"target dimension {target.shape[0]} != control dimension {self.dim}")
+        return target
+
 
 def nearest_neighbor_control_set(d: int, omega_max: float = 1.0) -> ControlSet:
     """The 2(d-1) generalized Pauli controls coupling adjacent levels.

@@ -35,7 +35,10 @@ Gradients over g are exact and reverse-mode (``reverse_gradient``). One
 forward pass builds the pulse and writes, per step and in place, U_n and the
 step eigensystems (the eigenvalues theta of Theta_n) into its step-major
 tape, (N, B, ...); the amplitudes are one product over the kept G_n after
-the loop (in renormalized mode they, v_n and c0 are written per step). One
+the loop (in renormalized mode they, v_n and c0 are written per step). The
+tape keeps each point's overlap Tr(V^dag U_N), which the objective values by
+``propagation.infidelity_from_overlap`` and the backward pass seeds from, as
+GRAPE's held pass keeps its own. One
 backward pass then walks the steps in reverse, carrying the adjoint of the
 cotangent of U_n, in five products per step. It pulls that cotangent
 through the exact derivative of each step exponential (eigenbasis divided
@@ -77,12 +80,14 @@ from .propagation import (
     PulseSchedule,
     eigh_guard,
     exp_divided_differences,
+    gate_overlap,
+    infidelity_from_overlap,
     propagate,
     step_eigensystems,
     step_out,
     step_work,
 )
-from .qudit import AdjointMatrix, ControlSet, GeneratorBasis, assert_unitary
+from .qudit import AdjointMatrix, ControlSet, GeneratorBasis
 
 ENVELOPE_FLOOR = 1e-14
 LOCKSTEP_WIDTH = 32  # most restarts one lockstep group runs; bounds its tapes' memory
@@ -118,12 +123,7 @@ class ShootingContext:
     pairings: "_Pairings" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        target = assert_unitary(self.target)
-        if target.shape[0] != self.controls.dim:
-            raise ValueError(
-                f"target dimension {target.shape[0]} != control dimension {self.controls.dim}"
-            )
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target", self.controls.check_target(self.target))
         object.__setattr__(self, "pairings", _Pairings.create(self.controls, self.config.n_steps))
 
     @property
@@ -197,7 +197,7 @@ class _Tape:
     """What the backward pass needs from the forward pass of B points.
 
     Per-step fields are step-major, (N, B, ...), so that each step's slice
-    is contiguous; ``g`` and ``c0`` are batch-major.
+    is contiguous; ``g``, ``c0`` and ``overlap`` are batch-major.
     """
 
     g: np.ndarray  # (B, d, d)
@@ -208,6 +208,7 @@ class _Tape:
     q: np.ndarray  # (N, B, d, d) step eigenvectors
     steps: np.ndarray  # (N, B, d, d) step exponentials P_n
     v: np.ndarray | None  # (N, B, K) structural amplitudes v_n, renormalized mode only
+    overlap: np.ndarray | None = None  # (B,) Tr(V^dag U_N) of the target V, written by ``_forward``
 
     @staticmethod
     def rows(held: list[tuple["_Tape", int]]) -> "_Tape":
@@ -219,7 +220,7 @@ class _Tape:
         def gather(name):
             if getattr(tape, name) is None:
                 return None
-            if name in ("g", "c0"):
+            if name in ("g", "c0", "overlap"):
                 return np.concatenate([getattr(t, name)[i : i + 1] for t, i in held])
             return np.concatenate([getattr(t, name)[:, i : i + 1] for t, i in held], axis=1)
 
@@ -332,14 +333,6 @@ def pulses_from_adjoint(
     return schedule, PropagationResult(tape.unitaries[:, 0].copy(), schedule.duration(controls.omega_max))
 
 
-def _infidelities(u_final: np.ndarray, valid: np.ndarray, context: ShootingContext) -> np.ndarray:
-    d = context.controls.dim
-    overlap = np.einsum("ij,bij->b", context.target.conj(), u_final)
-    values = 1.0 - np.abs(overlap) ** 2 / d**2
-    values[~valid] = np.inf
-    return values
-
-
 def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.ndarray:
     """Normalized infidelity for a (B, d^2-1) stack of coefficient vectors.
 
@@ -350,16 +343,18 @@ def batch_objective(coeff_batch: np.ndarray, context: ShootingContext) -> np.nda
 
 def _forward(points, context: ShootingContext) -> tuple[np.ndarray, _Tape]:
     """Objective values (+inf for a degenerate envelope) and the tape of B points,
-    a (B, d^2-1) stack or a list of B coefficient vectors."""
+    a (B, d^2-1) stack or a list of B coefficient vectors; the tape keeps the overlaps they value."""
     u_final, valid, tape = _construct_batch(points, context.pairings, context.config.mode)
-    return _infidelities(u_final, valid, context), tape
+    overlap = gate_overlap(context.target, u_final)
+    values = np.where(valid, infidelity_from_overlap(overlap, context.controls.dim), np.inf)
+    return values, replace(tape, overlap=overlap)
 
 
 def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
-    """(B, d^2-1) gradients dJ/dc from the tape of B forward passes, by reverse mode.
+    """(B, d^2-1) gradients dJ/dc from the tape of B forward passes (``_forward``), by reverse mode.
 
     Cotangents X_bar are taken so that dJ = Re Tr(X_bar^dag dX). The sweep
-    carries Y_n = U_bar_n^dag backward from Y_N = -2 Tr(U_N^dag V) V^dag / d^2:
+    carries Y_n = U_bar_n^dag backward from Y_N = -2 conj(Tr(V^dag U_N)) V^dag / d^2, the tape's overlap:
 
     * P_bar_n^dag = U_n Y_{n+1}, pulled through the exact derivative of
       P_n = exp(i Theta_n), Theta_n = -dt H_n, in its eigenbasis Q_n (divided
@@ -426,8 +421,7 @@ def _backward(tape: _Tape, context: ShootingContext) -> np.ndarray:
     v_bar = np.empty((n_steps, b, k, 1))
     v_bar_t = v_bar.swapaxes(-1, -2)
 
-    overlap = np.sum((context.target.conj() * tape.unitaries[-1]).reshape(b, d * d), axis=1)
-    np.multiply((-2.0 * overlap.conj() / d**2)[:, None, None], context.target.conj().T, out=y[-1])
+    np.multiply((-2.0 * tape.overlap.conj() / d**2)[:, None, None], context.target.conj().T, out=y[-1])
     # per-step views, taken once: indexing a view costs about as much as a product's dispatch
     sweep = list(zip(y, q, qu, m, m_ri, pull_v, v_bar, v_bar_t, s_ri, left, right, [None, *y]))
     for y_n, q_n, qu_n, m_n, m_ri_n, pull_v_n, v_bar_n, v_bar_t_n, s_ri_n, left_n, right_n, y_prev in reversed(sweep):
@@ -454,9 +448,7 @@ def reverse_gradient(g_coeffs: np.ndarray, context: ShootingContext) -> np.ndarr
     """Exact gradient of ``batch_objective`` at one point: one forward and one backward pass."""
     values, tape = _forward(np.asarray(g_coeffs, dtype=float)[None, :], context)
     if not np.isfinite(values[0]):
-        raise DegenerateEnvelopeError(
-            "structural prediction vanished; gradient undefined at this point"
-        )
+        raise DegenerateEnvelopeError("structural prediction vanished; gradient undefined at this point")
     return _backward(tape, context)[0]
 
 

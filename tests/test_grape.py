@@ -25,6 +25,7 @@ from magicarp.propagation import (
     step_eigensystems,
 )
 from magicarp.qudit import nearest_neighbor_control_set, target_gate
+from magicarp.shooting import MagicarpConfig, ShootingContext
 
 from conftest import KERNEL_SETS, kernel_case, random_unitary, same_bits
 
@@ -291,6 +292,19 @@ class TestGrapeOptimize:
         assert np.all(np.diff(report.cost_trace) <= 0)
         again = normalized_infidelity(target, propagate(ctrl, report.final_schedule).unitaries[-1])
         assert abs(report.infidelity - again) <= 1e-12
+
+    @pytest.mark.parametrize("driver", ["shooting", "grape"])
+    def test_both_drivers_check_the_target_alike(self, driver):
+        def run(target):
+            ctrl = nearest_neighbor_control_set(2)
+            if driver == "grape":
+                return grape_optimize(target, ctrl, GrapeConfig(n_steps=4, max_iters=1))
+            return ShootingContext(controls=ctrl, target=target, config=MagicarpConfig(n_steps=4))
+
+        with pytest.raises(ValueError, match=re.escape("target dimension 3 != control dimension 2")):
+            run(target_gate("qft", 3))
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            run(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_parameter_count_is_n_times_k(self):
         for d, n in ((2, 8), (3, 4)):

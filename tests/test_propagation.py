@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -15,6 +16,8 @@ from magicarp.propagation import (
     eigh_guard,
     exp_divided_differences,
     gate_fidelity,
+    gate_overlap,
+    infidelity_from_overlap,
     normalized_infidelity,
     propagate,
     pulse_eigensystems,
@@ -41,9 +44,13 @@ class TestPulseSchedule:
         s = PulseSchedule.from_amplitudes(np.ones((8, 2)))
         assert abs(s.dt * s.n_steps - 1.0) <= 1e-12
 
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            PulseSchedule(n_steps=4, n_controls=1, dt=0.3, amplitudes=np.ones((4, 1)))
+    def test_counts_and_dt_derive_from_the_amplitudes(self):
+        # the amplitudes are the schedule's one field; N, K and dt = 1/N are read from them
+        s = PulseSchedule.from_amplitudes(np.ones((7, 3)))
+        assert (s.n_steps, s.n_controls, s.dt) == (7, 3, 1.0 / 7)
+        assert [f.name for f in dataclasses.fields(s)] == ["amplitudes"]
+        with pytest.raises(AttributeError):
+            s.dt = 0.3
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -2e154])
     def test_rejects_non_finite_or_overflowing(self, value):
@@ -345,6 +352,27 @@ class TestGateFidelity:
     def test_identical_gates_zero_infidelity(self, rng):
         v = random_unitary(rng, 4)
         assert normalized_infidelity(v, v) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_overlap_of_a_stack_is_each_gate_alone(self, rng, d):
+        v = random_unitary(rng, d)
+        stack = np.stack([random_unitary(rng, d) for _ in range(20)])
+        overlaps = gate_overlap(v, stack)
+        assert overlaps.shape == (20,)
+        assert same_bits(overlaps, np.array([gate_overlap(v, u) for u in stack]))
+        assert np.ndim(gate_overlap(v, stack[0])) == 0
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gate_overlap(v, stack[:, :-1])
+
+    def test_infidelity_of_one_overlap_is_the_array_loop(self, rng):
+        # Python's abs of a complex scalar rounds otherwise than numpy's array
+        # loop on about a third of values; the helper takes the loop for both
+        overlaps = 4.0 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+        values = infidelity_from_overlap(overlaps, 4)
+        alone = [infidelity_from_overlap(z, 4) for z in overlaps]
+        assert all(type(value) is float for value in alone)
+        assert same_bits(values, np.array(alone))
+        assert same_bits(values[:1], infidelity_from_overlap(overlaps[:1], 4))
 
 
 class TestAdjointConstancy:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import magicarp.shooting as shooting
-from magicarp.propagation import PulseSchedule, exp_divided_differences, propagate
+from magicarp.propagation import PulseSchedule, exp_divided_differences, normalized_infidelity, propagate
 from magicarp.qudit import AdjointMatrix, ControlSet, GeneratorBasis, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import (
     ENVELOPE_FLOOR,
@@ -181,6 +181,25 @@ class TestObjective:
     def test_degenerate_envelope_is_inf(self):
         ctx = context(mode="time_optimal_renormalized")
         assert batch_objective(gellmann_coeffs(SZ)[None], ctx)[0] == np.inf
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_rows_are_normalized_infidelity_of_their_final_unitary(self, d):
+        # one overlap and one helper: each row's value is the library's
+        # infidelity of its own U_N, bit for bit
+        ctx = context(d=d, target="qft", n_steps=16)
+        points = np.random.default_rng(100 + d).standard_normal((200, d * d - 1))
+        values, tape = shooting._forward(points, ctx)
+        rows = [normalized_infidelity(ctx.target, u_final) for u_final in tape.unitaries[-1]]
+        assert same_bits(values, np.array(rows))
+
+    def test_degenerate_row_is_inf_beside_valid_rows(self):
+        ctx = context(d=3, target="qft", mode="time_optimal_renormalized", n_steps=6)
+        points = np.random.default_rng(4).standard_normal((3, 8))
+        points[1] = 0.0
+        values, tape = shooting._forward(points, ctx)
+        assert values[1] == np.inf
+        for i in (0, 2):
+            assert values[i] == normalized_infidelity(ctx.target, tape.unitaries[-1][i]) < 1.0
 
 
 class TestGradient:
@@ -476,7 +495,18 @@ class TestStepLoopOracle:
             # energy-optimal pulses are their structural amplitudes; the tape keeps them once
             assert tape.v is None if mode == "energy_optimal" else rel_err(loop_tape.v, ref_tape.v) <= rtol
             ref = loop_backward(loop_tape, ctx)
-            assert np.linalg.norm(shooting._backward(tape, ctx) - ref) <= 1e-13 * np.linalg.norm(ref)
+            # the backward pass reads the overlap that _forward writes on its tape
+            gradient = shooting._backward(shooting._forward(batch, ctx)[1], ctx)
+            assert np.linalg.norm(gradient - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backward_reads_the_overlap_on_the_tape(self, mode):
+        # twice the tape's overlap doubles the gradient bit for bit: the
+        # backward pass seeds its sweep from the overlap, it does not form it again
+        ctx = context(d=3, target="qft", mode=mode, n_steps=16)
+        _, tape = shooting._forward(np.random.default_rng(6).standard_normal((4, 8)), ctx)
+        doubled = replace(tape, overlap=2.0 * tape.overlap)
+        assert same_bits(shooting._backward(doubled, ctx), 2.0 * shooting._backward(tape, ctx))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_objective_equals_the_tape_keeping_pass(self, mode):
