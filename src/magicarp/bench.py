@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .propagation import FLOAT_FMT
-from .qudit import nearest_neighbor_control_set, target_gate, tau_qsl
+from .qudit import TARGET_NAMES, check_omega_max, nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import LOCKSTEP_WIDTH, MagicarpConfig, ShootingContext, run_restarts
 
 _MASK64 = (1 << 64) - 1
@@ -60,13 +60,13 @@ class BenchmarkSpec:
         for name, ok, expected in (
             ("dims", len(set(self.dims)) == len(self.dims) >= 1 and min(self.dims) >= 2, "distinct integers >= 2, one or more"),
             ("runs_per_dim", self.runs_per_dim >= 1, "an integer >= 1"),
-            ("target", self.target in ("hadamard", "qft", "identity"), "one of hadamard|qft|identity"),
+            ("target", self.target in TARGET_NAMES[:-1], "one of " + "|".join(TARGET_NAMES[:-1])),
             ("base_seed", 0 <= self.base_seed < 2**64, "a 64-bit unsigned integer"),
-            ("omega_max", np.isfinite(self.omega_max) and self.omega_max > 0, "a positive finite number"),
             ("threshold", 0 < self.threshold < np.inf, "a positive finite number"),
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+        check_omega_max(self.omega_max)
         for d in self.dims:
             try:
                 self.magicarp.check_start((d * d - 1,))

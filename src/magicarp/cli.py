@@ -14,8 +14,10 @@ certification negative.
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
 defaults and value checks. The CLI checks the YAML type of every value and
-owns the top-level keys. Every command drives the adjacent-level controls of
-the config's dimension (``nearest_neighbor_control_set``).
+owns the top-level keys' defaults; their values are checked by the library
+when the CLI builds the problem from them, for every command, as the
+sections are by their dataclasses. Every command drives the adjacent-level
+controls of the config's dimension (``nearest_neighbor_control_set``).
 """
 
 from __future__ import annotations
@@ -67,13 +69,8 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
 
 
-# The keys no library dataclass owns: key -> (default, type, check, what the check expects).
-_CLI_KEYS = {
-    "dim": (2, int, lambda v: v >= 2, "an integer >= 2"),
-    "target": ("identity", str, lambda v: v in ("hadamard", "qft", "identity", "custom"), "one of hadamard|qft|identity|custom"),
-    "custom_target": (None, list | None, None, None),
-    "omega_max": (1.0, float, lambda v: 0 < v < float("inf"), "a positive finite number"),
-}
+# The keys no library dataclass owns: key -> (default, type); ``_build_problem`` checks their values.
+_CLI_KEYS = {"dim": (2, int), "target": ("identity", str), "custom_target": (None, list | None), "omega_max": (1.0, float)}
 
 # The sections a library dataclass owns, with the field a seed override sets.
 # The CLI fills BenchmarkSpec's magicarp and omega_max from other keys.
@@ -132,7 +129,7 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
     """Merge a raw config dict over the defaults and validate every field.
 
     A ``seed`` overrides all three seeds once the config's own are checked."""
-    cfg = {key: default for key, (default, *_) in _CLI_KEYS.items()}
+    cfg = {key: default for key, (default, _) in _CLI_KEYS.items()}
     for section in _SECTIONS:
         cfg[section] = {key: default for key, (default, _) in _fields(section).items()}
     user = user or {}
@@ -150,10 +147,8 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
                 cfg[key][sub] = subval
         else:
             cfg[key] = value
-    for key, (_, hint, check, expected) in _CLI_KEYS.items():
+    for key, (_, hint) in _CLI_KEYS.items():
         cfg[key] = _typed(key, cfg[key], hint)
-        if check is not None and not check(cfg[key]):
-            raise ConfigError(f"{key}: expected {expected}, got {cfg[key]!r}")
     for section in _SECTIONS:
         for key, (_, hint) in _fields(section).items():
             cfg[section][key] = _typed(f"{section}.{key}", cfg[section][key], hint)
@@ -162,6 +157,7 @@ def normalize_config(user: dict | None, seed: int | None = None) -> dict:
         raise ConfigError("custom_target: required when target is 'custom'")
     if cfg["target"] != "custom" and cfg["custom_target"] is not None:
         raise ConfigError(f"custom_target: given, but target is {cfg['target']!r}, not 'custom'")
+    _build_problem(cfg)
     if seed is not None:
         for section, key in _SEEDS.items():
             cfg[section][key] = seed
@@ -234,14 +230,16 @@ def parse_matrix_literal(rows: list) -> np.ndarray:
 
 
 def _build_problem(cfg: dict):
-    d = cfg["dim"]
-    controls = nearest_neighbor_control_set(d, cfg["omega_max"])
+    """The controls and target of the top-level keys, which the library checks as it builds them."""
+    try:
+        controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     custom = parse_matrix_literal(cfg["custom_target"]) if cfg["target"] == "custom" else None
     try:
-        target = target_gate(cfg["target"], d, custom)
+        return controls, target_gate(cfg["target"], cfg["dim"], custom)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from None
-    return controls, target
 
 
 def _write(out_dir: str, name: str, content: str | dict) -> str:
@@ -274,19 +272,15 @@ def _write_run(report, cfg: dict, out_dir: str) -> int:
 
 def _load_schedule(path: str, cfg: dict):
     """A schedule CSV and the control set of the config's dimension, which must drive it."""
+    controls, _ = _build_problem(cfg)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             schedule = schedule_from_csv(fh.read())
+        controls.check_schedule(schedule.n_controls)
     except OSError as exc:  # a missing or unreadable file, a directory
         raise ConfigError(f"schedule file {path} cannot be read: {exc.strerror}") from None
-    except ValueError as exc:  # a malformed file, or one that is not UTF-8
+    except ValueError as exc:  # a malformed file, one that is not UTF-8, or one the controls cannot drive
         raise ConfigError(str(exc)) from None
-    controls = nearest_neighbor_control_set(cfg["dim"], cfg["omega_max"])
-    if schedule.n_controls != controls.n_controls:
-        raise ConfigError(
-            f"schedule has {schedule.n_controls} controls but dim={cfg['dim']} "
-            f"implies {controls.n_controls}"
-        )
     return schedule, controls
 
 

@@ -204,8 +204,7 @@ def pulse_eigensystems(
     and q is its complex (N, d, d) stack. Non-finite amplitudes raise
     ``np.linalg.LinAlgError``, as a failed ``eigh`` does.
     """
-    if schedule.n_controls != controls.n_controls:
-        raise ValueError(f"schedule has {schedule.n_controls} controls, control set has {controls.n_controls}")
+    controls.check_schedule(schedule.n_controls)
     amplitudes = -schedule.dt * schedule.amplitudes
     if not controls.tridiagonal:
         theta = control_generator(controls, amplitudes)
@@ -233,8 +232,7 @@ def pulse_eigensystems(
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:
     """H(u) = sum_k u_k H_k. Batched over leading amplitude axes."""
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape[-1] != controls.n_controls:
-        raise ValueError(f"amplitudes have {amplitudes.shape[-1]} controls, control set has {controls.n_controls}")
+    controls.check_schedule(amplitudes.shape[-1])
     return np.tensordot(amplitudes, controls.hamiltonians, axes=([-1], [0]))
 
 
@@ -274,8 +272,9 @@ def infidelity_from_overlap(overlap: complex | np.ndarray, d: int) -> float | np
 
 
 def gate_fidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
-    """|Tr(U_target^dag U)|^2, in [0, d^2], invariant under global phases."""
-    return float(abs(gate_overlap(u_target, u_final)) ** 2)
+    """|Tr(U_target^dag U)|^2, in [0, d^2], invariant under global phases; rounded as
+    ``infidelity_from_overlap`` rounds it, so 1 - fidelity / d^2 is ``normalized_infidelity``."""
+    return float(np.square(np.abs(gate_overlap(u_target, u_final))))
 
 
 def normalized_infidelity(u_target: np.ndarray, u_final: np.ndarray) -> float:
@@ -293,8 +292,7 @@ def verify_adjoint_constancy(
     max_n || lambda(n dt) - U(n dt) i g ||_F; the two sides associate the
     same step products differently.
     """
-    if g.dim != controls.dim:
-        raise ValueError("adjoint dimension does not match control set")
+    controls.check_adjoint(g)
     _, _, steps = pulse_eigensystems(controls, schedule)
     lam0 = 1j * g.to_matrix()
     drift = accumulate(steps, start=lam0)[1:] - accumulate(steps)[1:] @ lam0

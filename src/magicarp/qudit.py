@@ -19,6 +19,14 @@ import numpy as np
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
+# the target gates ``target_gate`` builds by name; the last takes an explicit matrix
+TARGET_NAMES = ("hadamard", "qft", "identity", "custom")
+
+
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dim: expected an integer >= 2, got {d!r}")
+
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (M + M^dag)/2."""
@@ -51,8 +59,7 @@ def generalized_pauli_pair(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma_x_{k,k+1}, sigma_y_{k,k+1}); both are traceless with
     Frobenius norm sqrt(2). For d=2, k=0 these are the standard Paulis.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     if not 0 <= k <= d - 2:
         raise IndexError(f"level index k={k} out of range for d={d} (need 0 <= k <= d-2)")
     sx = np.zeros((d, d), dtype=complex)
@@ -71,8 +78,7 @@ def gellmann_basis(d: int) -> np.ndarray:
     off-diagonal generator, followed by the d-1 diagonal generators.
     All are traceless and satisfy Tr(G_i G_j) = 2 delta_ij.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     gens = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -103,16 +109,6 @@ class GeneratorBasis:
     def create(cls, d: int) -> "GeneratorBasis":
         return cls(dim=d, generators=gellmann_basis(d))
 
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim - 1
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
-        return np.einsum("g,gij->ij", coeffs, self.generators)
-
 
 @dataclass(frozen=True)
 class AdjointMatrix:
@@ -133,12 +129,13 @@ class AdjointMatrix:
         object.__setattr__(self, "coeffs", coeffs)
 
     def to_matrix(self) -> np.ndarray:
-        return GeneratorBasis.create(self.dim).reconstruct(self.coeffs)
+        return np.einsum("g,gij->ij", self.coeffs, GeneratorBasis.create(self.dim).generators)
 
 
-def _check_omega_max(omega_max: float) -> None:
+def check_omega_max(omega_max: float) -> None:
+    """The drive bound's rule, positive and finite; the message gives it as a float, as the CLI reads it."""
     if not 0 < omega_max < math.inf:
-        raise ValueError(f"omega_max: expected a positive finite number, got {omega_max!r}")
+        raise ValueError(f"omega_max: expected a positive finite number, got {float(omega_max)!r}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ class ControlSet:
             if abs(np.trace(m).real) > HERMITIAN_TOL:  # the trace of its Hermitian part
                 raise ValueError(f"control Hamiltonian {i} is not traceless")
         h = np.stack([hermitize(m) for m in h])
-        _check_omega_max(self.omega_max)
+        check_omega_max(self.omega_max)
         object.__setattr__(self, "hamiltonians", h)
         levels = np.arange(self.dim)
         off_band = np.abs(levels[:, None] - levels[None, :]) > 1
@@ -191,14 +188,23 @@ class ControlSet:
             raise ValueError(f"target dimension {target.shape[0]} != control dimension {self.dim}")
         return target
 
+    def check_adjoint(self, g: AdjointMatrix) -> None:
+        """``ValueError`` unless the adjoint g has this set's dimension."""
+        if g.dim != self.dim:
+            raise ValueError(f"adjoint has dimension {g.dim}, control set has dimension {self.dim}")
+
+    def check_schedule(self, n_controls: int) -> None:
+        """``ValueError`` unless a pulse of ``n_controls`` amplitudes per step drives this set."""
+        if n_controls != self.n_controls:
+            raise ValueError(f"schedule has {n_controls} controls, control set has {self.n_controls}")
+
 
 def nearest_neighbor_control_set(d: int, omega_max: float = 1.0) -> ControlSet:
     """The 2(d-1) generalized Pauli controls coupling adjacent levels.
 
     Order: (sx_{0,1}, sy_{0,1}, sx_{1,2}, sy_{1,2}, ...).
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     mats = []
     for k in range(d - 1):
         sx, sy = generalized_pauli_pair(d, k)
@@ -215,9 +221,8 @@ def qft_gate(d: int) -> np.ndarray:
 def tau_qsl(d: int, omega_max: float = 1.0) -> float:
     """Speed-limit time pi/omega_max * (1 - 1/d) for the QFT(d) target
     under an unconstrained control set."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    _check_omega_max(omega_max)
+    _check_dim(d)
+    check_omega_max(omega_max)
     return math.pi / omega_max * (1.0 - 1.0 / d)
 
 
@@ -227,9 +232,7 @@ def target_gate(name: str, d: int, custom_entries: np.ndarray | None = None) -> 
     ``hadamard`` means QFT(d) for d > 2 (they coincide at d=2); ``custom``
     requires a unitary ``custom_entries`` matrix.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    name = name.lower()
+    _check_dim(d)
     if name == "identity":
         return np.eye(d, dtype=complex)
     if name in ("qft", "hadamard"):
@@ -241,4 +244,4 @@ def target_gate(name: str, d: int, custom_entries: np.ndarray | None = None) -> 
         if u.shape != (d, d):
             raise ValueError(f"custom target has shape {u.shape}, expected ({d}, {d})")
         return assert_unitary(u)
-    raise ValueError(f"unknown target gate {name!r}")
+    raise ValueError(f"expected one of {'|'.join(TARGET_NAMES)}, got {name!r}")

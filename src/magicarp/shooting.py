@@ -319,8 +319,7 @@ def pulses_from_adjoint(
 ) -> tuple[PulseSchedule, PropagationResult]:
     """Construct the pulse induced by g, with the unitaries its construction propagated."""
     config = MagicarpConfig(n_steps=n_steps, mode=mode)
-    if g.dim != controls.dim:
-        raise ValueError("adjoint dimension does not match control set")
+    controls.check_adjoint(g)
     pairings = _Pairings.create(controls, config.n_steps)
     _, valid, tape = _construct_batch(g.coeffs[None, :], pairings, config.mode)
     if not valid[0]:

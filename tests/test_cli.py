@@ -13,6 +13,7 @@ import yaml
 
 import magicarp
 import magicarp.cli as cli
+from magicarp.bench import BenchmarkSpec
 from magicarp.cli import (
     EXIT_INVALID,
     EXIT_NOT_OPTIMAL,
@@ -25,7 +26,7 @@ from magicarp.cli import (
     parse_matrix_literal,
 )
 from magicarp.grape import GrapeConfig, grape_objective, grape_optimize
-from magicarp.propagation import PulseSchedule, schedule_from_csv, schedule_to_csv
+from magicarp.propagation import PulseSchedule, propagate, schedule_from_csv, schedule_to_csv
 from magicarp.qudit import AdjointMatrix, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import MagicarpConfig, ShootingContext, batch_objective, pulses_from_adjoint
 
@@ -270,6 +271,64 @@ class TestConfig:
     def test_matrix_literal_rejects_ragged(self):
         with pytest.raises(ConfigError):
             parse_matrix_literal([[[0, 0]], [[1, 0], [0, 0]]])
+
+
+def library_message(build) -> str:
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+def no_cells(*args):
+    raise AssertionError("a cell ran")
+
+
+SCHEDULE_COMMANDS = ("certify", "bloch")
+
+
+def run_on_config(tmp_path, command, cfg) -> int:
+    """The exit code of ``command`` on a config, given a d = 2 schedule if it takes one."""
+    schedule = tmp_path / "d2.csv"
+    schedule.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(np.full((4, 2), 0.5))), encoding="utf-8")
+    argv = [command, *([str(schedule)] if command in SCHEDULE_COMMANDS else []), "--config", write_config(tmp_path, cfg)]
+    return main([*argv, "--out", str(tmp_path / "out"), *workers_flag(command)])
+
+
+# a top-level key's rule -> (the library call that breaks it, a config that breaks it,
+# the command run on that config, the prefix the CLI gives the library's message)
+LIBRARY_RULES = {
+    "dim": (lambda: nearest_neighbor_control_set(1), {"dim": 1}, "optimize", ""),
+    "target": (lambda: target_gate("foo", 2), {"target": "foo"}, "optimize", "target: "),
+    "target-case": (lambda: target_gate("QFT", 2), {"target": "QFT"}, "grape", "target: "),
+    "omega_max": (lambda: BenchmarkSpec(omega_max=0), {"omega_max": 0}, "benchmark", ""),
+    "schedule": (
+        lambda: propagate(nearest_neighbor_control_set(3), PulseSchedule.from_amplitudes(np.zeros((4, 2)))),
+        {"dim": 3},
+        "certify",
+        "",
+    ),
+}
+
+
+class TestLibraryRules:
+    """Every top-level key is checked by the library's one rule for it, whose message the CLI prints."""
+
+    @pytest.mark.parametrize("rule", LIBRARY_RULES)
+    def test_cli_prints_the_librarys_message(self, tmp_path, capsys, monkeypatch, rule):
+        build, cfg, command, prefix = LIBRARY_RULES[rule]
+        message = library_message(build)
+        monkeypatch.setattr(cli, "run_campaign", no_cells)
+        assert run_on_config(tmp_path, command, cfg) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", *SCHEDULE_COMMANDS])
+    def test_non_unitary_custom_target_exits_2_under_commands_that_never_drive_it(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "run_campaign", no_cells)
+        cfg = {"target": "custom", "custom_target": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
+        assert run_on_config(tmp_path, command, cfg) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: target: matrix is not unitary")
+        assert not (tmp_path / "out").exists()
 
 
 class TestOptimizeCommand:

@@ -349,6 +349,15 @@ class TestGateFidelity:
             assert f == pytest.approx(gate_fidelity(w @ u, w @ v), rel=1e-9, abs=1e-9)
             assert 0.0 <= normalized_infidelity(u, v) <= 1.0
 
+    def test_fidelity_rounds_as_the_infidelity_does(self, rng):
+        # one overlap and one rounding: 1 - fidelity / d^2 is normalized_infidelity bit for bit
+        differ = 0
+        for d in range(2, 7):
+            for _ in range(2000):
+                v, u = random_unitary(rng, d), random_unitary(rng, d)
+                differ += 1.0 - gate_fidelity(v, u) / d**2 != normalized_infidelity(v, u)
+        assert differ == 0
+
     def test_identical_gates_zero_infidelity(self, rng):
         v = random_unitary(rng, 4)
         assert normalized_infidelity(v, v) == pytest.approx(0.0, abs=1e-12)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import magicarp.shooting as shooting
-from magicarp.propagation import PulseSchedule, exp_divided_differences, normalized_infidelity, propagate
+from magicarp.propagation import (
+    PulseSchedule,
+    exp_divided_differences,
+    normalized_infidelity,
+    propagate,
+    verify_adjoint_constancy,
+)
 from magicarp.qudit import AdjointMatrix, ControlSet, GeneratorBasis, nearest_neighbor_control_set, target_gate
 from magicarp.shooting import (
     ENVELOPE_FLOOR,
@@ -95,6 +101,17 @@ class TestPulsesFromAdjoint:
         schedule, res = pulses_from_adjoint(g, ctrl, 64, "energy_optimal")
         assert np.max(np.abs(schedule.amplitudes)) <= 1e-14
         assert np.allclose(res.final, np.eye(2), atol=1e-13)
+
+    def test_adjoint_of_another_dimension_is_the_control_sets_error(self):
+        # the one adjoint check, ControlSet.check_adjoint, for the construction and the costate
+        ctrl, g = nearest_neighbor_control_set(2), AdjointMatrix(3, np.zeros(8))
+        schedule = PulseSchedule.from_amplitudes(np.zeros((4, 2)))
+        messages = set()
+        for call in (lambda: pulses_from_adjoint(g, ctrl, 4), lambda: verify_adjoint_constancy(ctrl, schedule, g)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {"adjoint has dimension 3, control set has dimension 2"}
 
     def test_renormalized_mode_rejects_degenerate_envelope(self):
         ctrl = nearest_neighbor_control_set(2)
@@ -740,7 +757,7 @@ def reference_certificate(schedule, controls):
     unitaries = propagate(controls, schedule).unitaries[:-1][keep]
     targets = (schedule.amplitudes[keep] / env[keep][:, None]).ravel()
     evolved = np.einsum("nab,mbc,ndc->nmad", unitaries, basis.generators, unitaries.conj())
-    design = (0.5 * np.einsum("nmab,kba->nkm", evolved, controls.hamiltonians).real).reshape(-1, basis.size)
+    design = (0.5 * np.einsum("nmab,kba->nkm", evolved, controls.hamiltonians).real).reshape(-1, controls.dim**2 - 1)
     coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return design, targets, int((~keep).sum()), rms(design @ coeffs - targets)
 
