@@ -176,11 +176,11 @@ def campaign_summary(records: list[BenchmarkRecord], threshold: float = 1e-7) ->
 
 # -- records CSV: one column per BenchmarkRecord field, in field order ------
 
-# field type -> (format, parse); bools are written as 0/1
+# field type -> (format, parse); bools are written as 0/1, and only 0/1 read back
 _CSV_TYPES = {
     "int": (str, int),
     "float": (lambda v: FLOAT_FMT % v, float),
-    "bool": (lambda v: str(int(v)), lambda s: bool(int(s))),
+    "bool": (lambda v: str(int(v)), {"0": False, "1": True}.__getitem__),
 }
 _CSV_COLUMNS = [(f.name, *_CSV_TYPES[f.type]) for f in fields(BenchmarkRecord)]
 _CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
@@ -209,9 +209,13 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
         parts = ln.split(",")
         if len(parts) != len(_CSV_COLUMNS):
             raise ValueError(f"records row {i} has {len(parts)} fields, expected {len(_CSV_COLUMNS)}")
-        records.append(
-            BenchmarkRecord(**{name: parse(part) for (name, _, parse), part in zip(_CSV_COLUMNS, parts)})
-        )
+        values = {}
+        for (name, _, parse), part in zip(_CSV_COLUMNS, parts):
+            try:
+                values[name] = parse(part)
+            except (KeyError, ValueError):
+                raise ValueError(f"records row {i} has a bad {name} field: {part!r}") from None
+        records.append(BenchmarkRecord(**values))
     return records
 
 

@@ -320,13 +320,12 @@ def cmd_benchmark(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], in
     def run() -> int:
         records = run_campaign(spec, workers)
         _write(args.out, "records.csv", records_to_csv(records))
-        _write(args.out, "summary.json", campaign_summary(records, spec.threshold))
+        summary = campaign_summary(records, spec.threshold)
+        _write(args.out, "summary.json", summary)
         for d in spec.dims:
             _write(args.out, f"scatter_d{d}.dat", scatter_to_dat(records, d))
         for d in spec.dims:
-            of_dim = [r for r in records if r.dim == d]
-            converged = sum(r.converged for r in of_dim)
-            print(f"dim={d} runs={len(of_dim)} converged={converged}")
+            print(f"dim={d} runs={summary[str(d)]['runs']} converged={summary[str(d)]['converged']}")
         return EXIT_OK
 
     return run

@@ -13,14 +13,9 @@ exponential is evaluated in the eigenbasis of its Hermitian generator
 (first-order -i dt H_k approximations visibly fail the finite-difference
 check at modest N). One forward pass, the step eigensystems and products
 L_n from ``propagation`` (``pulse_eigensystems``, ``accumulate``), serves
-both the objective and the gradient. The gradient contracts all steps at
-once. For tridiagonal control sets, adjacent-level ones among them, the
-pass keeps each eigenbasis as its real factors q = D Q_T (a real
-orthogonal Q_T and a diagonal phase gauge D), and the gradient stays in
-them: its basis changes are real products on the float views of complex
-stacks, only the entries where some control is non-zero are read, and one
-(N, nnz) @ (nnz, K) product contracts them. Other sets take batched complex
-d x d products and one flat (N, d^2) @ (d^2, K) product.
+both the objective and the gradient. The gradient forms the (N, d, d)
+stack M_n = L_n W L_{n+1}^dag, W = V^dag U_N, and ``propagation.pulse_pullback``
+contracts all steps at once through the step eigensystems of the pass.
 ``grape_optimize`` hands the BFGS runner (``optimizer.run_lockstep``) a
 per-point forward pass that also values the point and a gradient that reads
 a held pass. The line search values one rung at a time and the runner holds
@@ -50,10 +45,10 @@ from .optimizer import OptimizationReport, RunConfig, run_lockstep
 from .propagation import (
     PulseSchedule,
     accumulate,
-    exp_divided_differences,
     gate_overlap,
     infidelity_from_overlap,
     pulse_eigensystems,
+    pulse_pullback,
 )
 from .qudit import ControlSet, tau_qsl
 
@@ -125,27 +120,16 @@ def grape_gradient(
 
     ``forward`` is the schedule's held pass (``_held_pass``) if the caller already holds it.
     """
-    d = controls.dim
-    dt = schedule.dt
+    n, d, dt = schedule.n_steps, controls.dim, schedule.dt
     # L_n = P_{n-1} ... P_0
     theta, q, fwd, overlap = _held_pass(controls, schedule, target) if forward is None else forward
 
-    # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) = Tr(M_n D_{n,k}) with
-    # W = V^dag U_N and M_n = L_n W L_{n+1}^dag. With P_n = exp(i Theta_n),
-    # Theta_n = -dt H_n, in the step eigenbasis D = -dt Q (phi o (Q^dag H_k Q)) Q^dag,
-    # and phi is symmetric, so Tr(M D) = -dt sum_ab X_ba H_k,ab with
-    # X = Q (phi o (Q^dag M Q)) Q^dag, the -dt taken into the final factor.
+    # d tau / d u_k(n) = Tr(W L_{n+1}^dag D_{n,k} L_n) = Tr(M_n D_{n,k}), W = V^dag U_N,
+    # D_{n,k} the derivative of the step along u_k; ``pulse_pullback`` gives it over -dt,
+    # the -dt taken into the final factor. W enters by one flat (N d, d) @ (d, d) product.
     w_mat = target.conj().T @ fwd[-1]
-    phi = exp_divided_differences(theta)
-    if controls.tridiagonal:
-        grad_tau = _gauged_contraction(fwd, w_mat, phi, *q, controls)
-    else:
-        # one flat (N, d^2) @ (d^2, K) product against the transposed H_k
-        m = fwd[:-1] @ w_mat @ fwd[1:].conj().swapaxes(-1, -2)
-        q_dag = q.conj().swapaxes(-1, -2)
-        x = q @ (phi * (q_dag @ m @ q)) @ q_dag
-        h_flat = controls.hamiltonians.swapaxes(-1, -2).reshape(controls.n_controls, d * d)
-        grad_tau = x.reshape(schedule.n_steps, d * d) @ h_flat.T
+    m = (fwd[:-1].reshape(n * d, d) @ w_mat).reshape(n, d, d) @ fwd[1:].conj().swapaxes(-1, -2)
+    grad_tau = pulse_pullback(controls, theta, q, m)
 
     grad = (2.0 * dt / d**2) * (np.conj(overlap) * grad_tau).real
     if penalty_weight != 0.0:
@@ -153,42 +137,6 @@ def grape_gradient(
             2.0 * penalty_weight * dt / tau_qsl(d, controls.omega_max)
         ) * schedule.amplitudes
     return grad
-
-
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of the transposes of a stack of matrices."""
-    return np.ascontiguousarray(a.swapaxes(-1, -2))
-
-
-def _gauged_contraction(
-    fwd: np.ndarray, w_mat: np.ndarray, phi: np.ndarray, q_real: np.ndarray, gauge: np.ndarray, controls: ControlSet
-) -> np.ndarray:
-    """sum_ab X_ba H_k,ab for every step n and control k, shape (N, K), for a
-    tridiagonal control set, whose step eigenvectors are q = D Q_T.
-
-    ``gauge`` holds the phases g_a conj(g_b) of D = diag(g), so that
-    D A D^dag = gauge o A. Then q^dag M q = Z = Q_T^T (D^dag M D) Q_T, and
-    X = D X' D^dag with X' = Q_T (phi o Z) Q_T^T. Each product with the real
-    Q_T or Q_T^T acts from the left on the float view of a complex stack; a
-    product from the right is one from the left on a transposed copy. So
-    Z^T comes out, and since phi is symmetric, phi o Z^T = (phi o Z)^T,
-    which turns X' out the right way round. X is read only at the
-    transposed positions (b, a) of the controls' non-zero entries (a, b),
-    and one (N, nnz) @ (nnz, K) product contracts them.
-    """
-    n, d, _ = q_real.shape
-    q_t = _transposed(q_real)
-    m = (fwd[:-1].reshape(n * d, d) @ w_mat).reshape(n, d, d) @ fwd[1:].conj().swapaxes(-1, -2)
-    m *= gauge.conj()  # D^dag M D
-    y = np.matmul(q_t, m.view(float)).view(complex)  # Q_T^T D^dag M D
-    z_t = np.matmul(q_t, _transposed(y).view(float)).view(complex)  # Z^T
-    z_t *= phi
-    v = np.matmul(q_real, z_t.view(float)).view(complex)  # Q_T (phi o Z)^T
-    x = np.matmul(q_real, _transposed(v).view(float)).view(complex)  # X'
-    x *= gauge  # X
-    rows, cols = controls.nonzero
-    x_ba = x.reshape(n, d * d)[:, cols * d + rows]
-    return x_ba @ controls.hamiltonians[:, rows, cols].T
 
 
 def initial_schedule(config: GrapeConfig, n_controls: int) -> PulseSchedule:

@@ -27,9 +27,11 @@ of 64 steps at d = 5, and returns the eigenvectors as their real factors
 q = D Q_T: the real Q_T and the gauge's phases. Each step
 D (Q_T e^{i theta} Q_T^T) D^dag is then one real product on the float view
 of the complex e^{i theta} Q_T^T, scaled by the gauge, instead of a complex
-q e^{i theta} q^dag. The shooting construction keeps the complex kernel:
-it exponentiates one step at a time for at most 32 restarts, where forming
-the gauge costs more numpy calls than the real ``eigh`` saves.
+q e^{i theta} q^dag. ``pulse_pullback``, GRAPE's gradient through those steps,
+reads q in either form, so this module holds both halves of the gauge. The
+shooting construction keeps the complex kernel: it exponentiates one step at
+a time for at most 32 restarts, where forming the gauge costs more numpy
+calls than the real ``eigh`` saves.
 """
 
 from __future__ import annotations
@@ -227,6 +229,51 @@ def pulse_eigensystems(
         gauge = np.multiply(g[:, :, None], g.conj()[:, None, :])  # g_a conj(g_b)
         steps *= gauge
     return i_theta.imag, (q_real, gauge), steps
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the transposes of a stack of matrices."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
+
+
+def pulse_pullback(
+    controls: ControlSet, theta: np.ndarray, q: np.ndarray | tuple[np.ndarray, np.ndarray], m: np.ndarray
+) -> np.ndarray:
+    """sum_ab X_ba H_k,ab for every step n and control k, shape (N, K), with
+    X_n = q_n (phi_n o (q_n^dag M_n q_n)) q_n^dag for a stack m of (N, d, d)
+    M_n, (theta, q) from ``pulse_eigensystems`` and phi their
+    ``exp_divided_differences``. As phi is symmetric, this is
+    Tr(M_n D_{n,k}) / -dt, D_{n,k} the derivative of exp(i Theta_n) along -dt H_k.
+
+    For a tridiagonal set q = D Q_T comes as (Q_T, gauge), so that
+    q^dag M q = Z = Q_T^T (conj(gauge) o M) Q_T and X = gauge o X' with
+    X' = Q_T (phi o Z) Q_T^T. Each product with Q_T or Q_T^T acts from the
+    left on the float view of a complex stack, one from the right as one
+    from the left on a transposed copy; so Z^T comes out, and
+    phi o Z^T = (phi o Z)^T turns X' out the right way round. X is read only
+    at (b, a) for the controls' non-zero entries (a, b), contracted by one
+    (N, nnz) @ (nnz, K) product. Other sets take batched complex products
+    and one flat (N, d^2) @ (d^2, K) product against the transposed H_k.
+    """
+    n, d, _ = m.shape
+    phi = exp_divided_differences(theta)
+    if not controls.tridiagonal:
+        q_dag = q.conj().swapaxes(-1, -2)
+        x = q @ (phi * (q_dag @ m @ q)) @ q_dag
+        h_flat = controls.hamiltonians.swapaxes(-1, -2).reshape(controls.n_controls, d * d)
+        return x.reshape(n, d * d) @ h_flat.T
+    q_real, gauge = q
+    q_t = _transposed(q_real)
+    m = m * gauge.conj()  # D^dag M D
+    y = np.matmul(q_t, m.view(float)).view(complex)  # Q_T^T D^dag M D
+    z_t = np.matmul(q_t, _transposed(y).view(float)).view(complex)  # Z^T
+    z_t *= phi
+    v = np.matmul(q_real, z_t.view(float)).view(complex)  # Q_T (phi o Z)^T
+    x = np.matmul(q_real, _transposed(v).view(float)).view(complex)  # X'
+    x *= gauge  # X
+    rows, cols = controls.nonzero
+    x_ba = x.reshape(n, d * d)[:, cols * d + rows]
+    return x_ba @ controls.hamiltonians[:, rows, cols].T
 
 
 def control_generator(controls: ControlSet, amplitudes: np.ndarray) -> np.ndarray:

@@ -143,10 +143,9 @@ class ControlSet:
     """Ordered traceless Hermitian control Hamiltonians plus the drive bound.
 
     ``tridiagonal`` records once whether every control is zero off the
-    tridiagonal band (true of adjacent-level sets); the step kernel of whole
-    pulses then builds each step generator from ``superdiagonal`` and
-    ``diagonal`` alone, and GRAPE's gradient contracts only the entries
-    ``nonzero`` of its derivative matrices.
+    tridiagonal band (true of adjacent-level sets); ``superdiagonal`` and
+    ``diagonal`` then hold every control's non-zero entries, and ``nonzero``
+    holds where some control is non-zero, for any set.
     """
 
     dim: int
@@ -158,6 +157,7 @@ class ControlSet:
     nonzero: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # where some H_k != 0
 
     def __post_init__(self):
+        _check_dim(self.dim)
         h = np.asarray(self.hamiltonians, dtype=complex)
         if h.ndim != 3 or h.shape[0] < 1 or h.shape[1] != self.dim or h.shape[2] != self.dim:
             raise ValueError(f"expected control stack of shape (K, {self.dim}, {self.dim})")

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,22 @@ class TestRecordsCsv:
         text = records_to_csv([record()]) + "2,0,1\n"
         with pytest.raises(ValueError):
             records_from_csv(text)
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "true", "", " 1"])
+    def test_converged_reads_only_0_or_1(self, flag):
+        text = records_to_csv([record(), record(run_index=1)])
+        assert text.endswith(",1\n")  # the last field of the last row
+        with pytest.raises(ValueError, match=re.escape(f"records row 1 has a bad converged field: {flag!r}")):
+            records_from_csv(text[:-2] + flag + "\n")
+
+    @pytest.mark.parametrize(("column", "value"), [(3, "abc"), (6, "2.5"), (0, "x")])
+    def test_non_numeric_field_names_its_row_and_column(self, column, value):
+        header, row = records_to_csv([record()]).splitlines()
+        bad = row.split(",")
+        bad[column] = value
+        message = f"records row 1 has a bad {header.split(',')[column]} field: {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            records_from_csv("\n".join([header, row, ",".join(bad)]) + "\n")
 
 
 class TestSummary:

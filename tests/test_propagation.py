@@ -21,6 +21,7 @@ from magicarp.propagation import (
     normalized_infidelity,
     propagate,
     pulse_eigensystems,
+    pulse_pullback,
     schedule_from_csv,
     schedule_to_csv,
     step_eigensystems,
@@ -191,6 +192,43 @@ class TestPulseEigensystems:
     def test_control_count_mismatch(self):
         with pytest.raises(ValueError, match="controls"):
             pulse_eigensystems(nearest_neighbor_control_set(3), zero_schedule(4, 3))
+
+
+class TestPulsePullback:
+    @staticmethod
+    def loop_pullback(controls, schedule, m):
+        """sum_ab X_ba H_k,ab per step and control, X = Q (phi o Q^dag M Q) Q^dag
+        from ``np.linalg.eigh`` of each formed -dt H_n: the oracle of both branches."""
+        rows = []
+        for u, m_n in zip(schedule.amplitudes, m):
+            theta, q = np.linalg.eigh(control_generator(controls, -schedule.dt * u))
+            q_dag = q.conj().T
+            x = q @ (exp_divided_differences(theta) * (q_dag @ m_n @ q)) @ q_dag
+            rows.append([np.sum(x.T * h) for h in controls.hamiltonians])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("name", ("adjacent",) + KERNEL_SETS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_the_per_step_eigh_loop_to_1e_13(self, rng, name, d):
+        # a random complex M, not GRAPE's: the contract holds for any stack
+        for n in (1, 9, 64):
+            controls, amplitudes = kernel_case(name, d, rng, n)
+            schedule = PulseSchedule.from_amplitudes(amplitudes)
+            m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            theta, q, _ = pulse_eigensystems(controls, schedule)
+            got = pulse_pullback(controls, theta, q, m.copy())
+            ref = self.loop_pullback(controls, schedule, m)
+            assert got.shape == (n, controls.n_controls)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_leaves_m_as_it_was(self, rng):
+        for name in ("adjacent", "dense"):
+            controls, amplitudes = kernel_case(name, 4, rng, 8)
+            theta, q, _ = pulse_eigensystems(controls, PulseSchedule.from_amplitudes(amplitudes))
+            m = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+            kept = m.copy()
+            pulse_pullback(controls, theta, q, m)
+            assert same_bits(m, kept)
 
 
 class TestExpDividedDifferences:

@@ -187,6 +187,13 @@ class TestControlSet:
         with pytest.raises(ValueError, match="^omega_max: expected a positive finite number"):
             tau_qsl(2, omega_max)
 
+    def test_rejects_dimension_below_two(self):
+        # the dimension rule of every other d < 2 path, checked before the operands
+        from magicarp.qudit import ControlSet
+
+        with pytest.raises(ValueError, match="^dim: expected an integer >= 2, got 1$"):
+            ControlSet(dim=1, hamiltonians=np.zeros((1, 1, 1)))
+
     def test_symmetrizes_members(self, rng):
         from magicarp.qudit import ControlSet
 
