@@ -14,12 +14,11 @@ process pool.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .propagation import FLOAT_FMT
+from .propagation import FLOAT_FMT, table_from_csv, table_to_csv
 from .qudit import TARGET_NAMES, check_omega_max, nearest_neighbor_control_set, target_gate, tau_qsl
 from .shooting import LOCKSTEP_WIDTH, MagicarpConfig, ShootingContext, run_restarts
 
@@ -90,11 +89,11 @@ def _run_group(args: tuple[BenchmarkSpec, int, range]) -> list[BenchmarkRecord]:
     """The records of one dimension's contiguous run indices, in cell order.
 
     The group's restarts run in lockstep (``run_restarts``), and each record
-    is bitwise the one its cell gives alone. A restart that ends in a
-    numerical or runtime error (a ValueError, such as np.linalg.LinAlgError
-    or a degenerate envelope at the initial point, or a RuntimeError)
-    becomes an ``inf`` record; the spec checked the input, and a programming
-    error such as a TypeError propagates.
+    is bitwise the one its cell gives alone. A restart that ends in one of
+    ``optimizer.RUN_FAILURES`` (a failed eigh, a RuntimeError such as a
+    degenerate envelope, or a start where the objective is not finite)
+    becomes an ``inf`` record; the spec checked the input, and any other
+    error, a plain ValueError or a TypeError, is a bug and propagates.
     """
     spec, dim, run_indices = args
     seeds = [derive_seed(spec.base_seed, dim, i) for i in run_indices]
@@ -183,15 +182,11 @@ _CSV_TYPES = {
     "bool": (lambda v: str(int(v)), {"0": False, "1": True}.__getitem__),
 }
 _CSV_COLUMNS = [(f.name, *_CSV_TYPES[f.type]) for f in fields(BenchmarkRecord)]
-_CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+_CSV_HEADER = [name for name, _, _ in _CSV_COLUMNS]
 
 
 def records_to_csv(records: list[BenchmarkRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(_CSV_HEADER + "\n")
-    for r in records:
-        buf.write(",".join(fmt(getattr(r, name)) for name, fmt, _ in _CSV_COLUMNS) + "\n")
-    return buf.getvalue()
+    return table_to_csv(_CSV_HEADER, [[fmt(getattr(r, name)) for name, fmt, _ in _CSV_COLUMNS] for r in records])
 
 
 def scatter_to_dat(records: list[BenchmarkRecord], dim: int) -> str:
@@ -201,14 +196,11 @@ def scatter_to_dat(records: list[BenchmarkRecord], dim: int) -> str:
 
 
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _CSV_HEADER:
+    header, rows = table_from_csv(text, "records")
+    if header != _CSV_HEADER:
         raise ValueError("bad benchmark records header")
     records = []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != len(_CSV_COLUMNS):
-            raise ValueError(f"records row {i} has {len(parts)} fields, expected {len(_CSV_COLUMNS)}")
+    for i, parts in enumerate(rows):
         values = {}
         for (name, _, parse), part in zip(_CSV_COLUMNS, parts):
             try:

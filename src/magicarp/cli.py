@@ -9,7 +9,7 @@ work runs and writes each output file through one writer. Exit codes:
 0 success, 1 runtime failure (any exception but a ConfigError, including an
 unusable --out; a run that does not converge says why on stderr), 2 invalid
 input (a ConfigError: the config, a flag or a schedule CSV), 3
-certification negative.
+certification negative or undetermined.
 
 The magicarp, grape and benchmark config sections are the fields of
 MagicarpConfig, GrapeConfig and BenchmarkSpec, which alone hold their
@@ -340,6 +340,10 @@ def cmd_certify(cfg: dict, args: argparse.Namespace) -> typing.Callable[[], int]
         coeffs = " ".join(FLOAT_FMT % c for c in cert.g_fit.coeffs)
         print(f"g_fit=[{coeffs}]")
         print(f"residual={FLOAT_FMT % cert.residual} excluded_steps={cert.n_excluded}")
+        equations, unknowns = (schedule.n_steps - cert.n_excluded) * schedule.n_controls, controls.dim**2 - 1
+        if equations < unknowns:
+            print(f"not certified: {equations} equations for {unknowns} unknowns, so any pulse fits", file=sys.stderr)
+            return EXIT_NOT_OPTIMAL
         return EXIT_OK if cert.residual <= CERT_THRESHOLD else EXIT_NOT_OPTIMAL
 
     return run

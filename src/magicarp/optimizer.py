@@ -67,6 +67,14 @@ CURVATURE_FLOOR = 1e-12
 DENSE_LIMIT = 64
 
 
+class NonFiniteStartError(ValueError):
+    """The objective is not finite at a run's initial point."""
+
+
+# the numerical failures that end one run and leave its peers going; others propagate
+RUN_FAILURES = (np.linalg.LinAlgError, RuntimeError, NonFiniteStartError)
+
+
 def _finite_array(values) -> bool:
     """Whether ``values`` is a non-empty array of finite numbers (ragged rows are not an array)."""
     try:
@@ -245,7 +253,7 @@ def bfgs_steps(
     n = x.size
     f = float((yield ("value", x)))
     if not np.isfinite(f):
-        raise ValueError("objective is not finite at the initial point")
+        raise NonFiniteStartError("objective is not finite at the initial point")
     trace = [f]
     h_inv = InverseHessian(n)
     updates = 0
@@ -340,7 +348,7 @@ class LockstepRun:
         except StopIteration as done:
             self.result = done.value
             self.request = ("pulse", self.result.x)
-        except (ValueError, RuntimeError) as exc:
+        except RUN_FAILURES as exc:
             self.fail(exc)
             return
         self.point_key = self.request[1].tobytes()
@@ -377,14 +385,14 @@ class LockstepRun:
 def _serve(runs: list[LockstepRun], evaluate, deliver) -> None:
     """``deliver(run, out)`` for each run and its share of ``evaluate(runs)``.
 
-    If the batch raises a numerical or runtime error, each run is evaluated
+    If the batch raises one of ``RUN_FAILURES``, each run is evaluated
     alone, so that only a run that fails on its own gets the error.
     """
     if not runs:
         return
     try:
         outs = evaluate(runs)
-    except (ValueError, RuntimeError) as exc:
+    except RUN_FAILURES as exc:
         if len(runs) == 1:
             runs[0].fail(exc)
             return
@@ -423,8 +431,8 @@ def run_lockstep(
     (the rest of the round), and the seconds of the whole call to its ``wall_time``.
 
     Returns one finished run per point, in order, holding the pass of its
-    final point, or the ``ValueError`` or ``RuntimeError`` that ended that
-    run; other errors propagate.
+    final point, or the ``RUN_FAILURES`` error (a ``LinAlgError``, ``RuntimeError``
+    or ``NonFiniteStartError``) that ended that run; other errors propagate.
     """
     t0 = time.perf_counter()
     runs = [LockstepRun(x0, tol=tol, max_iters=max_iters, learn_step=learn_step) for x0 in x0s]

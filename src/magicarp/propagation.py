@@ -36,7 +36,6 @@ calls than the real ``eigh`` saves.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,49 +358,52 @@ def bloch_trajectory(result: PropagationResult, dt: float) -> np.ndarray:
     return np.column_stack([t, x, y, z])
 
 
-# -- schedule CSV format: step,t,u_0,...,u_{K-1},envelope -----------------
+# -- CSV tables; a schedule's columns are step,t,u_0,...,u_{K-1},envelope ---
+
+
+def table_to_csv(header: list[str], rows: list[list[str]]) -> str:
+    """The CSV text of a header and rows of formatted fields: one line each,
+    fields comma-separated, every line newline-terminated."""
+    return "".join(",".join(fields) + "\n" for fields in [header, *rows])
+
+
+def table_from_csv(text: str, name: str) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of the ``name`` table in ``text``, as lists of fields;
+    blank lines are skipped, and every row must have the header's field count."""
+    lines = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"empty {name} file")
+    header, *rows = lines
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{name} row {i} has {len(row)} fields, expected {len(header)}")
+    return header, rows
 
 
 def schedule_to_csv(schedule: PulseSchedule) -> str:
-    cols = ["step", "t"] + [f"u_{k}" for k in range(schedule.n_controls)] + ["envelope"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    env = schedule.envelope
-    for n in range(schedule.n_steps):
-        row = [str(n), FLOAT_FMT % (n * schedule.dt)]
-        row += [FLOAT_FMT % v for v in schedule.amplitudes[n]]
-        row.append(FLOAT_FMT % env[n])
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    header = ["step", "t"] + [f"u_{k}" for k in range(schedule.n_controls)] + ["envelope"]
+    steps = enumerate(zip(schedule.amplitudes, schedule.envelope))
+    return table_to_csv(header, [[str(n)] + [FLOAT_FMT % v for v in (n * schedule.dt, *u, c)] for n, (u, c) in steps])
 
 
 def schedule_from_csv(text: str) -> PulseSchedule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty schedule file")
-    header = lines[0].split(",")
+    header, rows = table_from_csv(text, "schedule")
     if len(header) < 4 or header[0] != "step" or header[1] != "t" or header[-1] != "envelope":
-        raise ValueError(f"bad schedule header: {lines[0]!r}")
-    n_controls = len(header) - 3
-    for k in range(n_controls):
+        raise ValueError(f"bad schedule header: {','.join(header)!r}")
+    for k in range(len(header) - 3):
         if header[2 + k] != f"u_{k}":
             raise ValueError(f"bad schedule header column {2 + k}: {header[2 + k]!r}")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"schedule row {i} has {len(parts)} fields, expected {len(header)}")
+    if not rows:
+        raise ValueError("schedule has no rows")
+    table = np.empty((len(rows), len(header) - 1))  # t, u_0 .. u_{K-1}, envelope
+    for i, parts in enumerate(rows):
         try:
             step = int(parts[0])
-            values = [float(v) for v in parts[1:]]
+            table[i] = [float(v) for v in parts[1:]]
         except ValueError:
             raise ValueError(f"schedule row {i} has a non-numeric field") from None
         if step != i:
             raise ValueError(f"schedule row {i} has step index {step}")
-        rows.append(values)
-    if not rows:
-        raise ValueError("schedule has no rows")
-    table = np.array(rows)  # t, u_0 .. u_{K-1}, envelope
     schedule = PulseSchedule.from_amplitudes(table[:, 1:-1].copy())
     # t = step dt and the envelope = ||u||, to 1e-9 relative for files from other
     # writers; this module's own files round-trip both exactly
@@ -417,8 +419,4 @@ def schedule_from_csv(text: str) -> PulseSchedule:
 
 
 def bloch_to_csv(trajectory: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("t,x,y,z\n")
-    for row in trajectory:
-        buf.write(",".join(FLOAT_FMT % v for v in row) + "\n")
-    return buf.getvalue()
+    return table_to_csv(["t", "x", "y", "z"], [[FLOAT_FMT % v for v in row] for row in trajectory])

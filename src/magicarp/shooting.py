@@ -463,9 +463,9 @@ def run_restarts(context: ShootingContext, seeds: Sequence[int]) -> list[Optimiz
     tapes. Since each row of these batches is bitwise the same as the row
     computed alone, every restart follows the iterates of its lone run.
 
-    Returns one report per seed, in order, or the ``ValueError`` or
-    ``RuntimeError`` that ended that restart; other errors propagate. Every
-    report's ``wall_time`` is that of the whole group.
+    Returns one report per seed, in order, or the ``optimizer.RUN_FAILURES``
+    error (``LinAlgError``, ``RuntimeError``, ``NonFiniteStartError``) that ended
+    that restart; other errors propagate. Every report's ``wall_time`` is the group's.
     """
     cfg = context.config
     seeds = [int(seed) for seed in seeds]

@@ -123,14 +123,21 @@ class TestRunCampaign:
         assert all(not r.converged for r in records)
         assert all(np.isinf(r.infidelity) for r in records)
 
-    def test_programming_error_propagates(self, monkeypatch):
+    # a plain ValueError is what numpy raises for a shape or broadcast error: a bug, not an inf record
+    @pytest.mark.parametrize(
+        "error",
+        [TypeError("synthetic bug"), ValueError("operands could not be broadcast together")],
+        ids=["TypeError", "ValueError"],
+    )
+    def test_programming_error_propagates(self, monkeypatch, error):
         def bug(*args):
-            raise TypeError("synthetic bug")
+            raise error
 
         monkeypatch.setattr(shooting, "_construct_batch", bug)
         spec = BenchmarkSpec(dims=(2,), runs_per_dim=2, magicarp=FAST_MAGICARP, base_seed=2)
-        with pytest.raises(TypeError, match="synthetic bug"):
+        with pytest.raises(type(error)) as raised:
             run_campaign(spec)
+        assert raised.value is error
 
     def test_failing_cell_leaves_its_peers_as_lone_runs(self, monkeypatch):
         # the construction fails at cell 1's starting point only: its lockstep

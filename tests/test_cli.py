@@ -611,6 +611,28 @@ class TestCertifyCommand:
         path.write_text(schedule_to_csv(PulseSchedule.from_amplitudes(2.0 * rng.standard_normal((16, 2)))), encoding="utf-8")
         assert main(["certify", str(path), "--out", str(tmp_path)]) == EXIT_NOT_OPTIMAL
 
+    @pytest.mark.parametrize(
+        "dim,rows,excluded,counts",
+        [
+            (2, ["0,0,1,0,1"], 0, "2 equations for 3 unknowns"),
+            (2, ["0,0,0,0,0", "1,0.5,1,0,1"], 1, "2 equations for 3 unknowns"),  # a zero step is not an equation
+            (3, ["0,0,1,0,0,0,1"], 0, "4 equations for 8 unknowns"),
+        ],
+    )
+    def test_undetermined_fit_exits_3(self, tmp_path, capsys, dim, rows, excluded, counts):
+        # fewer equations, K per kept step, than the d^2-1 unknowns of g: every
+        # pulse fits, so a residual of 0 certifies nothing
+        path = tmp_path / "short.csv"
+        header = ",".join(["step", "t"] + [f"u_{k}" for k in range(2 * (dim - 1))] + ["envelope"])
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["certify", str(path), "--config", write_config(tmp_path, {"dim": dim}), "--out", str(out)]
+        assert main(argv) == EXIT_NOT_OPTIMAL
+        printed = capsys.readouterr()
+        assert printed.out.startswith("g_fit=[") and printed.out.endswith(f" excluded_steps={excluded}\n")
+        assert printed.err == f"not certified: {counts}, so any pulse fits\n"
+        assert len(json.loads((out / "g_fit.json").read_text())["coeffs"]) == dim**2 - 1
+
     def test_zero_pulse_exits_1_with_the_reason(self, tmp_path, capsys):
         # the file is valid input; the certificate of a pulse that never drives is undefined
         path = tmp_path / "zero.csv"

@@ -265,6 +265,44 @@ class TestGaugeKernel:
         assert (run.infidelity, run.stop_reason) == (ref.infidelity, ref.stop_reason)
 
 
+class TestTransposeTwin:
+    """Adjacent-level controls satisfy H_k^T = s_k H_k with s_k = +-1, so the
+    twin u'_n = s o u_{N-1-n} of a pulse propagates to U_N^T. For a target
+    with V^T = V, such as QFT, the objective is then invariant under the twin
+    map and the gradient maps by it. These identities hold whatever kernel
+    computes the steps, so they check the real gauge and ``pulse_pullback``
+    without resting on them."""
+
+    @staticmethod
+    def pulse_and_twin(rng, d):
+        controls = nearest_neighbor_control_set(d)
+        h = controls.hamiltonians
+        signs = np.array([1.0 if np.array_equal(hk.T, hk) else -1.0 for hk in h])
+        assert np.array_equal(h.swapaxes(-1, -2), signs[:, None, None] * h)
+        assert 1.0 in signs and -1.0 in signs
+        amplitudes = rng.standard_normal((64, controls.n_controls))
+        twin = PulseSchedule.from_amplitudes(signs * amplitudes[::-1])
+        return controls, signs, PulseSchedule.from_amplitudes(amplitudes), twin
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_twin_propagates_to_the_transpose(self, rng, d):
+        controls, _, s, twin = self.pulse_and_twin(rng, d)
+        u_final = propagate(controls, s).final
+        assert np.max(np.abs(propagate(controls, twin).final - u_final.T)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("weight", [0.0, 1e-3])
+    def test_objective_is_invariant_and_gradient_maps_by_the_twin(self, rng, d, weight):
+        controls, signs, s, twin = self.pulse_and_twin(rng, d)
+        target = target_gate("qft", d)
+        assert np.array_equal(target.T, target)
+        value = grape_objective(s, target, controls, weight)
+        assert abs(grape_objective(twin, target, controls, weight) - value) <= 1e-14
+        grad = grape_gradient(s, target, controls, weight)
+        mapped = signs * grad[::-1]
+        assert np.linalg.norm(grape_gradient(twin, target, controls, weight) - mapped) <= 1e-12 * np.linalg.norm(grad)
+
+
 class TestGrapeOptimize:
     def test_random_target_converges(self, rng):
         ctrl = nearest_neighbor_control_set(2)

@@ -159,7 +159,7 @@ class TestRunLockstep:
 
         def forward(points):
             if any(x[0] > 0.2 and x[1] > 2.0 for x in points):
-                raise ValueError("poisoned point")
+                raise np.linalg.LinAlgError("poisoned point")
             return [fun(x) for x in points], points
 
         def backward(held):
@@ -168,7 +168,7 @@ class TestRunLockstep:
         x0s = [np.array([-3.0, 0.0]), np.array([0.0, 3.0])]
         options = dict(tol=1e-14, max_iters=50)
         outcomes = run_lockstep(x0s, forward, backward, **options)
-        assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "poisoned point"
+        assert isinstance(outcomes[1], np.linalg.LinAlgError) and str(outcomes[1]) == "poisoned point"
         (alone,) = run_lockstep(x0s[:1], forward, backward, **options)
         assert outcomes[0].result.trace == alone.result.trace
         assert same_bits(outcomes[0].result.x, alone.result.x)
@@ -209,12 +209,19 @@ class TestRunLockstep:
             assert sum(phases) <= report.wall_time
             assert not {"forward_s", "backward_s", "bookkeeping_s"} & set(report_to_dict(report))
 
-    def test_programming_error_propagates(self):
+    # numpy raises a plain ValueError for a shape or broadcast error, which is a bug too
+    @pytest.mark.parametrize(
+        "error",
+        [TypeError("a bug, not a numerical failure"), ValueError("operands could not be broadcast together")],
+        ids=["TypeError", "ValueError"],
+    )
+    def test_programming_error_propagates(self, error):
         def forward(points):
-            raise TypeError("a bug, not a numerical failure")
+            raise error
 
-        with pytest.raises(TypeError, match="a bug"):
+        with pytest.raises(type(error)) as raised:
             run_lockstep([np.zeros(2), np.ones(2)], forward, None, tol=1e-8, max_iters=10)
+        assert raised.value is error
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicarp.bench import BenchmarkRecord, records_from_csv, records_to_csv
 from magicarp.propagation import (
     PulseSchedule,
     accumulate,
@@ -546,6 +547,36 @@ class TestScheduleCsv:
         # not a 1-step schedule with 0 controls
         with pytest.raises(ValueError, match="schedule has no rows"):
             schedule_from_csv(text)
+
+
+class TestCsvTables:
+    """The one reader under both formats the library reads back."""
+
+    TABLES = {
+        "schedule": (schedule_from_csv, schedule_to_csv, PulseSchedule.from_amplitudes(np.arange(8.0).reshape(4, 2))),
+        "records": (
+            records_from_csv,
+            records_to_csv,
+            [BenchmarkRecord(2, i, 7 + i, 1e-9, 1.5, 1.25, 10, True) for i in range(4)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_blank_lines_skipped_and_field_counts_checked(self, name, edit):
+        read, write, table = self.TABLES[name]
+        header, *rows = write(table).splitlines()
+        # blank and whitespace-only lines anywhere read as no line at all
+        spaced = "\n" + header + "\n\n" + "\n \t\n".join(rows) + "\n  \n"
+        assert write(read(spaced)) == write(table)
+        m = len(header.split(","))
+        fields = rows[2].split(",")
+        rows[2] = ",".join(fields[:-1] if edit == "short" else fields + ["0"])
+        n = m - 1 if edit == "short" else m + 1
+        with pytest.raises(ValueError, match=f"^{name} row 2 has {n} fields, expected {m}$"):
+            read("\n \n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^empty {name} file$"):
+            read(" \n\n")
 
 
 class TestBloch:
